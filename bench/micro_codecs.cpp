@@ -49,6 +49,19 @@ void BM_Sha256(benchmark::State& state) {
                           static_cast<std::int64_t>(block.size()));
 }
 
+// The portable compression function on the same block, so hosts with the
+// SHA extensions print both rates.
+void BM_Sha256Portable(benchmark::State& state) {
+  const util::Bytes block = CorpusBlock(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    util::Sha256Context ctx(util::sha256_internal::CompressPortable);
+    ctx.Update(block);
+    benchmark::DoNotOptimize(ctx.Finish());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(block.size()));
+}
+
 void BM_FastHash128(benchmark::State& state) {
   const util::Bytes block = CorpusBlock(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -81,6 +94,7 @@ BENCHMARK_CAPTURE(BM_Decompress, gzip6, "gzip6")->Arg(64 << 10);
 BENCHMARK_CAPTURE(BM_Decompress, lz4, "lz4")->Arg(64 << 10);
 BENCHMARK_CAPTURE(BM_Decompress, lzjb, "lzjb")->Arg(64 << 10);
 BENCHMARK(BM_Sha256)->Arg(64 << 10);
+BENCHMARK(BM_Sha256Portable)->Arg(64 << 10);
 BENCHMARK(BM_FastHash128)->Arg(64 << 10);
 BENCHMARK(BM_CorpusGeneration)->Arg(64 << 10);
 

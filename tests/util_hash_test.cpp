@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <utility>
 
 #include "util/sha256.h"
+#include "vmi/corpus.h"
 
 namespace squirrel::util {
 namespace {
@@ -48,23 +50,143 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, StreamingMatchesOneShot) {
-  Bytes data(100000);
+Bytes PatternBytes(std::size_t size) {
+  Bytes data(size);
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<Byte>(i * 131 + 7);
   }
-  const auto oneshot = Sha256(data);
-  // Feed in awkward chunk sizes crossing the 64-byte block boundary.
-  Sha256Context ctx;
+  return data;
+}
+
+// Feeds `data` in awkward chunk sizes crossing the 64-byte block boundary.
+std::array<std::uint8_t, 32> FinishInAwkwardChunks(Sha256Context ctx,
+                                                   ByteSpan data) {
   std::size_t pos = 0;
   std::size_t chunk = 1;
   while (pos < data.size()) {
     const std::size_t take = std::min(chunk, data.size() - pos);
-    ctx.Update(ByteSpan(data.data() + pos, take));
+    ctx.Update(data.subspan(pos, take));
     pos += take;
     chunk = (chunk * 3 + 1) % 257;
   }
-  EXPECT_EQ(ctx.Finish(), oneshot);
+  return ctx.Finish();
+}
+
+TEST(Sha256, StreamingMatchesOneShot) {
+  const Bytes data = PatternBytes(100000);
+  EXPECT_EQ(FinishInAwkwardChunks(Sha256Context(), data), Sha256(data));
+}
+
+// Differential tests: the SHA-extensions compression function against the
+// portable one, which the FIPS 180-4 vectors pin.
+
+using sha256_internal::CompressFn;
+using sha256_internal::CompressPortable;
+
+constexpr const char* kNoShaExtensions =
+    "this CPU lacks the x86 SHA extensions; only the portable path runs";
+
+std::array<std::uint8_t, 32> Sha256With(CompressFn compress, ByteSpan data) {
+  Sha256Context ctx(compress);
+  ctx.Update(data);
+  return ctx.Finish();
+}
+
+struct FipsVector {
+  std::string_view message;
+  std::string_view digest;
+};
+
+// The one-block, two-block and 896-bit messages of FIPS 180-4 plus the empty
+// string, with the standard million-'a' message checked separately.
+constexpr FipsVector kFipsVectors[] = {
+    {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+    {"abc",
+     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+    {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+    {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnop"
+     "jklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+     "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+};
+
+void ExpectFipsVectors(CompressFn compress) {
+  for (const FipsVector& v : kFipsVectors) {
+    EXPECT_EQ(HexOf(Sha256With(compress, ToBytes(v.message))), v.digest)
+        << "message of " << v.message.size() << " bytes";
+  }
+  Sha256Context ctx(compress);
+  const Bytes chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) ctx.Update(chunk);
+  EXPECT_EQ(HexOf(ctx.Finish()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, FipsVectorsPortable) { ExpectFipsVectors(CompressPortable); }
+
+TEST(Sha256, FipsVectorsHardware) {
+  const CompressFn hardware = sha256_internal::HardwareCompress();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  ExpectFipsVectors(hardware);
+}
+
+TEST(Sha256, PaddingBoundaries) {
+  // 55 bytes is the longest tail whose length fits in its own block; 56 to
+  // 63 spill into a second block; 64 and 65 start a fresh one.
+  const std::pair<std::size_t, std::string_view> cases[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+  };
+  for (const auto& [len, digest] : cases) {
+    EXPECT_EQ(HexOf(Sha256(Bytes(len, 'a'))), digest) << len << " bytes";
+  }
+}
+
+TEST(Sha256, HardwareMatchesPortableAtEveryLengthTo1024) {
+  const CompressFn hardware = sha256_internal::HardwareCompress();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  const Bytes data = PatternBytes(1024);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const ByteSpan span(data.data(), len);
+    ASSERT_EQ(Sha256With(hardware, span), Sha256With(CompressPortable, span))
+        << len << " bytes";
+  }
+}
+
+TEST(Sha256, HardwareMatchesPortableOnCorpusBlocks) {
+  const CompressFn hardware = sha256_internal::HardwareCompress();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  Bytes block(64 << 10);
+  for (std::uint64_t index = 0; index < 8; ++index) {
+    vmi::GenerateCorpus(/*seed=*/4242, index * block.size(), block);
+    EXPECT_EQ(Sha256With(hardware, block), Sha256With(CompressPortable, block))
+        << "corpus block " << index;
+  }
+}
+
+TEST(Sha256, HardwareMatchesPortableOnUnalignedSpans) {
+  const CompressFn hardware = sha256_internal::HardwareCompress();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  // The allocation is 16-byte aligned, so offset k is misaligned by k.
+  const Bytes data = PatternBytes((64 << 10) + 16);
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    for (std::size_t len : {1ul, 55ul, 64ul, 129ul, 1000ul, 64ul << 10}) {
+      const ByteSpan span(data.data() + offset, len);
+      EXPECT_EQ(Sha256With(hardware, span), Sha256With(CompressPortable, span))
+          << "offset " << offset << ", " << len << " bytes";
+    }
+  }
+}
+
+TEST(Sha256, HardwareMatchesPortableWhenStreamed) {
+  const CompressFn hardware = sha256_internal::HardwareCompress();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  const Bytes data = PatternBytes(100000);
+  EXPECT_EQ(FinishInAwkwardChunks(Sha256Context(hardware), data),
+            Sha256With(CompressPortable, data));
 }
 
 TEST(HashBlock, TruncatesSha256) {
