@@ -85,8 +85,8 @@ CorruptionRow RunCorruptionSweep(const vmi::Catalog& catalog, double rate,
   CorruptionRow row;
   row.rate = rate;
   row.corrupted = victim.InjectFaults(faults);
-  const zvol::Volume::RepairReport repair =
-      victim.ScrubRepair(cluster.storage_volume().block_store());
+  zvol::RepairSession session({{0, &cluster.storage_volume().block_store()}});
+  const zvol::Volume::RepairReport repair = victim.ScrubRepair(session);
   row.blocks_checked = repair.blocks_checked;
   row.errors_found = repair.errors_found;
   row.repaired = repair.repaired;

@@ -143,7 +143,8 @@ ModeResult RunMode(const Mode& mode, const std::vector<SampleVm>& vms,
     cow::QcowOverlay overlay(vms[i].image->size(), cow::kDefaultClusterSize);
     sim::VolumeFileDevice cache(volume.get(), file, &io, 1000 + i);
     if (mode.degraded) {
-      cache.SetRepairSource(&healthy->block_store(), nullptr, 0);
+      cache.SetRepairSources({{0, &healthy->block_store()}}, nullptr, 0,
+                             nullptr);
     }
     sim::LocalFileDevice base(vms[i].image.get(), &io, 1, 40ull << 30);
     cow::Chain chain(&overlay, &cache, &base, false);
@@ -158,29 +159,10 @@ ModeResult RunMode(const Mode& mode, const std::vector<SampleVm>& vms,
         // the repairs the on-demand row pays inside the boot happen here,
         // off the critical path.
         std::sort(blocks.begin(), blocks.end());
-        const std::uint64_t count = volume->FileBlockCount(file);
-        const std::uint64_t file_size = volume->FileSize(file);
-        std::size_t a = 0;
-        while (a < blocks.size()) {
-          std::size_t b = a + 1;
-          while (b < blocks.size() && blocks[b] == blocks[b - 1] + 1) ++b;
-          if (blocks[a] < count) {
-            const std::uint64_t offset = blocks[a] * kBlockSize;
-            const std::uint64_t end_block =
-                std::min<std::uint64_t>(blocks[b - 1] + 1, count);
-            const std::uint64_t length =
-                std::min<std::uint64_t>(end_block * kBlockSize, file_size) -
-                offset;
-            std::uint64_t fetched = 0;
-            volume->ReadRangeRepair(file, offset, length,
-                                    healthy->block_store(), &fetched);
-            if (fetched > 0) {
-              ++result.preheal_fetches;
-              result.preheal_bytes += fetched;
-            }
-          }
-          a = b;
-        }
+        const sim::VolumeFileDevice::PreHealStats healed =
+            cache.PreHealBlocks(blocks);
+        result.preheal_fetches += healed.repair_fetches;
+        result.preheal_bytes += healed.repaired_bytes;
       } else {
         cache.WarmCacheFromBlocks(blocks);
       }

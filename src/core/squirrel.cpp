@@ -416,29 +416,25 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
   // Tenant 0 (the default) leaves the store on its untracked single-tenant
   // path — bit-identical to the pre-tenant tree.
   cache.SetTenant(request.tenant);
-  // Degraded-mode fallback: a corrupt ccVolume block heals on demand from
-  // the storage node's replica, charged as network traffic to this node.
-  // With a healthy replica this changes nothing.
+  // Degraded-mode fallback: a corrupt ccVolume block heals on demand
+  // through a repair session, charged as network traffic to this node. With
+  // a healthy replica this changes nothing. The session holds the storage
+  // node (peer id 0, always honest) last; with peer_repair_sources every
+  // other online replica that also holds this cache file is tried first.
+  // Compute peers may serve Byzantine payloads under the fault injector, so
+  // the session's strike counter is what keeps a degraded boot completing:
+  // lying peers blacklist out and the block re-sources down the list.
+  std::vector<zvol::RepairPeer> peers;
   if (request.peer_repair_sources) {
-    // Multi-peer healing: every other online replica that also holds this
-    // cache file, tried before the storage node. Compute peers may serve
-    // Byzantine payloads under the fault injector (the storage node, peer
-    // id 0, is always honest), so the session's strike counter is what
-    // keeps a degraded boot completing: lying peers blacklist out and the
-    // block re-sources down the list.
-    std::vector<zvol::RepairPeer> peers;
     for (const auto& other : compute_nodes_) {
       if (other->id() == compute_node || !other->online()) continue;
       if (!other->volume().HasFile(file)) continue;
       peers.push_back({other->id() + 1, &other->volume().block_store()});
     }
-    peers.push_back({0, &sc_volume_.block_store()});
-    cache.SetRepairSources(std::move(peers), &network_, compute_node + 1,
-                           faults_);
-  } else {
-    cache.SetRepairSource(&sc_volume_.block_store(), &network_,
-                          compute_node + 1);
   }
+  peers.push_back({0, &sc_volume_.block_store()});
+  cache.SetRepairSources(std::move(peers), &network_, compute_node + 1,
+                         faults_);
   sim::RemoteImageDevice base(&base_image, &io, &network_, compute_node + 1,
                               request.allocation);
   // The ccVolume is read-only to VMs: copy-on-read happened at registration.
@@ -458,37 +454,13 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
         profile->replay->BlocksForFile(file, /*misses_only=*/false);
     std::sort(touched.begin(), touched.end());
     if (profile->pre_heal) {
-      // Pre-heal: walk the profile's blocks through the repair read path
-      // before the guest starts. A degraded replica fetches its clean
-      // copies now — off the boot's critical path — and the reads warm the
-      // decompressed-block ARC either way. The wire bytes are charged to
-      // the network accountant but not to the guest clock: the modelled
-      // prefetch daemon overlaps VM scheduling.
-      const std::uint32_t block_size = node.volume().config().block_size;
-      const std::uint64_t block_count = node.volume().FileBlockCount(file);
-      const std::uint64_t file_size = node.volume().FileSize(file);
-      std::size_t i = 0;
-      while (i < touched.size()) {
-        std::size_t j = i + 1;
-        while (j < touched.size() && touched[j] == touched[j - 1] + 1) ++j;
-        if (touched[i] < block_count) {
-          const std::uint64_t offset = touched[i] * block_size;
-          const std::uint64_t end_block =
-              std::min<std::uint64_t>(touched[j - 1] + 1, block_count);
-          const std::uint64_t length =
-              std::min<std::uint64_t>(end_block * block_size, file_size) -
-              offset;
-          std::uint64_t fetched = 0;
-          node.volume().ReadRangeRepair(file, offset, length,
-                                        sc_volume_.block_store(), &fetched);
-          if (fetched > 0) {
-            ++report.preheal_repair_fetches;
-            report.preheal_repaired_bytes += fetched;
-            network_.Transfer(/*from=*/0, compute_node + 1, fetched);
-          }
-        }
-        i = j;
-      }
+      // Pre-heal: heal (and warm) the profile's blocks through the repair
+      // session before the guest starts; the wire bytes are charged to the
+      // network accountant but not to the guest clock.
+      const sim::VolumeFileDevice::PreHealStats healed =
+          cache.PreHealBlocks(touched);
+      report.preheal_repair_fetches = healed.repair_fetches;
+      report.preheal_repaired_bytes = healed.repaired_bytes;
     } else {
       // ARC-warm replay; with pin_boot_critical the profile's blocks — the
       // boot-critical working set PR 5's profiles recorded — enter the

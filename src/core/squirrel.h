@@ -73,12 +73,12 @@ struct BootRequest {
   /// Optional profile recording/replay (pre-heal + prefetch).
   const BootProfileRun* profile = nullptr;
   sim::BootSimConfig boot_config{};
-  /// Heal corrupt ccVolume blocks through a multi-peer RepairSession (other
-  /// online compute replicas first, the storage node last) instead of the
-  /// single storage-node source. Peers may serve Byzantine payloads under
-  /// the cluster's fault injector; lying peers strike out and the block
-  /// re-sources from the next replica. Default off: the single-peer path
-  /// keeps existing bench output byte-identical.
+  /// Chooses the repair session's peer list. Every boot heals corrupt
+  /// ccVolume blocks through a RepairSession; by default it holds only the
+  /// storage node. When set, the other online compute replicas that hold
+  /// this cache file are tried first and the storage node last. Compute
+  /// peers may serve Byzantine payloads under the cluster's fault injector;
+  /// lying peers strike out and the block re-sources from the next replica.
   bool peer_repair_sources = false;
   /// Tenant (VM owner) this boot's ARC residency is charged to, when the
   /// adaptive cache controller is enabled (SquirrelConfig::cache_controller).
@@ -110,20 +110,22 @@ struct BootReport {
   sim::BootResult result;
   std::uint64_t network_bytes = 0;  // base-VMI bytes pulled over the network
   /// Degraded-mode healing during the boot: corrupt ccVolume blocks
-  /// re-fetched on demand from the storage node (included in network_bytes).
+  /// re-fetched on demand through the repair session (included in
+  /// network_bytes).
   std::uint64_t repaired_blocks_bytes = 0;
   std::uint64_t repair_reads = 0;
   /// Pre-heal pass (profile replay with pre_heal): range reads that had to
-  /// fetch clean copies from the storage node *before* the guest started —
-  /// repairs moved off the boot's critical path. Bytes are included in
-  /// network_bytes but charge no simulated boot time.
+  /// fetch clean copies through the repair session *before* the guest
+  /// started — repairs moved off the boot's critical path. Bytes are
+  /// included in network_bytes but charge no simulated boot time.
   std::uint64_t preheal_repair_fetches = 0;
   std::uint64_t preheal_repaired_bytes = 0;
   /// Profile-guided background reads issued while the guest booted.
   std::uint64_t prefetch_issued = 0;
-  /// Multi-peer repair (peer_repair_sources): Byzantine payloads caught by
-  /// the post-decompress digest check, peers struck out for serving them,
-  /// and blocks healed from a different replica after a peer lied.
+  /// Repair with compute peers (peer_repair_sources): Byzantine payloads
+  /// caught by the post-decompress digest check, peers struck out for
+  /// serving them, and blocks healed from a different replica after a peer
+  /// lied.
   std::uint64_t byzantine_rejected = 0;
   std::uint64_t peers_blacklisted = 0;
   std::uint64_t resourced_blocks = 0;
@@ -224,8 +226,7 @@ class SquirrelCluster {
   /// model. The injector is borrowed (caller keeps ownership); nullptr
   /// disarms, and a disarmed cluster's accounting is bit-identical to one
   /// that never had an injector. Arming forwards to the scVolume and every
-  /// ccVolume, which switches their Receive paths to transactional mode
-  /// (staged apply + rollback) — logically identical when no crash fires.
+  /// ccVolume, whose Receive paths then fire their crash sites.
   void SetFaultInjector(util::FaultInjector* faults) {
     faults_ = faults;
     sc_volume_.SetFaultInjector(faults);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace squirrel::sim {
 namespace {
@@ -247,31 +248,49 @@ bool VolumeFileDevice::Present(std::uint64_t offset) const {
   return false;
 }
 
-void VolumeFileDevice::SetRepairSource(const store::BlockStore* peer,
-                                       NetworkAccountant* network,
-                                       std::uint32_t node_id) {
-  repair_peer_ = peer;
-  repair_network_ = network;
-  repair_node_id_ = node_id;
-  repair_session_.reset();
-}
-
 void VolumeFileDevice::SetRepairSources(std::vector<zvol::RepairPeer> peers,
                                         NetworkAccountant* network,
                                         std::uint32_t node_id,
                                         util::FaultInjector* faults) {
   repair_session_ =
       std::make_unique<zvol::RepairSession>(std::move(peers), faults);
-  repair_peer_ = nullptr;
   repair_network_ = network;
   repair_node_id_ = node_id;
 }
 
-void VolumeFileDevice::SetReconstructionSource(
-    zvol::BlockReconstructor* reconstructor) {
-  if (repair_session_ != nullptr) {
-    repair_session_->SetReconstructionSource(reconstructor);
+VolumeFileDevice::PreHealStats VolumeFileDevice::PreHealBlocks(
+    std::span<const std::uint64_t> blocks) {
+  if (repair_session_ == nullptr) {
+    throw std::logic_error("PreHealBlocks requires repair sources");
   }
+  PreHealStats stats;
+  const std::uint32_t block_size = volume_->config().block_size;
+  const std::uint64_t block_count = volume_->FileBlockCount(file_);
+  const std::uint64_t file_size = volume_->FileSize(file_);
+  std::size_t i = 0;
+  while (i < blocks.size()) {
+    std::size_t j = i + 1;
+    while (j < blocks.size() && blocks[j] == blocks[j - 1] + 1) ++j;
+    if (blocks[i] < block_count) {
+      const std::uint64_t offset = blocks[i] * block_size;
+      const std::uint64_t end_block =
+          std::min<std::uint64_t>(blocks[j - 1] + 1, block_count);
+      const std::uint64_t length =
+          std::min<std::uint64_t>(end_block * block_size, file_size) - offset;
+      std::uint64_t fetched = 0;
+      volume_->ReadRangeRepair(tenant_, file_, offset, length,
+                               *repair_session_, &fetched);
+      if (fetched > 0) {
+        ++stats.repair_fetches;
+        stats.repaired_bytes += fetched;
+        if (repair_network_ != nullptr) {
+          repair_network_->Transfer(/*from=*/0, repair_node_id_, fetched);
+        }
+      }
+    }
+    i = j;
+  }
+  return stats;
 }
 
 void VolumeFileDevice::SetProfileRecorder(vmi::BootProfile* profile) {
@@ -427,26 +446,19 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
   }
 
   util::Bytes data;
-  if (repair_session_ != nullptr || repair_peer_ != nullptr) {
+  if (repair_session_ == nullptr) {
+    data = volume_->ReadRangeAs(tenant_, file_, offset, out.size());
+  } else {
     // Degraded mode: a corrupt local block is healed on demand from the
-    // storage node (or, with a session, the first honest replica that has
-    // it); the re-fetched bytes are charged as network traffic (the cost
-    // curve BENCH_faults measures).
+    // first honest replica that has it (the storage node in a one-peer
+    // session); the re-fetched bytes are charged as network traffic (the
+    // cost curve BENCH_faults measures).
     std::uint64_t fetched = 0;
-    if (repair_session_ != nullptr) {
-      data = volume_->ReadRangeRepair(file_, offset, out.size(),
-                                      *repair_session_, &fetched);
-      degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
-      degraded_.resourced_blocks = repair_session_->resourced_blocks();
-      degraded_.byzantine_rejected = repair_session_->byzantine_rejected();
-      degraded_.reconstructed_blocks = repair_session_->reconstructed_blocks();
-      degraded_.parity_reads = repair_session_->parity_reads();
-      degraded_.reconstruct_fallbacks =
-          repair_session_->reconstruct_fallbacks();
-    } else {
-      data = volume_->ReadRangeRepair(file_, offset, out.size(), *repair_peer_,
-                                      &fetched);
-    }
+    data = volume_->ReadRangeRepair(tenant_, file_, offset, out.size(),
+                                    *repair_session_, &fetched);
+    degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
+    degraded_.resourced_blocks = repair_session_->resourced_blocks();
+    degraded_.byzantine_rejected = repair_session_->byzantine_rejected();
     if (fetched > 0) {
       ++degraded_.repair_reads;
       degraded_.repaired_bytes += fetched;
@@ -456,8 +468,6 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
         if (io_ != nullptr) io_->ChargeNs(ns);
       }
     }
-  } else {
-    data = volume_->ReadRangeAs(tenant_, file_, offset, out.size());
   }
   std::memcpy(out.data(), data.data(), out.size());
 }

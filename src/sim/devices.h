@@ -144,55 +144,54 @@ class VolumeFileDevice final : public cow::WritableDevice,
   std::uint64_t WarmCacheFromBlocks(std::span<const std::uint64_t> blocks,
                                     bool pin = false);
 
-  /// Tags every subsequent demand read and warm from this device with
-  /// `tenant` (see store::TenantId): the VM behind this device is charged
+  /// Tags every subsequent demand read, warm and pre-heal from this device
+  /// with `tenant` (see store::TenantId): the VM behind this device is charged
   /// for the ARC residency its boot creates, which is what lets the cache
   /// controller partition budget per VM. Default 0 = untagged
   /// (single-tenant mode, bit-identical to the pre-tenant path).
   void SetTenant(store::TenantId tenant) { tenant_ = tenant; }
   store::TenantId tenant() const { return tenant_; }
 
-  /// Degraded-read accounting: reads that hit a corrupt local block and the
-  /// bytes re-fetched from the repair peer(s) to heal them. The Byzantine
-  /// counters stay zero on the legacy single-peer path; the multi-peer
-  /// session path fills them from the RepairSession after every heal.
+  /// Degraded-read accounting: reads that hit a corrupt local block, the
+  /// bytes re-fetched from the repair peers to heal them, and the repair
+  /// session's Byzantine counters, refreshed after every heal.
   struct DegradedReadStats {
     std::uint64_t repair_reads = 0;    // ReadAt calls that needed healing
-    std::uint64_t repaired_bytes = 0;  // logical bytes fetched from the peer
+    std::uint64_t repaired_bytes = 0;  // logical bytes fetched from peers
     std::uint64_t peers_blacklisted = 0;   // peers struck out for lying
     std::uint64_t resourced_blocks = 0;    // blocks healed from another peer
     std::uint64_t byzantine_rejected = 0;  // wrong payloads caught by digest
-    /// Stripe reconstruction (sessions with a reconstruction source only):
-    /// blocks rebuilt from erasure-coded shards, parity shards consumed,
-    /// and failed rebuilds that fell back to a whole-block fetch.
-    std::uint64_t reconstructed_blocks = 0;
-    std::uint64_t parity_reads = 0;
-    std::uint64_t reconstruct_fallbacks = 0;
   };
 
   /// Arms degraded-mode boots: when the verified read path reports a corrupt
-  /// local block, re-fetch it on demand from `peer` (the storage node's
-  /// scVolume), charge the fetched bytes to `network` as a transfer from
-  /// node 0 to `node_id`, and retry the read. Without a repair source,
-  /// corruption propagates as BlockCorruptionError.
-  void SetRepairSource(const store::BlockStore* peer,
-                       NetworkAccountant* network, std::uint32_t node_id);
-
-  /// Multi-peer variant: heal through a RepairSession over `peers` (tried in
-  /// order, per-peer strike counters, Byzantine blacklisting). Fetched bytes
-  /// are charged to `network` as a transfer from each serving peer's node id
-  /// is unknown at this layer, so the whole heal is charged from node 0 (the
-  /// worst-case storage hop) to `node_id`, matching the single-peer model.
-  /// `faults` drives the Byzantine fault model; may be null. Overrides any
-  /// single-peer source previously set.
+  /// local block, heal it on demand through a RepairSession over `peers`
+  /// (tried in order, per-peer strike counters, Byzantine blacklisting) and
+  /// retry the read. A one-peer list holding the storage node's scVolume
+  /// (peer id 0) is the plain degraded boot. The serving peer's node id is
+  /// unknown at this layer, so fetched bytes are charged to `network` (when
+  /// set) as a transfer from node 0, the worst-case storage hop, to
+  /// `node_id`. `faults` drives the Byzantine fault model; may be null.
+  /// Without repair sources, corruption propagates as BlockCorruptionError.
   void SetRepairSources(std::vector<zvol::RepairPeer> peers,
                         NetworkAccountant* network, std::uint32_t node_id,
                         util::FaultInjector* faults);
 
-  /// Arms stripe reconstruction on the multi-peer session (see
-  /// zvol::RepairSession::SetReconstructionSource). Requires a prior
-  /// SetRepairSources call; borrowed, nullptr disarms.
-  void SetReconstructionSource(zvol::BlockReconstructor* reconstructor);
+  /// Pre-heal outcome: contiguous runs whose read had to fetch clean
+  /// copies, and the bytes those fetches moved.
+  struct PreHealStats {
+    std::uint64_t repair_fetches = 0;
+    std::uint64_t repaired_bytes = 0;
+  };
+
+  /// Pre-heal pass: reads the given volume blocks of this file (sorted
+  /// ascending) in contiguous runs through the repair session, as this
+  /// device's tenant, before the guest starts. A degraded replica fetches
+  /// its clean copies now — off the boot's critical path — and the reads
+  /// warm the decompressed-block ARC either way. Fetched bytes are charged
+  /// to the repair network but not to the I/O clock (the modelled prefetch
+  /// daemon overlaps VM scheduling) and not to degraded_stats(). Requires
+  /// SetRepairSources.
+  PreHealStats PreHealBlocks(std::span<const std::uint64_t> blocks);
 
   const DegradedReadStats& degraded_stats() const { return degraded_; }
 
@@ -207,7 +206,6 @@ class VolumeFileDevice final : public cow::WritableDevice,
   std::uint64_t device_id_;
   std::uint32_t presence_window_;
   vmi::BootProfile* profile_ = nullptr;  // borrowed; null = not recording
-  const store::BlockStore* repair_peer_ = nullptr;
   NetworkAccountant* repair_network_ = nullptr;
   std::uint32_t repair_node_id_ = 0;
   std::unique_ptr<zvol::RepairSession> repair_session_;

@@ -24,16 +24,16 @@ DigestSet ReachableDigests(const FileTable& table) {
 
 }  // namespace
 
-/// Undo log for the transactional Receive path. Store operations performed
-/// through the txn are applied immediately (so the exact op sequence — and
-/// thus first-fit allocation behaviour — matches the legacy in-place apply)
-/// and logged with their inverse; Rollback replays the inverses in reverse
-/// order. An Unref that would free the last reference snapshots the payload
-/// first (through the ARC-bypassing GetUncached) so the inverse is a re-Put
-/// — that restoration requires content-addressed digests (dedup on), which
-/// every cluster path satisfies; in those paths the live table always
-/// equals the latest snapshot's table when a stream applies, so refcounts
-/// stay >= 2 and the case cannot occur at all.
+/// Undo log for Receive's staged apply. Store operations performed through
+/// the txn are applied immediately (so first-fit allocation sees the
+/// stream's own op sequence) and logged with their inverse; Rollback
+/// replays the inverses in reverse order. An Unref that would free the last
+/// reference snapshots the payload first (through the ARC-bypassing
+/// GetUncached) so the inverse is a re-Put — that restoration requires
+/// content-addressed digests (dedup on), which every cluster path
+/// satisfies; in those paths the live table always equals the latest
+/// snapshot's table when a stream applies, so refcounts stay >= 2 and the
+/// case cannot occur at all.
 class Volume::StoreTxn {
  public:
   explicit StoreTxn(store::BlockStore& store) : store_(store) {}
@@ -777,31 +777,9 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
 
 void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
                                 std::vector<CarriedPayload>& carried,
-                                StoreTxn* txn) {
-  // Transactional mode routes every store operation through the undo log;
-  // legacy mode hits the store directly — same call sequence either way.
-  const auto do_ref = [&](const util::Digest& digest) {
-    if (txn != nullptr) {
-      txn->Ref(digest);
-    } else {
-      store_.Ref(digest);
-    }
-  };
-  const auto do_unref = [&](const util::Digest& digest) {
-    if (txn != nullptr) {
-      txn->Unref(digest);
-    } else {
-      store_.Unref(digest);
-    }
-  };
-  const auto do_put_batch = [&](std::span<const util::ByteSpan> payloads) {
-    return txn != nullptr ? txn->PutBatch(payloads)
-                          : store_.PutBatch(payloads);
-  };
-  // Volume-level crash sites fire only in transactional mode with an
-  // injector armed (a capacity alone arms the txn, not the crash schedule).
+                                StoreTxn& txn) {
   const auto crash_site = [&](const char* site, std::uint64_t salt = 0) {
-    if (txn != nullptr && faults_ != nullptr) faults_->CrashPoint(site, salt);
+    if (faults_ != nullptr) faults_->CrashPoint(site, salt);
   };
 
   crash_site("receive/validated");
@@ -814,7 +792,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       throw StreamCorruptError("receive: deletion of unknown file " + name);
     }
     for (const BlockPtr& ptr : it->second.blocks) {
-      if (!ptr.hole) do_unref(ptr.digest);
+      if (!ptr.hole) txn.Unref(ptr.digest);
     }
     table.erase(it);
   }
@@ -828,7 +806,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
     if (f.whole_file || it == table.end()) {
       if (it != table.end()) {
         for (const BlockPtr& ptr : it->second.blocks) {
-          if (!ptr.hole) do_unref(ptr.digest);
+          if (!ptr.hole) txn.Unref(ptr.digest);
         }
         table.erase(it);
       }
@@ -844,7 +822,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       // A shrinking file drops its tail blocks; release their references
       // before the resize discards the pointers.
       for (std::uint64_t i = new_count; i < meta->blocks.size(); ++i) {
-        if (!meta->blocks[i].hole) do_unref(meta->blocks[i].digest);
+        if (!meta->blocks[i].hole) txn.Unref(meta->blocks[i].digest);
       }
       meta->blocks.resize(new_count);
     }
@@ -856,7 +834,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
     for (const BlockRecord& b : f.blocks) {
       BlockPtr& ptr = meta->blocks[b.index];
       if (!ptr.hole) {
-        do_unref(ptr.digest);
+        txn.Unref(ptr.digest);
         ptr = BlockPtr{};
       }
     }
@@ -872,7 +850,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
     for (std::size_t k = 0; k < file_carried; ++k) {
       payloads.emplace_back(carried[next_carried + k].raw);
     }
-    const std::vector<store::PutResult> puts = do_put_batch(payloads);
+    const std::vector<store::PutResult> puts = txn.PutBatch(payloads);
     std::size_t next_put = 0;
     for (const BlockRecord& b : f.blocks) {
       if (b.hole) continue;
@@ -885,7 +863,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
           throw StreamCorruptError(
               "receive: stream references a block this volume does not hold");
         }
-        do_ref(b.digest);
+        txn.Ref(b.digest);
         ptr = BlockPtr{false, b.digest, b.logical_size};
       }
     }
@@ -895,33 +873,25 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
 
 void Volume::CommitReceive(const SendStream& stream,
                            std::vector<CarriedPayload>& carried) {
-  const bool transactional =
-      faults_ != nullptr || config_.capacity_bytes != 0;
-  if (!transactional) {
-    // Legacy in-place apply: bit-identical to pre-crash-model behaviour.
-    ApplyStreamToTable(stream, files_, carried, nullptr);
-  } else {
-    // Stage against a shadow copy of the file table; the store operations
-    // run for real (same sequence as legacy) but carry an undo log. Any
-    // failure — simulated crash, disk-full, stream damage discovered
-    // mid-apply — rolls the store back and discards the staged table, so
-    // the volume is exactly as it was.
-    FileTable staged = files_;
-    StoreTxn txn(store_);
-    try {
-      if (faults_ != nullptr) faults_->CrashPoint("receive/begin");
-      ApplyStreamToTable(stream, staged, carried, &txn);
-      if (faults_ != nullptr) faults_->CrashPoint("receive/staged");
-    } catch (...) {
-      txn.Rollback();
-      throw;
-    }
-    // Commit point: the table swap plus snapshot retention below is the
-    // atomic metadata flip — no crash site interrupts it, mirroring a
-    // journaled rename. A crash after "receive/committed" finds the stream
-    // fully applied; re-delivery is an idempotent no-op.
-    files_ = std::move(staged);
+  // Stage against a shadow copy of the file table; the store operations
+  // run for real but carry an undo log. Any failure — simulated crash,
+  // disk-full, stream damage discovered mid-apply — rolls the store back
+  // and discards the staged table, so the volume is exactly as it was.
+  FileTable staged = files_;
+  StoreTxn txn(store_);
+  try {
+    if (faults_ != nullptr) faults_->CrashPoint("receive/begin");
+    ApplyStreamToTable(stream, staged, carried, txn);
+    if (faults_ != nullptr) faults_->CrashPoint("receive/staged");
+  } catch (...) {
+    txn.Rollback();
+    throw;
   }
+  // Commit point: the table swap plus snapshot retention below is the
+  // atomic metadata flip — no crash site interrupts it, mirroring a
+  // journaled rename. A crash after "receive/committed" finds the stream
+  // fully applied; re-delivery is an idempotent no-op.
+  files_ = std::move(staged);
 
   auto snap = std::make_unique<Snapshot>();
   snap->id = stream.to_id;
@@ -931,9 +901,7 @@ void Volume::CommitReceive(const SendStream& stream,
   RetainTable(snap->files);
   snapshots_.push_back(std::move(snap));
   next_snapshot_id_ = std::max(next_snapshot_id_, stream.to_id + 1);
-  if (transactional && faults_ != nullptr) {
-    faults_->CrashPoint("receive/committed");
-  }
+  if (faults_ != nullptr) faults_->CrashPoint("receive/committed");
 }
 
 void Volume::Receive(const SendStream& stream) {
@@ -1033,44 +1001,6 @@ Volume::ScrubReport Volume::Scrub() const {
   return report;
 }
 
-Volume::RepairReport Volume::ScrubRepair(const store::BlockStore& peer) {
-  RepairReport report;
-  const std::vector<util::Digest> to_verify =
-      CollectScrubDigests(&report.dangling_refs);
-  report.blocks_checked = to_verify.size();
-  const std::vector<std::uint8_t> ok = store_.VerifyBatch(to_verify);
-  for (std::size_t i = 0; i < to_verify.size(); ++i) {
-    if (ok[i]) continue;
-    ++report.errors_found;
-    // Resilver: fetch the block from the healthy replica. The peer's own
-    // verified read path throws if its copy is corrupt too, and Repair
-    // re-hashes the fetched bytes before accepting them — a bad peer can
-    // never make things worse.
-    util::Bytes raw;
-    try {
-      raw = peer.Get(to_verify[i]);
-    } catch (const Error&) {
-      ++report.unrepairable;  // peer missing the block, or corrupt as well
-      continue;
-    }
-    try {
-      if (store_.Repair(to_verify[i], raw)) {
-        ++report.repaired;
-        report.repaired_bytes += raw.size();
-      } else {
-        ++report.unrepairable;
-      }
-    } catch (const store::NoSpaceError&) {
-      // A size-changing repair can outgrow a full pool. Skip-and-report:
-      // the block stays corrupt (readable only via peers), the scrub keeps
-      // going, and the caller sees the skip count instead of an abort.
-      ++report.no_space_skips;
-      ++report.unrepairable;
-    }
-  }
-  return report;
-}
-
 Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   RepairReport report;
   const std::vector<util::Digest> to_verify =
@@ -1089,6 +1019,9 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
         ++report.unrepairable;  // every live peer lied or lacks the block
       }
     } catch (const store::NoSpaceError&) {
+      // A size-changing repair can outgrow a full pool. Skip-and-report:
+      // the block stays corrupt (readable only via peers), the scrub keeps
+      // going, and the caller sees the skip count instead of an abort.
       ++report.no_space_skips;
       ++report.unrepairable;
     }
@@ -1102,45 +1035,22 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   return report;
 }
 
-util::Bytes Volume::ReadRangeRepair(const std::string& name,
+util::Bytes Volume::ReadRangeRepair(store::TenantId tenant,
+                                    const std::string& name,
                                     std::uint64_t offset, std::uint64_t length,
                                     RepairSession& session,
                                     std::uint64_t* fetched_bytes) {
   DigestSet repaired;
   while (true) {
     try {
-      return ReadRange(name, offset, length);
+      return ReadRangeAs(tenant, name, offset, length);
     } catch (const store::BlockCorruptionError& e) {
-      // Same loop as the single-peer overload, but sourcing through the
-      // session: lying peers strike out and the block re-sources from the
-      // next replica instead of staying degraded.
-      if (!repaired.insert(e.digest()).second) throw;
-      if (!session.RepairBlock(store_, e.digest(), fetched_bytes)) throw e;
-    }
-  }
-}
-
-util::Bytes Volume::ReadRangeRepair(const std::string& name,
-                                    std::uint64_t offset, std::uint64_t length,
-                                    const store::BlockStore& peer,
-                                    std::uint64_t* fetched_bytes) {
-  DigestSet repaired;
-  while (true) {
-    try {
-      return ReadRange(name, offset, length);
-    } catch (const store::BlockCorruptionError& e) {
-      // One corrupt block surfaces per attempt; repair it on demand from
-      // the peer and retry. A repaired block is re-verified content, so it
+      // One corrupt block surfaces per attempt; heal it through the session
+      // (lying peers strike out, the block re-sources from the next
+      // replica) and retry. A repaired block is re-verified content, so it
       // cannot fail again — each round makes progress or rethrows.
       if (!repaired.insert(e.digest()).second) throw;
-      util::Bytes raw;
-      try {
-        raw = peer.Get(e.digest());
-      } catch (const Error&) {
-        throw e;  // peer cannot supply a clean copy: stay degraded
-      }
-      if (!store_.Repair(e.digest(), raw)) throw e;
-      if (fetched_bytes != nullptr) *fetched_bytes += raw.size();
+      if (!session.RepairBlock(store_, e.digest(), fetched_bytes)) throw e;
     }
   }
 }

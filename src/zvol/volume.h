@@ -50,9 +50,8 @@ struct VolumeConfig {
   std::size_t shards = store::BlockStoreConfig{}.shards;
   /// Backing-pool capacity in bytes; 0 (the default) means unlimited. A
   /// full pool surfaces as store::NoSpaceError from the mutating paths;
-  /// Receive additionally switches to its transactional (rollback) mode so
-  /// a mid-apply disk-full leaves the volume exactly as it was. Runtime
-  /// tuning only — not part of the serialized volume state.
+  /// Receive rolls a mid-apply disk-full back so the volume is exactly as
+  /// it was. Runtime tuning only — not part of the serialized volume state.
   std::uint64_t capacity_bytes = 0;
 };
 
@@ -133,9 +132,11 @@ class BlockReconstructor {
       const util::Digest& digest) = 0;
 };
 
-/// Multi-peer repair with Byzantine-peer blacklisting. A session holds an
-/// ordered list of replicas and per-peer strike counters; RepairBlock tries
-/// peers in order, skipping blacklisted ones, and relies on
+/// Multi-peer repair with Byzantine-peer blacklisting, and the one repair
+/// path: scrubs, degraded reads and degraded boots all heal through a
+/// session (the plain case is one peer, the storage node). A session holds
+/// an ordered list of replicas and per-peer strike counters; RepairBlock
+/// tries peers in order, skipping blacklisted ones, and relies on
 /// BlockStore::Repair's re-hash as the one defence against wrong-but-
 /// well-formed payloads. A peer that *served bytes* failing that digest
 /// check earns a strike (unavailability — missing block, its own copy
@@ -323,14 +324,13 @@ class Volume {
   /// (Section 3.5). On success the live table becomes `to` and a snapshot of
   /// it is recorded under the stream's `to` name/id/time.
   ///
-  /// Crash consistency (DESIGN.md §15): with a fault injector armed (or a
-  /// pool capacity set) the apply runs transactionally — against a staged
-  /// copy of the file table with an undo log of store operations — so a
-  /// simulated crash (util::CrashError) or disk-full (store::NoSpaceError)
-  /// anywhere inside rolls the volume back to exactly its pre-call state,
-  /// and re-delivering a stream whose `to` snapshot already landed is an
-  /// idempotent no-op. Without an injector the non-staged legacy path runs,
-  /// bit-identical to previous behaviour.
+  /// Crash consistency (DESIGN.md §15): the apply runs against a staged copy
+  /// of the file table with an undo log of store operations, so a stream
+  /// that fails mid-apply — damage found late, a simulated crash
+  /// (util::CrashError), a disk-full (store::NoSpaceError) — rolls the
+  /// volume back to exactly its pre-call state. With a fault injector
+  /// armed, the crash sites fire and re-delivering a stream whose `to`
+  /// snapshot already landed is an idempotent no-op.
   void Receive(const SendStream& stream);
 
   /// Drops all state and applies a full stream (the "node offline for more
@@ -368,13 +368,13 @@ class Volume {
   struct RepairReport {
     std::uint64_t blocks_checked = 0;
     std::uint64_t errors_found = 0;    // payloads that failed verification
-    std::uint64_t repaired = 0;        // restored byte-identically from peer
-    std::uint64_t unrepairable = 0;    // peer missing the block, or corrupt too
+    std::uint64_t repaired = 0;        // restored byte-identically from a peer
+    std::uint64_t unrepairable = 0;    // no peer could supply a clean copy
     std::uint64_t repaired_bytes = 0;  // logical bytes re-fetched
     std::uint64_t dangling_refs = 0;
-    /// Multi-peer (RepairSession) runs only: peers blacklisted for serving
-    /// wrong bytes, blocks healed from a later replica after an earlier one
-    /// lied, and wrong payloads rejected by the digest check.
+    /// Session counters: peers blacklisted for serving wrong bytes, blocks
+    /// healed from a later replica after an earlier one lied, and wrong
+    /// payloads rejected by the digest check.
     std::uint64_t peers_blacklisted = 0;
     std::uint64_t resourced_blocks = 0;
     std::uint64_t byzantine_rejected = 0;
@@ -392,36 +392,25 @@ class Volume {
   };
 
   /// Scrub + resilver: like Scrub, but every block that fails verification
-  /// is re-fetched from `peer` (a healthy replica — in Squirrel, the storage
-  /// node's scVolume) and rewritten through BlockStore::Repair, which
-  /// re-verifies the fetched bytes against the digest before accepting them.
-  /// After a successful run (unrepairable == 0) a subsequent Scrub reports
-  /// zero errors and reads return byte-identical content.
-  RepairReport ScrubRepair(const store::BlockStore& peer);
-
-  /// Multi-peer scrub + resilver through a RepairSession: failed blocks are
-  /// re-sourced across the session's replicas with Byzantine-peer
-  /// blacklisting, and a block whose replacement extent no longer fits the
+  /// is healed through `session` — re-sourced across its replicas (in
+  /// Squirrel, other ccVolumes and last the storage node's scVolume) with
+  /// Byzantine-peer blacklisting, and rewritten through BlockStore::Repair,
+  /// which re-verifies the fetched bytes against the digest before
+  /// accepting them. A block whose replacement extent no longer fits the
   /// pool capacity is skipped-and-reported (no_space_skips) instead of
-  /// aborting the scrub. Session counters (peers_blacklisted,
-  /// resourced_blocks, byzantine_rejected) are snapshotted into the report.
+  /// aborting the scrub. The session's counters are snapshotted into the
+  /// report. After a run with unrepairable == 0 a subsequent Scrub reports
+  /// zero errors and reads return byte-identical content.
   RepairReport ScrubRepair(RepairSession& session);
 
-  /// Degraded-mode read: ReadRange that, when the verified read path throws
-  /// BlockCorruptionError, repairs the corrupt block from `peer` on demand
-  /// and retries. Each repaired block's logical bytes are added to
-  /// `*fetched_bytes` (network charge for the caller). Rethrows when the
-  /// peer cannot supply a clean copy.
-  util::Bytes ReadRangeRepair(const std::string& name, std::uint64_t offset,
-                              std::uint64_t length,
-                              const store::BlockStore& peer,
-                              std::uint64_t* fetched_bytes = nullptr);
-
-  /// Multi-peer degraded-mode read: like the single-peer overload but each
-  /// corrupt block is healed through the session (blacklisting, re-source).
+  /// Degraded-mode read: ReadRangeAs that, when the verified read path
+  /// throws BlockCorruptionError, heals the corrupt block through `session`
+  /// on demand and retries. Bytes the session fetched — lies included —
+  /// are added to `*fetched_bytes` (network charge for the caller).
   /// Rethrows when no session peer can supply a clean copy.
-  util::Bytes ReadRangeRepair(const std::string& name, std::uint64_t offset,
-                              std::uint64_t length, RepairSession& session,
+  util::Bytes ReadRangeRepair(store::TenantId tenant, const std::string& name,
+                              std::uint64_t offset, std::uint64_t length,
+                              RepairSession& session,
                               std::uint64_t* fetched_bytes = nullptr);
 
   /// Applies the injector's stored-payload fault schedule to every block in
@@ -431,10 +420,9 @@ class Volume {
   }
 
   /// Arms crash/disk-full fault sites on this volume and its store: Receive/
-  /// ReceiveFull run their crash points and switch to the transactional
-  /// (staged + rollback) apply path, and the store's commit-stage sites and
-  /// allocation-refused accounting activate. Pass nullptr to disarm. With no
-  /// injector armed every path is bit-identical to previous behaviour.
+  /// ReceiveFull run their crash points and re-delivery checks, and the
+  /// store's commit-stage sites and allocation-refused accounting activate.
+  /// Pass nullptr to disarm.
   void SetFaultInjector(util::FaultInjector* faults) {
     faults_ = faults;
     store_.SetFaultInjector(faults);
@@ -483,15 +471,14 @@ class Volume {
   /// table or store state. Throws StreamCorruptError / StreamMismatchError
   /// on damage; on success the returned payloads feed ApplyStreamToTable.
   std::vector<CarriedPayload> ValidateStream(const SendStream& stream) const;
-  /// Applies a validated stream to `table`. With `txn` set, every store
-  /// operation is routed through the undo log (transactional mode) and the
-  /// volume crash sites fire; with `txn == nullptr` this is the legacy
-  /// in-place apply.
+  /// Applies a validated stream to the staged `table`, routing every store
+  /// operation through the undo log of `txn`; the volume crash sites fire
+  /// when an injector is armed.
   void ApplyStreamToTable(const SendStream& stream, FileTable& table,
-                          std::vector<CarriedPayload>& carried, StoreTxn* txn);
+                          std::vector<CarriedPayload>& carried, StoreTxn& txn);
   /// Shared tail of Receive/ReceiveFull after validation: applies the
-  /// stream (transactionally when faults or a capacity are armed) and
-  /// records the `to` snapshot.
+  /// stream to a staged copy of the file table, rolls back on any failure,
+  /// and otherwise swaps the table in and records the `to` snapshot.
   void CommitReceive(const SendStream& stream,
                      std::vector<CarriedPayload>& carried);
   /// Shared scrub walk: unique digests referenced by the live table and all

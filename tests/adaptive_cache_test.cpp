@@ -12,7 +12,8 @@
 //     nonzero total (a disabled stripe would silently drop its shard of
 //     every working set),
 //   * hit_bytes counts only T2/pinned (frequency) reuse — T1 hits are
-//     back-to-back recency reuse any one-block buffer serves.
+//     back-to-back recency reuse any one-block buffer serves,
+//   * a tagged cluster boot charges its demand reads to its own tenant.
 // Runs under `ctest -L tsan` / `-L asan` via the AdaptiveCache.* filter.
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/squirrel.h"
 #include "store/block_store.h"
 #include "store/cache_controller.h"
 #include "util/arc_cache.h"
@@ -363,6 +365,74 @@ TEST(AdaptiveCache, WarmCacheRacesResizeStripes) {
   EXPECT_GT(warmed, 0u);
   const store::InvariantReport report = store.CheckInvariants();
   EXPECT_TRUE(report.ok) << report.detail;
+}
+
+// ---------------------------------------------------------------------------
+// Tenant of a cluster boot's demand reads
+
+class BufferSource final : public util::DataSource {
+ public:
+  explicit BufferSource(util::Bytes data) : data_(std::move(data)) {}
+  std::uint64_t size() const override { return data_.size(); }
+  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
+    std::memcpy(out.data(), data_.data() + offset, out.size());
+  }
+
+ private:
+  util::Bytes data_;
+};
+
+TEST(AdaptiveCache, BootTenantChargesDemandReads) {
+  // Every cluster boot reads its ccVolume through the repair session; those
+  // demand reads must charge the ARC residency to the boot's tenant, not to
+  // the untagged default.
+  core::SquirrelConfig config;
+  config.volume = zvol::VolumeConfig{.block_size = 4096,
+                                     .codec = compress::CodecId::kGzip6,
+                                     .dedup = true};
+  config.volume.read.cache_bytes = 1 << 20;
+  core::SquirrelCluster cluster(config, 1);
+  // Compressible blocks: random ones are stored raw and bypass the ARC.
+  util::Bytes cache(32 * 4096, 0);
+  util::Rng rng(21);
+  for (std::size_t i = 0; i + 8 <= cache.size(); i += 128) {
+    const std::uint64_t word = rng.Next();
+    std::memcpy(cache.data() + i, &word, 8);
+  }
+  const BufferSource image(cache);
+  cluster.Register({"img", image, core::SimClock::FromSeconds(1000)});
+
+  std::vector<vmi::BootRead> trace;
+  for (std::uint64_t off = 0; off < cache.size(); off += 8192) {
+    trace.push_back({off, 8192});
+  }
+  constexpr store::TenantId kTenant = 7;
+  sim::IoContext io;
+  cluster.Boot(0,
+               {.image_id = "img", .base_image = image, .trace = trace,
+                .tenant = kTenant},
+               io);
+
+  std::uint64_t misses = 0;
+  std::uint64_t resident = 0;
+  std::uint64_t tenant_misses = 0;
+  std::uint64_t tenant_resident = 0;
+  for (const store::StripeCacheSample& stripe :
+       cluster.compute_node(0).volume().block_store().SampleCacheStripes()) {
+    misses += stripe.misses;
+    resident += stripe.resident_bytes;
+    for (const store::BlockCache::TenantSample& t : stripe.tenants) {
+      if (t.tenant != kTenant) continue;
+      tenant_misses += t.misses;
+      tenant_resident += t.resident_bytes;
+    }
+  }
+  EXPECT_GT(tenant_misses, 0u);
+  EXPECT_GT(tenant_resident, 0u);
+  // Nothing else read this ccVolume: every miss and resident byte is the
+  // boot's.
+  EXPECT_EQ(tenant_misses, misses);
+  EXPECT_EQ(tenant_resident, resident);
 }
 
 }  // namespace

@@ -308,8 +308,8 @@ TEST(FaultRepair, ScrubRepairRestoresByteIdenticalState) {
   FaultInjector faults(8, FaultProfile{.block_corrupt_rate = 0.05});
   ASSERT_GT(volume.InjectFaults(faults), 0u);
 
-  const zvol::Volume::RepairReport report =
-      volume.ScrubRepair(peer->block_store());
+  zvol::RepairSession session({{0, &peer->block_store()}});
+  const zvol::Volume::RepairReport report = volume.ScrubRepair(session);
   EXPECT_GT(report.errors_found, 0u);
   EXPECT_EQ(report.repaired, report.errors_found);
   EXPECT_EQ(report.unrepairable, 0u);
@@ -335,8 +335,8 @@ TEST(FaultRepair, CorruptPeerBlocksAreUnrepairable) {
   ASSERT_GT(volume.InjectFaults(faults_local), 0u);
   ASSERT_GT(peer->InjectFaults(faults_peer), 0u);
 
-  const zvol::Volume::RepairReport report =
-      volume.ScrubRepair(peer->block_store());
+  zvol::RepairSession session({{0, &peer->block_store()}});
+  const zvol::Volume::RepairReport report = volume.ScrubRepair(session);
   EXPECT_GT(report.errors_found, 0u);
   EXPECT_EQ(report.repaired, 0u);
   EXPECT_EQ(report.unrepairable, report.errors_found);
@@ -352,9 +352,10 @@ TEST(FaultRepair, ReadRangeRepairHealsOnDemand) {
   FaultInjector faults(13, FaultProfile{.block_corrupt_rate = 0.05});
   ASSERT_GT(volume.InjectFaults(faults), 0u);
 
+  zvol::RepairSession session({{0, &peer->block_store()}});
   std::uint64_t fetched = 0;
-  const Bytes got =
-      volume.ReadRangeRepair("f", 0, content.size(), peer->block_store(), &fetched);
+  const Bytes got = volume.ReadRangeRepair(store::kDefaultTenant, "f", 0,
+                                           content.size(), session, &fetched);
   EXPECT_EQ(got, content);
   EXPECT_GT(fetched, 0u);
   // The heal is persistent, not per-read: a scrub afterwards is clean.

@@ -1,6 +1,6 @@
 // Crash-consistency, disk-full, and Byzantine-peer fault model
-// (DESIGN.md §15): crash-at-every-site sweeps over the transactional
-// Receive paths, disk-full unwind with space-map invariants, and
+// (DESIGN.md §15): crash-at-every-site sweeps over the staged Receive
+// paths, disk-full unwind with space-map invariants, and
 // RepairSession blacklisting of peers that serve wrong payloads.
 #include <gtest/gtest.h>
 
@@ -282,15 +282,9 @@ TEST(Crash, ReceiveFullValidatesBeforeDropping) {
 
 TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
   // A stream that validates but references a block the replica does not
-  // hold fails mid-apply; the transactional path must roll back fully
-  // (the legacy path would leave a half-applied table).
+  // hold fails mid-apply; Receive must roll back fully whether or not an
+  // injector is armed — atomicity is not test instrumentation.
   const DonorStreams d = MakeDonorStreams(1);
-  util::FaultInjector faults(0x5eed, util::FaultProfile{});
-  Volume replica(d.config);
-  replica.SetFaultInjector(&faults);
-  replica.Receive(d.full_s1);
-  const Bytes before = replica.Serialize();
-
   SendStream bad = d.incr_s2;
   bool rewired = false;
   for (auto& file : bad.files) {
@@ -304,9 +298,18 @@ TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
     if (rewired) break;
   }
   ASSERT_TRUE(rewired) << "incremental stream carried no by-reference blocks";
-  EXPECT_THROW(replica.Receive(bad), StreamCorruptError);
-  EXPECT_EQ(replica.Serialize(), before);
-  test::ExpectVolumeInvariants(replica);
+
+  for (const bool armed : {true, false}) {
+    SCOPED_TRACE(armed ? "injector armed" : "nothing armed");
+    util::FaultInjector faults(0x5eed, util::FaultProfile{});
+    Volume replica(d.config);
+    if (armed) replica.SetFaultInjector(&faults);
+    replica.Receive(d.full_s1);
+    const Bytes before = replica.Serialize();
+    EXPECT_THROW(replica.Receive(bad), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), before);
+    test::ExpectVolumeInvariants(replica);
+  }
 }
 
 // --- disk-full unwind --------------------------------------------------------
@@ -349,8 +352,8 @@ TEST(DiskFull, ReceiveRollsBackAndReportsRefusals) {
   donor.WriteFile("huge", BufferSource(RandomBytes(6 * kBlock, 4)));
   donor.CreateSnapshot("s2", 20);
 
-  // Capacity fits exactly s1; a capacity alone (no injector) must already
-  // arm the transactional apply.
+  // Capacity fits exactly s1; with no injector armed the overflow must
+  // still roll back.
   Volume replica(TinyPoolConfig(2 * kBlock));
   replica.Receive(donor.Send("", "s1"));
   const Bytes before = replica.Serialize();
@@ -393,7 +396,9 @@ TEST(DiskFull, ScrubRepairSkipsAndReports) {
   Volume donor(TinyPoolConfig(0));
   donor.WriteFile("f", BufferSource(content));
 
-  const auto report = volume.ScrubRepair(donor.block_store());
+  util::FaultInjector faults(7, util::FaultProfile{});
+  RepairSession session({{0, &donor.block_store()}}, &faults);
+  const auto report = volume.ScrubRepair(session);
   EXPECT_EQ(report.errors_found, 1u);
   EXPECT_EQ(report.repaired, 0u);
   EXPECT_EQ(report.no_space_skips, 1u);
@@ -401,14 +406,6 @@ TEST(DiskFull, ScrubRepairSkipsAndReports) {
   EXPECT_EQ(volume.block_store().space_map_stats().allocated_bytes,
             4 * kBlock);
   test::ExpectVolumeInvariants(volume, "after skipped repair");
-
-  // The session overload takes the same skip-and-report path.
-  util::FaultInjector faults(7, util::FaultProfile{});
-  RepairSession session({{0, &donor.block_store()}}, &faults);
-  const auto session_report = volume.ScrubRepair(session);
-  EXPECT_EQ(session_report.no_space_skips, 1u);
-  EXPECT_EQ(session_report.unrepairable, 1u);
-  test::ExpectVolumeInvariants(volume, "after skipped session repair");
 }
 
 TEST(DiskFull, CrashSweepUnderCapacityHoldsInvariants) {
@@ -489,8 +486,8 @@ TEST(Byzantine, DegradedReadHealsThroughSession) {
   RepairSession session({{1, &liar.block_store()}, {0, &honest.block_store()}},
                         &faults);
   std::uint64_t fetched = 0;
-  const Bytes read =
-      local.ReadRangeRepair("f", 0, content.size(), session, &fetched);
+  const Bytes read = local.ReadRangeRepair(store::kDefaultTenant, "f", 0,
+                                           content.size(), session, &fetched);
   EXPECT_EQ(read, content);
   // The lie's bytes crossed the wire too, then the honest copy.
   EXPECT_GE(fetched, 2u * kBlock);
@@ -518,7 +515,8 @@ TEST(Byzantine, AllPeersLyingFailsClosed) {
       {{1, &liar_a.block_store()}, {2, &liar_b.block_store()}}, &faults);
   // No honest peer: the read must fail closed (typed corruption error, no
   // wrong bytes accepted), with both lies rejected by the digest check.
-  EXPECT_THROW(local.ReadRangeRepair("f", 0, content.size(), session),
+  EXPECT_THROW(local.ReadRangeRepair(store::kDefaultTenant, "f", 0,
+                                     content.size(), session),
                store::BlockCorruptionError);
   EXPECT_EQ(session.byzantine_rejected(), 2u);
   EXPECT_EQ(faults.stats().byzantine_detected, 2u);
