@@ -1,24 +1,21 @@
 // Ablation: async disk queue depth x readahead vs boot time
 // (BENCH_async_io.json).
 //
-// The discrete-event disk engine (sim/event/) generalizes the synchronous
-// clock += cost charging: reads flow through a bounded queue with adjacent
-// coalescing and elevator ordering, and device readahead overlaps disk
-// service with guest decompression. This sweep quantifies each knob on the
-// warm-zfs boot path of Figure 11 (one shared cVolume, QCOW2 overlay over a
-// VolumeFileDevice):
+// The discrete-event disk engine (sim/event/) charges every simulated disk
+// read: reads flow through a bounded queue with adjacent coalescing and
+// elevator ordering, and device readahead overlaps disk service with guest
+// decompression. This sweep quantifies each knob on the warm-zfs boot path
+// of Figure 11 (one shared cVolume, QCOW2 overlay over a VolumeFileDevice):
 //
-//   depth 0              legacy synchronous charging (the baseline)
-//   depth 1, readahead 0 the engine in lockstep mode — bit-identical to the
-//                        baseline by construction (regression-tested in
-//                        tests/sim_async_io_test.cpp); the row documents it
+//   depth 1, readahead 0 the default: one read at a time, each charged in
+//                        full before the next starts (the baseline)
 //   depth > 1            out-of-order completions, coalescing, elevator
 //   readahead > 0        prefetch issued past each read, never stalling the
 //                        guest, dropped when the queue is full
 //
-// Expected shape: time is flat from depth 0 to depth 1 (exact), then drops
-// strictly once depth > 1 and readahead > 0 — the overlap the paper's ZFS
-// prefetch measurements attribute to the ARC + vdev queue.
+// Expected shape: time drops strictly below the depth-1 baseline once
+// depth > 1 and readahead > 0 — the overlap the paper's ZFS prefetch
+// measurements attribute to the ARC + vdev queue.
 #include "bench/ingest_common.h"
 #include "cow/chain.h"
 #include "sim/boot_sim.h"
@@ -38,7 +35,7 @@ struct SampleVm {
 };
 
 struct SweepPoint {
-  std::uint32_t depth = 0;  // 0 = synchronous baseline
+  std::uint32_t depth = 1;
   std::uint32_t readahead = 0;
   double mean_seconds = 0.0;
   sim::event::DiskQueueStats queue;  // aggregated over all boots
@@ -65,17 +62,15 @@ SweepPoint RunPoint(zvol::Volume& volume,
     sim::LocalFileDevice base(vms[i].image.get(), &io, 1, 40ull << 30);
     cow::Chain chain(&overlay, &cache, &base, false);
     stats.Add(sim::SimulateBoot(chain, vms[i].trace, io, boot_config).seconds);
-    if (io.async_disk()) {
-      const sim::event::DiskQueueStats& q = io.disk_queue()->stats();
-      point.queue.submitted += q.submitted;
-      point.queue.completed += q.completed;
-      point.queue.physical_ops += q.physical_ops;
-      point.queue.coalesced += q.coalesced;
-      point.queue.reordered += q.reordered;
-      point.queue.submit_stalls += q.submit_stalls;
-      point.queue.prefetch_drops += q.prefetch_drops;
-      point.queue.busy_ns += q.busy_ns;
-    }
+    const sim::event::DiskQueueStats& q = io.disk_queue()->stats();
+    point.queue.submitted += q.submitted;
+    point.queue.completed += q.completed;
+    point.queue.physical_ops += q.physical_ops;
+    point.queue.coalesced += q.coalesced;
+    point.queue.reordered += q.reordered;
+    point.queue.submit_stalls += q.submit_stalls;
+    point.queue.prefetch_drops += q.prefetch_drops;
+    point.queue.busy_ns += q.busy_ns;
   }
   point.mean_seconds = stats.mean();
   return point;
@@ -156,24 +151,24 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> sweep =
       options.fast
           ? std::vector<std::pair<std::uint32_t, std::uint32_t>>{
-                {0, 0}, {1, 0}, {8, 16}}
+                {1, 0}, {8, 16}}
           : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
-                {0, 0},  {1, 0},  {2, 0},  {4, 0},  {8, 0},
-                {4, 8},  {8, 8},  {8, 16}, {16, 16}, {16, 32}};
+                {1, 0},  {2, 0},  {4, 0},  {8, 0},   {4, 8},
+                {8, 8},  {8, 16}, {16, 16}, {16, 32}};
 
+  // The first point (depth 1, readahead 0) is the baseline.
   std::vector<SweepPoint> points;
-  double baseline_seconds = 0.0;
   for (const auto& [depth, readahead] : sweep) {
     points.push_back(RunPoint(volume, vms, io_template, boot_config, depth,
                               readahead));
-    if (depth == 0) baseline_seconds = points.back().mean_seconds;
   }
+  const double baseline_seconds = points.front().mean_seconds;
 
   util::Table table({"depth", "readahead", "mean boot(s)", "speedup",
                      "phys ops", "coalesced", "reordered", "ra drops"});
   for (const SweepPoint& p : points) {
     table.AddRow(
-        {p.depth == 0 ? "sync" : std::to_string(p.depth),
+        {std::to_string(p.depth),
          std::to_string(p.readahead), util::Table::Num(p.mean_seconds, 2),
          util::Table::Num(baseline_seconds / p.mean_seconds, 3) + "x",
          std::to_string(p.queue.physical_ops),
@@ -182,11 +177,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.Render().c_str());
   std::printf(
-      "\nreading: depth 1 / readahead 0 reproduces the synchronous baseline\n"
-      "exactly (the engine's lockstep reduction); deeper queues with\n"
-      "readahead overlap disk service with guest decompression and merge\n"
-      "adjacent cluster blocks into fewer physical ops, strictly lowering\n"
-      "simulated boot time.\n");
+      "\nreading: depth 1 / readahead 0 is the baseline (one read at a time,\n"
+      "each charged in full); deeper queues with readahead overlap disk\n"
+      "service with guest decompression and merge adjacent cluster blocks\n"
+      "into fewer physical ops, strictly lowering simulated boot time.\n");
 
   WriteJson(points, baseline_seconds, options);
   std::printf("\nwrote BENCH_async_io.json\n");

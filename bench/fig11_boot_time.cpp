@@ -150,13 +150,13 @@ int main(int argc, char** argv) {
   const double dataset_scale = options.scale * options.cache_multiplier;
   g_boot_config.io_time_multiplier = 1.0 / dataset_scale;
   g_io_config = sim::ScaledIoConfig(dataset_scale);
-  // Async mode (--depth / --readahead): route every boot's disk reads
-  // through the event-driven queue. Depth 1 without readahead reproduces the
-  // synchronous numbers bit for bit; deeper queues with readahead overlap
-  // disk service with guest decompression (the ZFS prefetch effect).
+  // Every boot's disk reads go through the event-driven queue. The default
+  // (depth 1, no readahead) serves one read at a time; deeper queues with
+  // readahead overlap disk service with guest decompression (the ZFS
+  // prefetch effect).
   g_io_config.disk_queue_depth = options.disk_queue_depth;
   g_io_config.readahead_blocks = options.readahead_blocks;
-  if (options.disk_queue_depth > 0) {
+  if (options.disk_queue_depth > 1 || options.readahead_blocks > 0) {
     std::printf("async disk engine: depth %u, readahead %u blocks\n\n",
                 options.disk_queue_depth, options.readahead_blocks);
   }

@@ -10,8 +10,9 @@
 //   --fast       quarter-size run for smoke testing
 //
 // Async-engine flags (consumed by the benches that model I/O or transfers):
-//   --depth=N      async disk queue depth (0 = legacy synchronous charging)
-//   --readahead=N  device readahead in blocks (async mode only)
+//   --depth=N      disk queue depth (default 1: one read at a time; 0 is
+//                  rejected)
+//   --readahead=N  device readahead in blocks
 //   --window=N     scatter-gather per-receiver window (1 = serial legacy
 //                  delivery; >1 overlaps retry tails on the event loop)
 //
@@ -40,7 +41,7 @@ struct Options {
   double cache_multiplier = 8.0;
   std::uint64_t seed = 2014;
   bool fast = false;
-  std::uint32_t disk_queue_depth = 0;  // 0 = synchronous disk charging
+  std::uint32_t disk_queue_depth = 1;
   std::uint32_t readahead_blocks = 0;
   std::uint32_t transfer_window = 1;  // 1 = serial scatter-gather
   /// fig11: record a boot profile on the first boot of each image and
@@ -102,8 +103,6 @@ inline Options ParseOptions(int argc, char** argv) {
     } else if (const char* v = value("--seed=")) {
       options.seed = ParseUnsigned(arg, v, /*allow_zero=*/true);
     } else if (const char* v = value("--depth=")) {
-      // 0 is the *default* (synchronous charging); asking for it explicitly
-      // is almost always a typo for an async sweep, so reject it.
       options.disk_queue_depth = static_cast<std::uint32_t>(ParseUnsigned(
           arg, v, /*allow_zero=*/false, kU32Max));
     } else if (const char* v = value("--readahead=")) {

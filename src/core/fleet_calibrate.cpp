@@ -52,7 +52,10 @@ sim::fleet::FleetModel CalibrateFleetModel(
           io);
       warm_seconds.Add(report.result.seconds);
     }
-    // Second boot replaying the profile (pre-heal + prefetch).
+    // Second boot replaying the profile: the recorded blocks warm the ARC
+    // before the boot, and the prefetcher keeps them in flight ahead of the
+    // guest through the default depth-1 disk queue (one at a time, so a
+    // prefetch overlaps guest CPU but never another disk read).
     BootProfileRun replay_run;
     replay_run.replay = &recorded;
     {

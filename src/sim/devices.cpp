@@ -58,7 +58,6 @@ void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
   content_->Read(offset, out);
   if (io_ == nullptr || out.empty()) return;
   // Charge page-cache-aware block I/O.
-  const bool async = io_->async_disk();
   const std::uint64_t total_blocks =
       (content_->size() + io_block_ - 1) / io_block_;
   if (total_blocks == 0) return;
@@ -74,15 +73,10 @@ void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     if (profile_ != nullptr) profile_->Record(profile_name_, b, hit);
     if (hit) continue;
     const std::uint64_t len = BlockLength(b);
-    if (async && io_->InFlight(device_id_, b)) {
+    if (io_->InFlight(device_id_, b)) {
       // Readahead from an earlier call already has this block on the wire:
       // the barrier to its completion replaces the disk charge.
       io_->JoinInFlight(device_id_, b);
-      io_->page_cache().Insert(device_id_, b, static_cast<std::uint32_t>(len));
-      continue;
-    }
-    if (!async) {
-      io_->ChargeDiskRead(PhysicalOffset(b * io_block_), len);
       io_->page_cache().Insert(device_id_, b, static_cast<std::uint32_t>(len));
       continue;
     }
@@ -95,7 +89,7 @@ void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
                                static_cast<std::uint32_t>(BlockLength(b)));
     });
   }
-  if (async && io_->config().readahead_blocks > 0) {
+  if (io_->config().readahead_blocks > 0) {
     const std::uint64_t until = std::min<std::uint64_t>(
         total_blocks, last + 1 + io_->config().readahead_blocks);
     for (std::uint64_t b = last + 1; b < until; ++b) {
@@ -109,7 +103,7 @@ void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
 }
 
 PrefetchOutcome LocalFileDevice::PrefetchBlock(std::uint64_t block) {
-  if (io_ == nullptr || !io_->async_disk()) return PrefetchOutcome::kSkipped;
+  if (io_ == nullptr) return PrefetchOutcome::kSkipped;
   const std::uint64_t len = BlockLength(block);
   if (len == 0) return PrefetchOutcome::kSkipped;
   if (io_->page_cache().Resident(device_id_, block)) {
@@ -307,7 +301,7 @@ std::uint64_t VolumeFileDevice::BlockLength(std::uint64_t b) const {
 }
 
 PrefetchOutcome VolumeFileDevice::PrefetchBlock(std::uint64_t block) {
-  if (io_ == nullptr || !io_->async_disk()) return PrefetchOutcome::kSkipped;
+  if (io_ == nullptr) return PrefetchOutcome::kSkipped;
   if (block >= volume_->FileBlockCount(file_) || BlockLength(block) == 0) {
     return PrefetchOutcome::kSkipped;
   }
@@ -355,7 +349,6 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     // Collect the blocks that miss the page cache, then probe the store's
     // ARC for all of them in one batched call (one lock acquisition instead
     // of one per block).
-    const bool async = io_->async_disk();
     std::vector<std::uint64_t> pending;
     std::vector<std::uint8_t> in_flight;  // parallel to pending
     std::vector<util::Digest> digests;
@@ -368,79 +361,64 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
       if (profile_ != nullptr) profile_->Record(file_, b, hit);
       if (hit) continue;
       pending.push_back(b);
-      in_flight.push_back(async && io_->InFlight(device_id_, b) ? 1 : 0);
+      in_flight.push_back(io_->InFlight(device_id_, b) ? 1 : 0);
       digests.push_back(ptr.digest);
     }
+    // Decompression CPU is charged per block unless the decompressed payload
+    // is already resident in the store's ARC (ReadConfig::cache_bytes > 0),
+    // where a hit serves the plain bytes straight from memory.
     const std::vector<std::uint8_t> resident =
         store.CachedDecompressedBatch(digests);
-    if (!async) {
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        const std::uint64_t b = pending[k];
+    const double decompress_per_byte =
+        store.codec().cost().decompress_ns_per_byte;
+    // Blocks already on the wire from readahead: barrier to their
+    // completion (overlapped with whatever the guest did meanwhile)
+    // instead of a fresh disk charge.
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      if (!in_flight[k]) continue;
+      const std::uint64_t b = pending[k];
+      const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+      io_->JoinInFlight(device_id_, b);
+      if (!resident[k]) {
+        io_->ChargeNs(decompress_per_byte *
+                      static_cast<double>(ptr.logical_size));
+      }
+      io_->page_cache().Insert(device_id_, b, ptr.logical_size);
+    }
+    // The rest go through the bounded queue in windows of `depth`, each at
+    // the block's scattered pool offset; the completion callback runs in
+    // completion order, after that block's decompression is charged, and
+    // fills the page cache.
+    std::vector<IoContext::AsyncRead> batch;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      if (in_flight[k]) continue;
+      const zvol::BlockPtr& ptr = volume_->FileBlock(file_, pending[k]);
+      batch.push_back(IoContext::AsyncRead{
+          store.DiskOffset(ptr.digest), store.PhysicalSize(ptr.digest),
+          resident[k] ? 0.0
+                      : decompress_per_byte *
+                            static_cast<double>(ptr.logical_size),
+          pending[k]});
+    }
+    if (!batch.empty()) {
+      io_->ChargeAsyncReadBatch(batch, [&](std::uint64_t b) {
+        io_->page_cache().Insert(device_id_, b,
+                                 volume_->FileBlock(file_, b).logical_size);
+      });
+    }
+    // Sequential readahead: prefetch the blocks past this read without
+    // touching the guest clock. Consumption joins them above.
+    const std::uint32_t readahead = io_->config().readahead_blocks;
+    if (readahead > 0) {
+      const std::uint64_t until =
+          std::min<std::uint64_t>(block_count, last + 1 + readahead);
+      for (std::uint64_t b = last + 1; b < until; ++b) {
         const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
-        // Physical read at the block's scattered pool offset.
-        io_->ChargeDiskRead(store.DiskOffset(ptr.digest),
-                            store.PhysicalSize(ptr.digest));
-        // Decompression CPU — unless the decompressed payload is already
-        // resident in the store's ARC (ReadConfig::cache_bytes > 0), where a
-        // hit serves the plain bytes straight from memory.
-        if (!resident[k]) {
-          io_->ChargeNs(store.codec().cost().decompress_ns_per_byte *
-                        static_cast<double>(ptr.logical_size));
-        }
-        io_->page_cache().Insert(device_id_, b, ptr.logical_size);
-      }
-    } else {
-      const double decompress_per_byte =
-          store.codec().cost().decompress_ns_per_byte;
-      // Blocks already on the wire from readahead: barrier to their
-      // completion (overlapped with whatever the guest did meanwhile)
-      // instead of a fresh disk charge.
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        if (!in_flight[k]) continue;
-        const std::uint64_t b = pending[k];
-        const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
-        io_->JoinInFlight(device_id_, b);
-        if (!resident[k]) {
-          io_->ChargeNs(decompress_per_byte *
-                        static_cast<double>(ptr.logical_size));
-        }
-        io_->page_cache().Insert(device_id_, b, ptr.logical_size);
-      }
-      // The rest go through the bounded queue in windows of `depth`; the
-      // completion callback runs in completion order, charging decompression
-      // and filling the page cache exactly as the synchronous path would.
-      std::vector<IoContext::AsyncRead> batch;
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        if (in_flight[k]) continue;
-        const zvol::BlockPtr& ptr = volume_->FileBlock(file_, pending[k]);
-        batch.push_back(IoContext::AsyncRead{
-            store.DiskOffset(ptr.digest), store.PhysicalSize(ptr.digest),
-            resident[k] ? 0.0
-                        : decompress_per_byte *
-                              static_cast<double>(ptr.logical_size),
-            pending[k]});
-      }
-      if (!batch.empty()) {
-        io_->ChargeAsyncReadBatch(batch, [&](std::uint64_t b) {
-          io_->page_cache().Insert(device_id_, b,
-                                   volume_->FileBlock(file_, b).logical_size);
-        });
-      }
-      // Sequential readahead: prefetch the blocks past this read without
-      // touching the guest clock. Consumption joins them above.
-      const std::uint32_t readahead = io_->config().readahead_blocks;
-      if (readahead > 0) {
-        const std::uint64_t count = volume_->FileBlockCount(file_);
-        const std::uint64_t until =
-            std::min<std::uint64_t>(count, last + 1 + readahead);
-        for (std::uint64_t b = last + 1; b < until; ++b) {
-          const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
-          if (ptr.hole) continue;
-          if (io_->page_cache().Resident(device_id_, b)) continue;
-          if (io_->InFlight(device_id_, b)) continue;
-          io_->PrefetchDiskRead(device_id_, b, store.DiskOffset(ptr.digest),
-                                store.PhysicalSize(ptr.digest));
-        }
+        if (ptr.hole) continue;
+        if (io_->page_cache().Resident(device_id_, b)) continue;
+        if (io_->InFlight(device_id_, b)) continue;
+        io_->PrefetchDiskRead(device_id_, b, store.DiskOffset(ptr.digest),
+                              store.PhysicalSize(ptr.digest));
       }
     }
   }

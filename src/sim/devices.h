@@ -52,7 +52,7 @@ class LocalFileDevice final : public cow::WritableDevice,
   void SetProfileRecorder(vmi::BootProfile* profile, std::string name);
 
   /// PrefetchTarget: background-read one io_block (clamped at EOF) through
-  /// the async queue. Never advances the guest clock.
+  /// the disk queue. Never advances the guest clock.
   PrefetchOutcome PrefetchBlock(std::uint64_t block) override;
   std::uint64_t device_id() const override { return device_id_; }
 
@@ -130,7 +130,7 @@ class VolumeFileDevice final : public cow::WritableDevice,
   void SetProfileRecorder(vmi::BootProfile* profile);
 
   /// PrefetchTarget: background-read one volume block at its *physical*
-  /// offset through the async queue. Holes, EOF and resident blocks skip.
+  /// offset through the disk queue. Holes, EOF and resident blocks skip.
   PrefetchOutcome PrefetchBlock(std::uint64_t block) override;
   std::uint64_t device_id() const override { return device_id_; }
 

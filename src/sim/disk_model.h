@@ -29,19 +29,15 @@ class DiskModel {
   explicit DiskModel(DiskModelConfig config = {}) : config_(config) {}
 
   /// Cost in ns of reading `length` bytes at `offset`, given the current
-  /// head position; advances the head.
+  /// head position; advances the head. Called by the AsyncDiskQueue, which
+  /// charges every simulated disk read (writes are flushed in the
+  /// background and cost nothing).
   double Read(std::uint64_t offset, std::uint64_t length);
-
-  /// Writes are charged like reads (the simulator only models synchronous
-  /// paths; background flushes are free).
-  double Write(std::uint64_t offset, std::uint64_t length) {
-    return Read(offset, length);
-  }
 
   std::uint64_t bytes_read() const { return bytes_read_; }
   std::uint64_t seeks() const { return seeks_; }
-  /// Current head position (after the last Read/Write). The async disk
-  /// queue's elevator orders queued requests by distance from here.
+  /// Current head position (after the last Read). The async disk queue's
+  /// elevator orders queued requests by distance from here.
   std::uint64_t head() const { return head_; }
 
  private:

@@ -1,10 +1,10 @@
 // io_uring-style asynchronous disk queue over the rotational DiskModel,
 // driven by the discrete-event engine.
 //
-// The synchronous cost model (IoContext::ChargeDiskRead) charges every read
-// inline on the guest clock, so the disk is never working while the guest
-// computes — queue depth, request coalescing, and completion reordering are
-// invisible. This queue gives the disk its own timeline:
+// Every simulated disk read is charged here: IoContext owns one queue per
+// node and submits demand reads, batched reads and readahead to it. The
+// queue gives the disk its own timeline, so the disk can work while the
+// guest computes:
 //
 //   submission   the guest submits a read at its current clock; at most
 //                `depth` requests are outstanding (submission stalls when the
@@ -18,11 +18,11 @@
 //                completions are observed out of submission order whenever
 //                the elevator reorders.
 //
-// depth = 1 reduces exactly to the synchronous model: the single-slot queue
-// admits one request at a time, FIFO, with nothing else queued to coalesce
-// or reorder past, so DiskModel sees the identical (offset, length) call
-// sequence and each completion time is the identical `start + cost` sum the
-// scalar clock would have accumulated — bit-identical, regression-tested.
+// At depth 1 the single-slot queue admits one request at a time, FIFO, with
+// nothing else queued to coalesce or reorder past: with no prefetch in
+// flight, a request starts at the submitter's clock and completes
+// `DiskModel::Read` ns later, so a submit-and-wait adds exactly that cost
+// to the clock.
 #pragma once
 
 #include <cstdint>

@@ -10,15 +10,14 @@ namespace squirrel::sim {
 IoContext::IoContext(IoContextConfig config)
     : config_(config),
       disk_(config.disk),
-      page_cache_(config.page_cache_bytes) {
-  if (config_.disk_queue_depth > 0) {
-    loop_ = std::make_unique<event::EventLoop>();
-    disk_queue_ = std::make_unique<event::AsyncDiskQueue>(
-        &disk_, loop_.get(),
-        event::DiskQueueConfig{config_.disk_queue_depth,
-                               config_.disk_coalesce_bytes,
-                               config_.disk_elevator});
-  }
+      page_cache_(config.page_cache_bytes),
+      disk_queue_(&disk_, &loop_,
+                  event::DiskQueueConfig{.depth = config.disk_queue_depth}) {}
+
+void IoContext::ChargeDiskRead(std::uint64_t offset, std::uint64_t length) {
+  const double completion =
+      disk_queue_.CompletionNs(disk_queue_.Submit(clock_ns_, offset, length));
+  if (completion > clock_ns_) clock_ns_ = completion;
 }
 
 void IoContext::ChargeDdtLookup(std::uint64_t table_entries) {
@@ -32,27 +31,23 @@ void IoContext::ChargeDdtLookup(std::uint64_t table_entries) {
 void IoContext::ChargeAsyncReadBatch(
     std::span<const AsyncRead> reads,
     const std::function<void(std::uint64_t cookie)>& on_complete) {
-  if (!async_disk()) {
-    throw std::logic_error("ChargeAsyncReadBatch: async disk disabled");
-  }
   const std::size_t depth = config_.disk_queue_depth;
   for (std::size_t base = 0; base < reads.size(); base += depth) {
     const std::size_t end = std::min(reads.size(), base + depth);
     // Submit the window, then reap in completion order: the guest clock
     // advances to each completion (barrier), pays that read's CPU, and only
     // then consumes the next completion. With depth 1 the window is a single
-    // request and this is exactly the synchronous charge-then-decompress
-    // sequence, float op for float op.
+    // request: its disk cost, then its CPU, then the next request.
     std::vector<std::pair<event::RequestId, std::size_t>> window;
     window.reserve(end - base);
     for (std::size_t i = base; i < end; ++i) {
       window.emplace_back(
-          disk_queue_->Submit(clock_ns_, reads[i].offset, reads[i].length), i);
+          disk_queue_.Submit(clock_ns_, reads[i].offset, reads[i].length), i);
     }
     std::vector<std::pair<double, std::size_t>> done;
     done.reserve(window.size());
     for (const auto& [id, i] : window) {
-      done.emplace_back(disk_queue_->CompletionNs(id), i);
+      done.emplace_back(disk_queue_.CompletionNs(id), i);
     }
     std::sort(done.begin(), done.end());
     for (const auto& [completion, i] : done) {
@@ -65,11 +60,10 @@ void IoContext::ChargeAsyncReadBatch(
 
 bool IoContext::PrefetchDiskRead(std::uint64_t device, std::uint64_t block,
                                  std::uint64_t offset, std::uint64_t length) {
-  if (!async_disk()) return false;
   const BlockKey key{device, block};
   if (in_flight_.contains(key)) return true;
   const event::RequestId id =
-      disk_queue_->TrySubmit(clock_ns_, offset, length);
+      disk_queue_.TrySubmit(clock_ns_, offset, length);
   if (id == event::kInvalidRequest) return false;
   in_flight_.emplace(key, id);
   return true;
@@ -84,7 +78,7 @@ double IoContext::JoinInFlight(std::uint64_t device, std::uint64_t block) {
   if (it == in_flight_.end()) {
     throw std::logic_error("JoinInFlight: no such prefetch");
   }
-  const double completion = disk_queue_->CompletionNs(it->second);
+  const double completion = disk_queue_.CompletionNs(it->second);
   in_flight_.erase(it);
   if (completion > clock_ns_) clock_ns_ = completion;
   return completion;

@@ -1,23 +1,19 @@
 // Shared I/O simulation state for one compute node: a simulated clock, the
 // node's local disk, its page cache, and CPU cost accounting.
 //
-// Two disk charging models share this clock:
-//
-//   synchronous (default, disk_queue_depth == 0)  every read is charged
-//     inline — the disk and the guest never overlap;
-//   asynchronous (disk_queue_depth >= 1)          reads flow through an
-//     event-driven AsyncDiskQueue with bounded depth, adjacent-request
-//     coalescing and elevator ordering; the guest clock only advances to a
-//     request's completion when it consumes the data, so readahead issued
-//     ahead of consumption overlaps with guest CPU (the ZFS behaviour behind
-//     the paper's Fig 11). Depth 1 with no readahead is bit-identical to the
-//     synchronous model (see sim/event/disk_queue.h).
+// Every disk read flows through the node's event-driven AsyncDiskQueue
+// (sim/event/disk_queue.h), which gives the disk its own timeline: the guest
+// clock advances to a request's completion only when it consumes the data,
+// so readahead issued ahead of consumption overlaps with guest CPU (the ZFS
+// behaviour behind the paper's Fig 11). At the default depth of 1 with no
+// readahead the queue serves one request at a time, so each read advances
+// the clock by exactly its DiskModel cost; deeper queues add coalescing and
+// elevator ordering.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <unordered_map>
 
@@ -37,16 +33,11 @@ struct IoContextConfig {
   /// (hash-walk plus the chance of an ARC miss on a cold DDT leaf).
   double ddt_lookup_base_ns = 2000.0;
   double ddt_lookup_per_log2_entry_ns = 400.0;
-  /// Async disk engine. 0 = legacy synchronous charging (the default);
-  /// >= 1 routes batched reads through an AsyncDiskQueue of this depth.
-  std::uint32_t disk_queue_depth = 0;
-  /// Adjacent-request coalescing cap for the async queue (bytes per merged
-  /// physical op; 0 disables merging).
-  std::uint64_t disk_coalesce_bytes = 1ull << 20;
-  /// Elevator (nearest-offset-first) service order among the queued window.
-  bool disk_elevator = true;
-  /// Device-level readahead in async mode: blocks prefetched past each read.
-  /// Prefetches never stall the guest and are dropped when the queue is full.
+  /// Disk queue depth: requests outstanding at once. Must be >= 1; the
+  /// IoContext constructor throws std::invalid_argument on 0.
+  std::uint32_t disk_queue_depth = 1;
+  /// Device-level readahead: blocks prefetched past each read. Prefetches
+  /// never stall the guest and are dropped when the queue is full.
   std::uint32_t readahead_blocks = 0;
 };
 
@@ -77,28 +68,25 @@ inline IoContextConfig ScaledIoConfig(double dataset_scale,
 class IoContext {
  public:
   explicit IoContext(IoContextConfig config = {});
+  IoContext(const IoContext&) = delete;
+  IoContext& operator=(const IoContext&) = delete;
 
   DiskModel& disk() { return disk_; }
   PageCache& page_cache() { return page_cache_; }
   const IoContextConfig& config() const { return config_; }
 
   void ChargeNs(double ns) { clock_ns_ += ns; }
-  void ChargeDiskRead(std::uint64_t offset, std::uint64_t length) {
-    clock_ns_ += disk_.Read(offset, length);
-  }
-  void ChargeDiskWrite(std::uint64_t offset, std::uint64_t length) {
-    clock_ns_ += disk_.Write(offset, length);
-  }
+  /// One read submitted to the disk queue and waited for: the guest clock
+  /// advances to its completion.
+  void ChargeDiskRead(std::uint64_t offset, std::uint64_t length);
   void ChargeDdtLookup(std::uint64_t table_entries);
 
   double elapsed_ns() const { return clock_ns_; }
   double elapsed_seconds() const { return clock_ns_ / 1e9; }
 
-  // --- async disk engine ---------------------------------------------------
+  // --- disk queue ------------------------------------------------------------
 
-  bool async_disk() const { return disk_queue_ != nullptr; }
-  event::AsyncDiskQueue* disk_queue() { return disk_queue_.get(); }
-  event::EventLoop* event_loop() { return loop_.get(); }
+  event::AsyncDiskQueue* disk_queue() { return &disk_queue_; }
 
   /// One read of the batched submit/reap path. `cpu_ns` is charged after the
   /// request's completion barrier (decompression of that block); `cookie` is
@@ -110,17 +98,16 @@ class IoContext {
     std::uint64_t cookie = 0;
   };
 
-  /// Batched submit/reap: issues `reads` through the async queue in windows
-  /// of the configured depth and consumes completions in completion order —
-  /// the guest clock advances to each completion (max), then pays that
-  /// read's CPU. With depth 1 this reduces exactly to the synchronous
-  /// model's charge sequence. Requires async_disk().
+  /// Batched submit/reap: issues `reads` through the queue in windows of the
+  /// configured depth and consumes completions in completion order — the
+  /// guest clock advances to each completion (max), then pays that read's
+  /// CPU. At depth 1 each read is charged in full before the next starts.
   void ChargeAsyncReadBatch(
       std::span<const AsyncRead> reads,
       const std::function<void(std::uint64_t cookie)>& on_complete);
 
   /// Issues a background prefetch for (device, block); never advances the
-  /// guest clock. Returns false when dropped (queue full / sync mode).
+  /// guest clock. Returns false when dropped (queue full).
   bool PrefetchDiskRead(std::uint64_t device, std::uint64_t block,
                         std::uint64_t offset, std::uint64_t length);
 
@@ -149,8 +136,8 @@ class IoContext {
   DiskModel disk_;
   PageCache page_cache_;
   double clock_ns_ = 0.0;
-  std::unique_ptr<event::EventLoop> loop_;
-  std::unique_ptr<event::AsyncDiskQueue> disk_queue_;
+  event::EventLoop loop_;
+  event::AsyncDiskQueue disk_queue_;
   std::unordered_map<BlockKey, event::RequestId, BlockKeyHasher> in_flight_;
 };
 

@@ -53,7 +53,7 @@ void ProfilePrefetcher::BuildPlan() {
 }
 
 void ProfilePrefetcher::Pump() {
-  if (io_ == nullptr || !io_->async_disk()) return;
+  if (io_ == nullptr) return;
   if (!built_) BuildPlan();
   // Retire prefetches the guest has consumed (JoinInFlight removed the
   // in-flight entry), freeing lead-window slots.

@@ -19,8 +19,8 @@
 //             VolumeFileDevice::WarmCacheFromBlocks), so the decompressed-
 //             block ARC serves them without decompression CPU.
 //
-// The prefetcher is strictly additive: with no prefetcher (or in synchronous
-// disk mode) every path is bit-identical to PR 4 behaviour.
+// The prefetcher is strictly additive: with no prefetcher every path is
+// bit-identical to a boot without a profile.
 #pragma once
 
 #include <cstdint>
@@ -68,8 +68,7 @@ struct ProfilePrefetchStats {
 class ProfilePrefetcher {
  public:
   /// `profile` and `io` are borrowed and must outlive the prefetcher. With a
-  /// null io or synchronous disk mode Pump() is a no-op (the profile cannot
-  /// overlap anything without the async engine).
+  /// null io Pump() is a no-op.
   ProfilePrefetcher(const vmi::BootProfile* profile, IoContext* io,
                     ProfilePrefetchConfig config = {});
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/disk_model.h"
 #include "sim/io_context.h"
 #include "sim/page_cache.h"
@@ -97,6 +99,12 @@ TEST(IoContext, AccumulatesCharges) {
   io.ChargeDiskRead(0, 65536);
   EXPECT_GT(io.elapsed_ns(), 1000.0);
   EXPECT_DOUBLE_EQ(io.elapsed_seconds(), io.elapsed_ns() / 1e9);
+}
+
+TEST(IoContext, RejectsDiskQueueDepthZero) {
+  IoContextConfig config;
+  config.disk_queue_depth = 0;
+  EXPECT_THROW(IoContext io(config), std::invalid_argument);
 }
 
 TEST(IoContext, DdtLookupGrowsWithTableSize) {

@@ -163,9 +163,9 @@ TEST(AsyncDisk, DepthOneBitIdenticalToSynchronousCharges) {
     sync_clocks.push_back(clock);
   }
 
-  DiskModel async_disk;
+  DiskModel queued_disk;
   EventLoop loop;
-  AsyncDiskQueue queue(&async_disk, &loop, DiskQueueConfig{.depth = 1});
+  AsyncDiskQueue queue(&queued_disk, &loop, DiskQueueConfig{.depth = 1});
   double async_clock = 0.0;
   std::vector<double> async_clocks;
   for (const auto& [offset, length] : reads) {
@@ -179,8 +179,8 @@ TEST(AsyncDisk, DepthOneBitIdenticalToSynchronousCharges) {
     // Bitwise equality, not EXPECT_DOUBLE_EQ: the reduction claim is exact.
     EXPECT_EQ(async_clocks[i], sync_clocks[i]) << "read " << i;
   }
-  EXPECT_EQ(async_disk.bytes_read(), sync_disk.bytes_read());
-  EXPECT_EQ(async_disk.seeks(), sync_disk.seeks());
+  EXPECT_EQ(queued_disk.bytes_read(), sync_disk.bytes_read());
+  EXPECT_EQ(queued_disk.seeks(), sync_disk.seeks());
   EXPECT_EQ(queue.stats().physical_ops, reads.size());
   EXPECT_EQ(queue.stats().coalesced, 0u);
   EXPECT_EQ(queue.stats().reordered, 0u);
