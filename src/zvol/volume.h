@@ -466,11 +466,16 @@ class Volume {
   /// zero-detects the chunks in parallel, and feeds the non-hole blocks to
   /// BlockStore::PutBatch (parallel hash + compress, ordered commit).
   FileMeta IngestSource(const util::DataSource& data);
-  /// Validate-before-mutate stage of Receive: checks stream structure and
-  /// record checksums and decompresses every carried payload, touching no
-  /// table or store state. Throws StreamCorruptError / StreamMismatchError
-  /// on damage; on success the returned payloads feed ApplyStreamToTable.
-  std::vector<CarriedPayload> ValidateStream(const SendStream& stream) const;
+  /// Validate-before-mutate stage of Receive: checks stream structure,
+  /// record checksums and by-reference records, and decompresses every
+  /// carried payload, touching no table or store state. A by-reference
+  /// record must name a digest a payload record carries in an earlier file
+  /// or in its own file, or, when `store_references` is set (Receive, which
+  /// keeps the store), one the store already holds. Throws
+  /// StreamCorruptError / StreamMismatchError on damage; on success the
+  /// returned payloads feed ApplyStreamToTable.
+  std::vector<CarriedPayload> ValidateStream(const SendStream& stream,
+                                             bool store_references) const;
   /// Applies a validated stream to the staged `table`, routing every store
   /// operation through the undo log of `txn`; the volume crash sites fire
   /// when an injector is armed.
