@@ -6,8 +6,8 @@
 // frequency protection), while each boot also performs a one-pass scan of
 // per-image unique blocks that would flush an LRU.
 #include "bench/ingest_common.h"
-#include "sim/arc_cache.h"
 #include "sim/page_cache.h"
+#include "util/arc_cache.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "vmi/bootset.h"
@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
                      "ARC advantage"});
   for (std::size_t capacity : {64ul, 256ul, 1024ul}) {
     sim::PageCache lru(capacity * 65536);
-    sim::ArcCache arc(capacity);
+    util::ArcCache<std::uint64_t> arc(capacity);
     util::Rng rng(options.seed);
     for (int boot = 0; boot < kBoots; ++boot) {
       const std::size_t image = popularity.Sample(rng);
       for (const std::uint64_t block : block_streams[image]) {
         if (!lru.Lookup(0, block)) lru.Insert(0, block, 65536);
-        if (!arc.Lookup(0, block)) arc.Insert(0, block);
+        if (!arc.Lookup(block)) arc.Insert(block, 1);
       }
     }
     const double lru_rate = static_cast<double>(lru.hits()) /

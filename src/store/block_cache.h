@@ -5,8 +5,8 @@
 // blocks: a block shared by many images (the dedup case) is decompressed
 // once and every later reference — from any image — is served from memory.
 // This class provides exactly that on the BlockStore read path: the ARC
-// policy itself lives in util/arc_cache.h (promoted from the boot
-// simulator's sim::ArcCache), instantiated here with digest keys weighted by
+// policy itself lives in util/arc_cache.h (shared with the boot
+// simulator's ARC ablation), instantiated here with digest keys weighted by
 // the decompressed payload size.
 //
 // Because digests are content addresses, a cached payload can never go

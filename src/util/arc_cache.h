@@ -10,7 +10,7 @@
 //
 // This is the generic, *weighted* core shared by two consumers:
 //
-//   * sim::ArcCache — the boot-simulator policy model, (device, block) keys
+//   * the boot-simulator policy model (bench/ablation_arc), block-id keys
 //     with uniform weight 1; reduces exactly to the classic entry-counted
 //     formulation (the paper's integer arithmetic falls out of the weighted
 //     arithmetic at weight 1, and the reachable-state invariant
@@ -64,7 +64,7 @@
 
 namespace squirrel::util {
 
-template <typename Key, typename Hasher>
+template <typename Key, typename Hasher = std::hash<Key>>
 class ArcCache {
  public:
   /// Owner (tenant) identifier for multi-tenant accounting. 0 is the
