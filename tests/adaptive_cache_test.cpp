@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
 #include "store/block_store.h"
 #include "store/cache_controller.h"
@@ -370,17 +371,7 @@ TEST(AdaptiveCache, WarmCacheRacesResizeStripes) {
 // ---------------------------------------------------------------------------
 // Tenant of a cluster boot's demand reads
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(util::Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-  }
-
- private:
-  util::Bytes data_;
-};
+using test::BufferSource;
 
 TEST(AdaptiveCache, BootTenantChargesDemandReads) {
   // Every cluster boot reads its ccVolume through the repair session; those

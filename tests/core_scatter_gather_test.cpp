@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
@@ -17,18 +18,7 @@ namespace {
 
 using util::Bytes;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 /// A small stream with payload records, so record-granular resume has
 /// something to resume past.

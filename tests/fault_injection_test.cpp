@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
 #include "store/block_store.h"
 #include "util/fault_injector.h"
@@ -18,18 +19,7 @@ using util::Bytes;
 using util::FaultInjector;
 using util::FaultProfile;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 util::Digest DigestOf(std::uint64_t tag) {
   util::Digest d{};

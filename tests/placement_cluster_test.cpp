@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
 #include "placement/reconstruct.h"
 #include "placement/reed_solomon.h"
@@ -27,18 +28,7 @@ using util::Bytes;
 
 constexpr std::uint32_t kBlock = 4096;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 SquirrelConfig StripedConfig(std::uint32_t data_shards = 4,
                              std::uint32_t parity_shards = 2) {

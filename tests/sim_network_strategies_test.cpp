@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
 #include "sim/network.h"
 #include "util/rng.h"
@@ -52,18 +53,7 @@ namespace {
 
 using util::Bytes;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 Bytes SomeCache(std::uint64_t seed) {
   Bytes content(32 * 4096, 0);

@@ -6,6 +6,7 @@
 
 #include <tuple>
 
+#include "buffer_source.h"
 #include "util/rng.h"
 #include "zvol/volume.h"
 
@@ -14,18 +15,7 @@ namespace {
 
 using util::Bytes;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 // Mixed-texture content: zero stretches, compressible text, random tails,
 // plus duplicated segments so every feature (holes, compression, dedup) is

@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "buffer_source.h"
 #include "store/space_map.h"
 #include "store_invariants.h"
 #include "util/fault_injector.h"
@@ -19,18 +20,7 @@ namespace {
 
 using util::Bytes;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(const Bytes& data) : data_(&data) {}
-  std::uint64_t size() const override { return data_->size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_->begin() + static_cast<std::ptrdiff_t>(offset),
-                out.size(), out.begin());
-  }
-
- private:
-  const Bytes* data_;
-};
+using test::BufferSource;
 
 /// Reference model: plain byte buffers for live files, copies for snapshots.
 struct Model {

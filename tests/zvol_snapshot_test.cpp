@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "buffer_source.h"
 #include "util/rng.h"
 #include "zvol/volume.h"
 
@@ -8,18 +9,7 @@ namespace {
 
 using util::Bytes;
 
-class BufferSource final : public util::DataSource {
- public:
-  explicit BufferSource(Bytes data) : data_(std::move(data)) {}
-  std::uint64_t size() const override { return data_.size(); }
-  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
-    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), out.size(),
-                out.begin());
-  }
-
- private:
-  Bytes data_;
-};
+using test::BufferSource;
 
 Bytes RandomBytes(std::size_t size, std::uint64_t seed) {
   Bytes data(size);
