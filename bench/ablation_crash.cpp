@@ -161,11 +161,11 @@ ByzantineRow RunByzantineSweep(const vmi::Catalog& catalog, double rate,
         io);
     ++row.boots;
     row.completed += report.result.seconds > 0;
-    row.repair_reads += report.repair_reads;
-    row.byzantine_rejected += report.byzantine_rejected;
+    row.repair_reads += report.degraded.repair_reads;
+    row.byzantine_rejected += report.degraded.byzantine_rejected;
     row.max_peers_blacklisted =
-        std::max(row.max_peers_blacklisted, report.peers_blacklisted);
-    row.resourced_blocks += report.resourced_blocks;
+        std::max(row.max_peers_blacklisted, report.degraded.peers_blacklisted);
+    row.resourced_blocks += report.degraded.resourced_blocks;
     seconds.Add(report.result.seconds);
   }
   if (rate > 0) {

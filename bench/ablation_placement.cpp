@@ -130,10 +130,10 @@ ClusterRow RunClusterSweep(const vmi::Catalog& catalog, std::uint32_t data,
           0, {.image_id = spec.name, .base_image = image, .trace = trace},
           io);
       seconds->push_back(report.result.seconds);
-      row.reconstructed_blocks += report.reconstructed_blocks;
-      row.parity_reads += report.parity_reads;
-      row.reconstruct_fallbacks += report.reconstruct_fallbacks;
-      row.storage_refetches += report.repair_reads;
+      row.reconstructed_blocks += report.striped.reconstructed_blocks;
+      row.parity_reads += report.striped.parity_reads;
+      row.reconstruct_fallbacks += report.striped.reconstruct_fallbacks;
+      row.storage_refetches += report.striped.storage_fetches;
     }
   };
 

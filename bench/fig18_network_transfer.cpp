@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
 
   // Squirrel pays its network bill at registration time instead. Measure the
   // diff fan-out under transfer faults with the configured scatter-gather
-  // window (--window=N): window 1 is the serial legacy delivery, larger
-  // windows overlap per-receiver retry tails on the event loop.
+  // window (--window=N): each receiver keeps up to N retransmission chunks
+  // in flight on the shared sender link.
   {
     core::SquirrelConfig config;
     config.volume = zvol::VolumeConfig{.block_size = 64 * 1024,

@@ -13,8 +13,8 @@
 //   --depth=N      disk queue depth (default 1: one read at a time; 0 is
 //                  rejected)
 //   --readahead=N  device readahead in blocks
-//   --window=N     scatter-gather per-receiver window (1 = serial legacy
-//                  delivery; >1 overlaps retry tails on the event loop)
+//   --window=N     scatter-gather per-receiver window: retransmission chunks
+//                  a receiver keeps in flight (default 1; 0 is rejected)
 //
 // Each binary prints (a) the series of the paper figure/table it reproduces,
 // at simulation scale, and (b) paper-scale projections where byte counts are
@@ -43,7 +43,7 @@ struct Options {
   bool fast = false;
   std::uint32_t disk_queue_depth = 1;
   std::uint32_t readahead_blocks = 0;
-  std::uint32_t transfer_window = 1;  // 1 = serial scatter-gather
+  std::uint32_t transfer_window = 1;  // scatter-gather chunks in flight
   /// fig11: record a boot profile on the first boot of each image and
   /// replay it (warm + prefetch) on the measured boots.
   bool profile = false;

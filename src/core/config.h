@@ -93,10 +93,9 @@ struct SquirrelConfig {
   double stream_processing_bytes_per_second = 200e6;
   /// Retry schedule for registration propagation and node sync transfers.
   RetryPolicy retry{};
-  /// Delivery engine for the fan out: window 1 is the serial per-node retry
-  /// model (legacy accounting, bit-identical); window > 1 runs retries
-  /// event-driven with chunked retransmissions contending for the sender
-  /// link (see core/scatter_gather.h).
+  /// Fan-out delivery: retries run event-driven, with chunked
+  /// retransmissions contending for the sender link; `window` chunks per
+  /// receiver may be in flight (see core/scatter_gather.h).
   ScatterGatherConfig transfer{};
   /// Replication policy. The default (full replication) takes the exact
   /// pre-placement code paths — byte-identical accounting. kStriped groups

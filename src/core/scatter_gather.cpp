@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/event/event_loop.h"
@@ -10,6 +11,10 @@
 
 namespace squirrel::core {
 namespace {
+
+// Retransmission chunk: the unit a receiver's window counts and the sender
+// link serializes.
+constexpr std::uint64_t kChunkBytes = 256 * 1024;
 
 // Wire bytes needing retransmission after a faulted attempt. `progress` is
 // the fraction of payload records that arrived intact — their per-record
@@ -61,100 +66,29 @@ ScatterGatherTransfer::ScatterGatherTransfer(sim::NetworkAccountant* network,
                                              util::FaultInjector* faults,
                                              const RetryPolicy& retry,
                                              ScatterGatherConfig config)
-    : network_(network), faults_(faults), retry_(retry), config_(config) {}
+    : network_(network), faults_(faults), retry_(retry), config_(config) {
+  if (config_.window == 0) {
+    throw std::invalid_argument("scatter-gather window must be >= 1");
+  }
+}
 
 ScatterGatherResult ScatterGatherTransfer::Run(
     const zvol::SendStream& stream, std::uint64_t wire_size,
     const std::vector<std::uint32_t>& nodes, std::uint64_t transfer_id,
-    TransferStats& stats, double initial_seconds) {
-  ScatterGatherResult result =
-      config_.window <= 1
-          ? RunSerial(stream, wire_size, nodes, transfer_id, stats,
-                      initial_seconds)
-          : RunWindowed(stream, wire_size, nodes, transfer_id, stats,
-                        initial_seconds);
-  // Clamp: with an empty receiver set (or pure float cancellation in the
-  // sums) the subtraction can dip a hair below zero; the report fields are
-  // documented non-negative.
-  stats.makespan_seconds += std::max(0.0, result.makespan_seconds);
-  stats.overlap_seconds +=
-      std::max(0.0, result.sum_seconds - result.makespan_seconds);
-  return result;
-}
-
-ScatterGatherResult ScatterGatherTransfer::RunSerial(
-    const zvol::SendStream& stream, std::uint64_t wire_size,
-    const std::vector<std::uint32_t>& nodes, std::uint64_t transfer_id,
-    TransferStats& stats, double initial_seconds) {
-  ScatterGatherResult result;
-  const std::uint32_t max_attempts =
-      std::max<std::uint32_t>(1, retry_.max_attempts);
-  for (const std::uint32_t node_id : nodes) {
-    ReceiverOutcome outcome;
-    outcome.node_id = node_id;
-    outcome.seconds = initial_seconds;
-    // The legacy per-node retry loop, verbatim: nodes retry independently
-    // and concurrently, so the fan out's critical path is the slowest
-    // node's tail, not the sum.
-    for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-      ++stats.attempts;
-      if (attempt > 1) {
-        // Only faulted first attempts reach here, so faults_ is non-null.
-        ++stats.retries;
-        const double wait =
-            BackoffSeconds(retry_, node_id, transfer_id, attempt);
-        stats.backoff_seconds += wait;
-        outcome.seconds += wait;
-        // Resume past the records the previous attempt delivered intact.
-        const double progress =
-            faults_->PartialProgress(node_id, transfer_id, attempt - 1);
-        const std::uint64_t resume = ResumeBytes(stream, wire_size, progress);
-        stats.retransmitted_bytes += resume;
-        outcome.seconds += network_->Transfer(0, node_id, resume) / 1e9;
-      }
-      if (faults_ != nullptr) {
-        const bool failed =
-            faults_->TransferFails(node_id, transfer_id, attempt);
-        const bool corrupted =
-            !failed && faults_->TransferCorrupts(node_id, transfer_id, attempt);
-        if (failed || corrupted) {
-          // A failed attempt delivers nothing; a corrupted one delivers
-          // bytes the receiver's checksums reject. Back off and retry.
-          outcome.seconds += faults_->TransferDelaySeconds();
-          continue;
-        }
-      }
-      outcome.delivered = true;
-      break;
-    }
-    if (!outcome.delivered) ++stats.abandoned;
-    const double tail = outcome.seconds - initial_seconds;
-    result.makespan_seconds = std::max(result.makespan_seconds, tail);
-    result.sum_seconds += tail;
-    result.outcomes.push_back(outcome);
-  }
-  return result;
-}
-
-ScatterGatherResult ScatterGatherTransfer::RunWindowed(
-    const zvol::SendStream& stream, std::uint64_t wire_size,
-    const std::vector<std::uint32_t>& nodes, std::uint64_t transfer_id,
-    TransferStats& stats, double initial_seconds) {
-  // Event-driven fan out. Per receiver: a retry state machine whose
-  // backoffs and fault delays elapse on the loop; retransmissions are cut
-  // into `chunk_bytes` chunks, at most `window` in flight per receiver, all
-  // serialized through the sender's egress link in FIFO order. Everything is
-  // scheduled in ns of simulated time starting at 0 (the shared distribution
-  // already happened; only retry tails play out here).
+    TransferStats& stats) {
+  // Per receiver: a retry state machine whose backoffs and fault delays
+  // elapse on the loop; retransmissions are cut into kChunkBytes chunks, at
+  // most `window` in flight per receiver, all serialized through the
+  // sender's egress link in FIFO order. Everything is scheduled in ns of
+  // simulated time starting at 0 (the shared distribution already happened;
+  // only retry tails play out here).
   struct NodeRun {
     std::uint32_t node_id = 0;
     std::uint32_t attempt = 0;
     std::uint64_t chunks_left = 0;   // not yet enqueued on the link
     std::uint64_t chunks_unacked = 0;  // enqueued or on the wire
-    std::uint64_t next_chunk_len = 0;
     std::uint64_t tail_len = 0;  // final chunk remainder
     bool delivered = false;
-    bool done = false;
     double finish_ns = 0.0;
   };
 
@@ -164,18 +98,15 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
   bool link_busy = false;
   const std::uint32_t max_attempts =
       std::max<std::uint32_t>(1, retry_.max_attempts);
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, config_.chunk_bytes);
 
   // Mutually recursive via std::function: attempt outcome -> retry with
   // chunked resume -> link service -> attempt outcome.
   std::function<void(std::size_t)> settle_attempt;
   std::function<void(std::size_t)> start_attempt;
 
-  // Services one queued chunk when the link is idle; the drive loop below
-  // re-invokes it after every event, so completions need no re-entry logic.
-  auto pump_link = [&] {
-    if (link_busy || link.empty()) return;
+  // Puts the next queued chunk on the idle link; its completion frees a
+  // window slot for the same receiver.
+  auto serve_chunk = [&] {
     link_busy = true;
     const auto [ri, bytes] = link.front();
     link.pop_front();
@@ -185,12 +116,11 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
       NodeRun& run = runs[ri];
       --run.chunks_unacked;
       if (run.chunks_left > 0) {
-        // Window slot freed: enqueue the receiver's next chunk.
         --run.chunks_left;
         ++run.chunks_unacked;
-        link.emplace_back(
-            ri, run.chunks_left == 0 && run.tail_len > 0 ? run.tail_len
-                                                         : chunk);
+        link.emplace_back(ri, run.chunks_left == 0 && run.tail_len > 0
+                                  ? run.tail_len
+                                  : kChunkBytes);
       }
       if (run.chunks_left == 0 && run.chunks_unacked == 0) {
         settle_attempt(ri);
@@ -207,10 +137,11 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
           !failed &&
           faults_->TransferCorrupts(run.node_id, transfer_id, run.attempt);
       if (failed || corrupted) {
+        // A failed attempt delivers nothing; a corrupted one delivers bytes
+        // the receiver's checksums reject. Back off and retry.
         const double delay_ns = faults_->TransferDelaySeconds() * 1e9;
         if (run.attempt >= max_attempts) {
           ++stats.abandoned;
-          run.done = true;
           run.finish_ns = loop.now_ns() + delay_ns;
           return;
         }
@@ -220,7 +151,6 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
       }
     }
     run.delivered = true;
-    run.done = true;
     run.finish_ns = loop.now_ns();
   };
 
@@ -234,10 +164,12 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
       settle_attempt(ri);
       return;
     }
+    // Only faulted attempts reach here, so faults_ is non-null.
     ++stats.retries;
     const double wait =
         BackoffSeconds(retry_, run.node_id, transfer_id, run.attempt);
     stats.backoff_seconds += wait;
+    // Resume past the records the previous attempt delivered intact.
     const double progress =
         faults_->PartialProgress(run.node_id, transfer_id, run.attempt - 1);
     const std::uint64_t resume = ResumeBytes(stream, wire_size, progress);
@@ -248,18 +180,17 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
         settle_attempt(ri);
         return;
       }
-      const std::uint64_t full = resume / chunk;
-      r.tail_len = resume % chunk;
-      const std::uint64_t total = full + (r.tail_len > 0 ? 1 : 0);
+      r.tail_len = resume % kChunkBytes;
+      const std::uint64_t total =
+          resume / kChunkBytes + (r.tail_len > 0 ? 1 : 0);
       const std::uint64_t burst =
           std::min<std::uint64_t>(total, config_.window);
       r.chunks_left = total - burst;
       r.chunks_unacked = burst;
       for (std::uint64_t c = 0; c < burst; ++c) {
         const bool is_tail = c == total - 1 && r.tail_len > 0;
-        link.emplace_back(ri, is_tail ? r.tail_len : chunk);
+        link.emplace_back(ri, is_tail ? r.tail_len : kChunkBytes);
       }
-      loop.ScheduleAfter(0.0, "sg-link", [&] { pump_link(); });
     });
   };
 
@@ -267,27 +198,25 @@ ScatterGatherResult ScatterGatherTransfer::RunWindowed(
     runs[i].node_id = nodes[i];
     start_attempt(i);
   }
-  // Drive the link whenever chunks are queued and it sits idle; loop events
+  // Serve the link whenever chunks are queued and it sits idle; loop events
   // carry everything else.
-  while (loop.pending() > 0 || !link.empty()) {
-    if (!link_busy && !link.empty()) {
-      pump_link();
-      continue;
-    }
-    if (!loop.Step()) break;
-  }
+  do {
+    if (!link_busy && !link.empty()) serve_chunk();
+  } while (loop.Step());
 
   ScatterGatherResult result;
   for (const NodeRun& run : runs) {
-    ReceiverOutcome outcome;
-    outcome.node_id = run.node_id;
-    outcome.delivered = run.delivered;
     const double tail = run.finish_ns / 1e9;
-    outcome.seconds = initial_seconds + tail;
     result.makespan_seconds = std::max(result.makespan_seconds, tail);
     result.sum_seconds += tail;
-    result.outcomes.push_back(outcome);
+    result.outcomes.push_back({run.node_id, run.delivered, tail});
   }
+  // Clamp: with an empty receiver set (or pure float cancellation in the
+  // sums) the subtraction can dip a hair below zero; the report fields are
+  // documented non-negative.
+  stats.makespan_seconds += std::max(0.0, result.makespan_seconds);
+  stats.overlap_seconds +=
+      std::max(0.0, result.sum_seconds - result.makespan_seconds);
   return result;
 }
 

@@ -2,20 +2,15 @@
 // storage node to N receivers, with retries (§3.2/§3.5 must survive node
 // churn — a dropped diff is retried, not lost).
 //
-// Two delivery models share one accounting contract:
-//
-//   serial (window == 1)  the exact legacy per-node retry loop: each
-//     receiver's retry tail (backoff + record-granular resume + fault delay)
-//     is computed independently; receivers retry concurrently, so the fan
-//     out's makespan is the slowest receiver's tail. Bit-identical to the
-//     pre-engine DeliverWithRetries math, float op for float op —
-//     regression-tested.
-//   windowed (window > 1)  event-driven: resume retransmissions are chunked,
-//     each receiver keeps at most `window` chunks in flight, and all chunks
-//     serialize through the sender's egress link (FIFO). Backoffs and fault
-//     delays elapse as event-loop delays, so per-node retries overlap —
-//     the makespan reflects sender-link contention instead of assuming every
-//     resume gets the full link.
+// Delivery is event-driven. The caller's distribution strategy has already
+// charged the first attempt, so only retry tails play out here: a faulted
+// attempt backs off, then resumes at record granularity. Each resume is cut
+// into 256 KiB chunks, each receiver keeps at most `window` chunks in
+// flight, and all chunks serialize through the sender's egress link (FIFO).
+// Backoffs and fault delays elapse as event-loop delays, so per-node retries
+// overlap and the makespan reflects sender-link contention instead of
+// assuming every resume gets the full link. Window 1 is one chunk in flight
+// per receiver, not a separate model.
 //
 // TransferStats reports the overlap attained: makespan_seconds is the fan
 // out's critical path, overlap_seconds = sum(per-node tails) - makespan.
@@ -68,19 +63,16 @@ struct TransferStats {
 
 struct ScatterGatherConfig {
   /// Per-receiver flow-control window: chunks a receiver may have in flight.
-  /// 1 selects the serial model (legacy retry math, bit-identical).
+  /// Must be >= 1.
   std::uint32_t window = 1;
-  /// Retransmission chunk size in the windowed model.
-  std::uint64_t chunk_bytes = 256 * 1024;
 };
 
 /// Outcome of one receiver's delivery.
 struct ReceiverOutcome {
   std::uint32_t node_id = 0;
   bool delivered = false;
-  /// The caller's accumulator after this node's retry tail: Run seeds it
-  /// with `initial_seconds` and extends it exactly as the legacy loop
-  /// extended its `*seconds` out-parameter.
+  /// This node's retry tail: seconds from the end of the shared
+  /// distribution until it was delivered or abandoned. 0 without faults.
   double seconds = 0.0;
 };
 
@@ -94,33 +86,20 @@ class ScatterGatherTransfer {
  public:
   /// `network` is borrowed and charged for every retransmission; `faults`
   /// may be null (every first attempt then succeeds and no events fire).
+  /// Throws std::invalid_argument when `config.window` is 0.
   ScatterGatherTransfer(sim::NetworkAccountant* network,
                         util::FaultInjector* faults, const RetryPolicy& retry,
                         ScatterGatherConfig config);
 
   /// Delivers `stream` (pre-serialized as `wire_size` wire bytes, already
   /// charged by the caller's distribution strategy) to every node in
-  /// `nodes`, retrying independently per node. Accumulates into `stats`;
-  /// every outcome's `seconds` starts from `initial_seconds`.
+  /// `nodes`, retrying independently per node. Accumulates into `stats`.
   ScatterGatherResult Run(const zvol::SendStream& stream,
                           std::uint64_t wire_size,
                           const std::vector<std::uint32_t>& nodes,
-                          std::uint64_t transfer_id, TransferStats& stats,
-                          double initial_seconds = 0.0);
+                          std::uint64_t transfer_id, TransferStats& stats);
 
  private:
-  ScatterGatherResult RunSerial(const zvol::SendStream& stream,
-                                std::uint64_t wire_size,
-                                const std::vector<std::uint32_t>& nodes,
-                                std::uint64_t transfer_id, TransferStats& stats,
-                                double initial_seconds);
-  ScatterGatherResult RunWindowed(const zvol::SendStream& stream,
-                                  std::uint64_t wire_size,
-                                  const std::vector<std::uint32_t>& nodes,
-                                  std::uint64_t transfer_id,
-                                  TransferStats& stats,
-                                  double initial_seconds);
-
   sim::NetworkAccountant* network_;
   util::FaultInjector* faults_;
   RetryPolicy retry_;

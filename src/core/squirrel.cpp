@@ -25,6 +25,11 @@ SquirrelCluster::SquirrelCluster(SquirrelConfig config,
     : config_(config),
       sc_volume_(config.volume),
       network_(compute_count + 1, net_config) {
+  // Rejected here rather than by the first Register, which would already
+  // have snapshotted the scVolume.
+  if (config_.transfer.window == 0) {
+    throw std::invalid_argument("scatter-gather window must be >= 1");
+  }
   compute_nodes_.reserve(compute_count);
   for (std::uint32_t i = 0; i < compute_count; ++i) {
     compute_nodes_.push_back(std::make_unique<ComputeNode>(i, config.volume));
@@ -98,6 +103,7 @@ RegistrationReport SquirrelCluster::Register(const RegisterRequest& request) {
   report.diff_wire_bytes = wire.size();
   report.total_seconds += static_cast<double>(wire.size()) /
                           config_.stream_processing_bytes_per_second;
+  const zvol::SendStream parsed = zvol::SendStream::Deserialize(wire);
 
   if (layout_.has_value()) {
     // Striped propagation: metadata (file table + block pointers, payloads
@@ -107,7 +113,6 @@ RegistrationReport SquirrelCluster::Register(const RegisterRequest& request) {
     // sets too small for a stripe receive the whole stream, like the
     // default policy. The scatter-gather retry engine stays on the
     // full-replication path; striped delivery is modelled fault-free.
-    const zvol::SendStream parsed = zvol::SendStream::Deserialize(wire);
     std::uint64_t payload_bytes = 0;
     for (const auto& fr : parsed.files) {
       for (const auto& br : fr.blocks) {
@@ -153,78 +158,66 @@ RegistrationReport SquirrelCluster::Register(const RegisterRequest& request) {
         }
       }
     }
-
-    report.cache_logical_bytes = 0;
-    const std::string file = CacheFileName(image_id);
-    for (std::uint64_t b = 0; b < sc_volume_.FileBlockCount(file); ++b) {
-      const zvol::BlockPtr& ptr = sc_volume_.FileBlock(file, b);
-      if (!ptr.hole) report.cache_logical_bytes += ptr.logical_size;
+  } else {
+    std::vector<std::uint32_t> receivers;
+    for (const auto& node : compute_nodes_) {
+      if (node->online()) receivers.push_back(node->id() + 1);
     }
-    registered_.push_back(image_id);
-    return report;
-  }
-
-  std::vector<std::uint32_t> receivers;
-  for (const auto& node : compute_nodes_) {
-    if (node->online()) receivers.push_back(node->id() + 1);
-  }
-  double distribution_ns = 0.0;
-  switch (config_.propagation) {
-    case PropagationStrategy::kMulticast:
-      distribution_ns = network_.Multicast(0, receivers, wire.size());
-      break;
-    case PropagationStrategy::kUnicast:
-      distribution_ns = network_.UnicastAll(0, receivers, wire.size());
-      break;
-    case PropagationStrategy::kPipeline:
-      distribution_ns = network_.Pipeline(0, receivers, wire.size());
-      break;
-  }
-  report.total_seconds += distribution_ns / 1e9;
-
-  const zvol::SendStream parsed = zvol::SendStream::Deserialize(wire);
-  const std::uint64_t transfer_id = ++transfer_counter_;
-  std::vector<ComputeNode*> eligible;
-  std::vector<std::uint32_t> eligible_ids;
-  for (const auto& node : compute_nodes_) {
-    if (!node->online()) continue;
-    if (node->volume().LatestSnapshot() == nullptr && parsed.incremental) {
-      // A node that joined after earlier registrations but was never synced
-      // cannot apply an incremental diff; it catches up on its next boot.
-      continue;
+    double distribution_ns = 0.0;
+    switch (config_.propagation) {
+      case PropagationStrategy::kMulticast:
+        distribution_ns = network_.Multicast(0, receivers, wire.size());
+        break;
+      case PropagationStrategy::kUnicast:
+        distribution_ns = network_.UnicastAll(0, receivers, wire.size());
+        break;
+      case PropagationStrategy::kPipeline:
+        distribution_ns = network_.Pipeline(0, receivers, wire.size());
+        break;
     }
-    eligible.push_back(node.get());
-    eligible_ids.push_back(node->id() + 1);
-  }
-  // One stream scatters to every eligible node; per-node retry tails run
-  // concurrently (serially modelled at window 1, event-driven above it), so
-  // the registration's critical path extends by the fan out's makespan, not
-  // the sum of tails.
-  ScatterGatherTransfer transfer(&network_, faults_, config_.retry,
-                                 config_.transfer);
-  const ScatterGatherResult fanout = transfer.Run(
-      parsed, wire.size(), eligible_ids, transfer_id, report.transfers);
-  report.total_seconds += fanout.makespan_seconds;
-  for (std::size_t i = 0; i < eligible.size(); ++i) {
-    if (!fanout.outcomes[i].delivered) {
-      continue;  // abandoned; SyncNode reconciles later (§3.5)
+    report.total_seconds += distribution_ns / 1e9;
+
+    const std::uint64_t transfer_id = ++transfer_counter_;
+    std::vector<ComputeNode*> eligible;
+    std::vector<std::uint32_t> eligible_ids;
+    for (const auto& node : compute_nodes_) {
+      if (!node->online()) continue;
+      if (node->volume().LatestSnapshot() == nullptr && parsed.incremental) {
+        // A node that joined after earlier registrations but was never synced
+        // cannot apply an incremental diff; it catches up on its next boot.
+        continue;
+      }
+      eligible.push_back(node.get());
+      eligible_ids.push_back(node->id() + 1);
     }
-    try {
-      eligible[i]->volume().Receive(parsed);
-      ++report.receivers;
-    } catch (const zvol::StreamMismatchError&) {
-      // Stale replica (missed earlier diffs); resolved by SyncNode later.
-    } catch (const util::CrashError&) {
-      // The node died mid-apply. Its transactional Receive either rolled
-      // back (replica unchanged, SyncNode re-delivers) or crashed after the
-      // commit point (replica current; re-delivery no-ops). Either way the
-      // cluster keeps going without this receiver.
-      ++report.transfers.crashed_applies;
+    // One stream scatters to every eligible node; per-node retry tails run
+    // concurrently on the event loop, so the registration's critical path
+    // extends by the fan out's makespan, not the sum of tails.
+    ScatterGatherTransfer transfer(&network_, faults_, config_.retry,
+                                   config_.transfer);
+    const ScatterGatherResult fanout = transfer.Run(
+        parsed, wire.size(), eligible_ids, transfer_id, report.transfers);
+    report.total_seconds += fanout.makespan_seconds;
+    for (std::size_t i = 0; i < eligible.size(); ++i) {
+      if (!fanout.outcomes[i].delivered) {
+        continue;  // abandoned; SyncNode reconciles later (§3.5)
+      }
+      try {
+        eligible[i]->volume().Receive(parsed);
+        ++report.receivers;
+      } catch (const zvol::StreamMismatchError&) {
+        // Stale replica (missed earlier diffs); resolved by SyncNode later.
+      } catch (const util::CrashError&) {
+        // The node died mid-apply. Its transactional Receive either rolled
+        // back (replica unchanged, SyncNode re-delivers) or crashed after the
+        // commit point (replica current; re-delivery no-ops). Either way the
+        // cluster keeps going without this receiver.
+        ++report.transfers.crashed_applies;
+      }
     }
   }
 
   // Cache accounting for the report.
-  report.cache_logical_bytes = 0;
   const std::string file = CacheFileName(image_id);
   for (std::uint64_t b = 0; b < sc_volume_.FileBlockCount(file); ++b) {
     const zvol::BlockPtr& ptr = sc_volume_.FileBlock(file, b);
@@ -299,10 +292,10 @@ SyncReport SquirrelCluster::SyncNode(std::uint32_t compute_node, SimClock) {
   const zvol::SendStream parsed = zvol::SendStream::Deserialize(wire);
   ScatterGatherTransfer transfer(&network_, faults_, config_.retry,
                                  config_.transfer);
-  const ScatterGatherResult delivery = transfer.Run(
-      parsed, wire.size(), {compute_node + 1}, ++transfer_counter_,
-      report.transfers, /*initial_seconds=*/report.seconds);
-  report.seconds = delivery.outcomes.front().seconds;
+  const ScatterGatherResult delivery =
+      transfer.Run(parsed, wire.size(), {compute_node + 1},
+                   ++transfer_counter_, report.transfers);
+  report.seconds += delivery.outcomes.front().seconds;
   if (!delivery.outcomes.front().delivered) {
     // Every attempt faulted: the node stays stale (snapshots_advanced == 0)
     // and the next boot-time sync tries again.
@@ -378,15 +371,7 @@ BootReport SquirrelCluster::BootStriped(std::uint32_t compute_node,
                                     request.boot_config, request.writes,
                                     /*prefetch=*/nullptr);
   report.network_bytes = network_.bytes_in(net_id) - net_before;
-  const placement::StripedFileDevice::StripedReadStats& stats = cache.stats();
-  report.reconstructed_blocks = stats.reconstructed_blocks;
-  report.parity_reads = stats.parity_reads;
-  report.reconstruct_fallbacks = stats.reconstruct_fallbacks;
-  report.shard_remote_bytes = stats.remote_shard_bytes;
-  // The storage-node fallback is the striped analogue of a degraded
-  // re-fetch: surface it through the existing repair counters.
-  report.repair_reads = stats.storage_fetches;
-  report.repaired_blocks_bytes = stats.storage_fetch_bytes;
+  report.striped = cache.stats();
   return report;
 }
 
@@ -457,10 +442,7 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
       // Pre-heal: heal (and warm) the profile's blocks through the repair
       // session before the guest starts; the wire bytes are charged to the
       // network accountant but not to the guest clock.
-      const sim::VolumeFileDevice::PreHealStats healed =
-          cache.PreHealBlocks(touched);
-      report.preheal_repair_fetches = healed.repair_fetches;
-      report.preheal_repaired_bytes = healed.repaired_bytes;
+      report.preheal = cache.PreHealBlocks(touched);
     } else {
       // ARC-warm replay; with pin_boot_critical the profile's blocks — the
       // boot-critical working set PR 5's profiles recorded — enter the
@@ -474,12 +456,8 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
                                     request.boot_config, request.writes,
                                     prefetch);
   report.network_bytes = network_.bytes_in(compute_node + 1) - net_before;
-  report.repaired_blocks_bytes = cache.degraded_stats().repaired_bytes;
-  report.repair_reads = cache.degraded_stats().repair_reads;
-  report.prefetch_issued = prefetcher.stats().issued;
-  report.byzantine_rejected = cache.degraded_stats().byzantine_rejected;
-  report.peers_blacklisted = cache.degraded_stats().peers_blacklisted;
-  report.resourced_blocks = cache.degraded_stats().resourced_blocks;
+  report.degraded = cache.degraded_stats();
+  report.prefetch = prefetcher.stats();
   if (config_.cache_controller.enabled) {
     // Lazily attach a controller to this node's ccVolume store and tick it
     // once per boot: boots are the cluster's cache-relevant events, so the

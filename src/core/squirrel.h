@@ -37,10 +37,12 @@
 #include "placement/layout.h"
 #include "placement/reed_solomon.h"
 #include "placement/shard_store.h"
+#include "placement/striped_device.h"
 #include "sim/boot_sim.h"
 #include "sim/devices.h"
 #include "sim/io_context.h"
 #include "sim/network.h"
+#include "sim/profile_prefetch.h"
 #include "util/fault_injector.h"
 #include "util/source.h"
 #include "zvol/volume.h"
@@ -110,35 +112,20 @@ struct BootReport {
   sim::BootResult result;
   std::uint64_t network_bytes = 0;  // base-VMI bytes pulled over the network
   /// Degraded-mode healing during the boot: corrupt ccVolume blocks
-  /// re-fetched on demand through the repair session (included in
-  /// network_bytes).
-  std::uint64_t repaired_blocks_bytes = 0;
-  std::uint64_t repair_reads = 0;
+  /// re-fetched on demand through the repair session (bytes included in
+  /// network_bytes), and the Byzantine payloads, struck-out peers and
+  /// re-sourced blocks of that session.
+  sim::VolumeFileDevice::DegradedReadStats degraded;
   /// Pre-heal pass (profile replay with pre_heal): range reads that had to
   /// fetch clean copies through the repair session *before* the guest
   /// started — repairs moved off the boot's critical path. Bytes are
   /// included in network_bytes but charge no simulated boot time.
-  std::uint64_t preheal_repair_fetches = 0;
-  std::uint64_t preheal_repaired_bytes = 0;
+  sim::VolumeFileDevice::PreHealStats preheal;
   /// Profile-guided background reads issued while the guest booted.
-  std::uint64_t prefetch_issued = 0;
-  /// Repair with compute peers (peer_repair_sources): Byzantine payloads
-  /// caught by the post-decompress digest check, peers struck out for
-  /// serving them, and blocks healed from a different replica after a peer
-  /// lied.
-  std::uint64_t byzantine_rejected = 0;
-  std::uint64_t peers_blacklisted = 0;
-  std::uint64_t resourced_blocks = 0;
-  /// Striped-placement boots only (zero under full replication): blocks
-  /// rebuilt through parity when a data-shard holder was unreachable,
-  /// parity shards those rebuilds consumed, and blocks the set could not
-  /// serve at all (more than m members down, or a rebuild that failed its
-  /// digest check) — each fallback is one whole-block storage-node refetch.
-  std::uint64_t reconstructed_blocks = 0;
-  std::uint64_t parity_reads = 0;
-  std::uint64_t reconstruct_fallbacks = 0;
-  /// Set-local shard traffic of a striped boot (included in network_bytes).
-  std::uint64_t shard_remote_bytes = 0;
+  sim::ProfilePrefetchStats prefetch;
+  /// Striped-placement boots only (zero under full replication): shard
+  /// traffic, parity rebuilds, and whole-block storage-node refetches.
+  placement::StripedFileDevice::StripedReadStats striped;
 };
 
 /// One compute node: its ccVolume and availability state.

@@ -925,11 +925,11 @@ void Volume::Receive(const SendStream& stream) {
     throw StreamMismatchError("receive: block size mismatch");
   }
   const Snapshot* latest = LatestSnapshot();
-  // Idempotent re-delivery (crash-restart only — legacy callers keep the
-  // mismatch errors below): a crash after the commit point leaves the
-  // stream fully applied; the retry finds `to` already latest and no-ops.
-  if (faults_ != nullptr && latest != nullptr &&
-      latest->id == stream.to_id && latest->name == stream.to_name) {
+  // Idempotent re-delivery: a stream whose `to` snapshot is already latest
+  // was applied before (say, by an apply that crashed after its commit
+  // point), so the retry no-ops.
+  if (latest != nullptr && latest->id == stream.to_id &&
+      latest->name == stream.to_name) {
     return;
   }
   if (stream.incremental) {
@@ -960,15 +960,13 @@ void Volume::ReceiveFull(const SendStream& stream) {
   std::vector<CarriedPayload> carried =
       ValidateStream(stream, /*store_references=*/false);
 
+  // Idempotent re-delivery, as in Receive.
   const Snapshot* latest = LatestSnapshot();
-  if (faults_ != nullptr) {
-    // Idempotent re-delivery after a crash past the commit point.
-    if (latest != nullptr && latest->id == stream.to_id &&
-        latest->name == stream.to_name) {
-      return;
-    }
-    faults_->CrashPoint("receive_full/begin");
+  if (latest != nullptr && latest->id == stream.to_id &&
+      latest->name == stream.to_name) {
+    return;
   }
+  if (faults_ != nullptr) faults_->CrashPoint("receive_full/begin");
 
   // Drop everything: live files and snapshots. A crash between here and the
   // commit leaves an empty volume — the rejoining-node state §3.5 already

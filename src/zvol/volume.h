@@ -329,14 +329,15 @@ class Volume {
   /// that fails mid-apply — damage found late, a simulated crash
   /// (util::CrashError), a disk-full (store::NoSpaceError) — rolls the
   /// volume back to exactly its pre-call state. With a fault injector
-  /// armed, the crash sites fire and re-delivering a stream whose `to`
-  /// snapshot already landed is an idempotent no-op.
+  /// armed, the crash sites fire. Re-delivering a stream whose `to`
+  /// snapshot is already latest is an idempotent no-op.
   void Receive(const SendStream& stream);
 
   /// Drops all state and applies a full stream (the "node offline for more
   /// than n days" recovery path). The stream is fully validated — shape,
   /// checksums, payload decode — *before* anything is dropped, so a
-  /// mismatched or damaged stream leaves the volume untouched.
+  /// mismatched or damaged stream leaves the volume untouched. Re-delivery
+  /// of the latest snapshot's stream is a no-op, as in Receive.
   void ReceiveFull(const SendStream& stream);
 
   // --- persistence -----------------------------------------------------------
@@ -420,8 +421,8 @@ class Volume {
   }
 
   /// Arms crash/disk-full fault sites on this volume and its store: Receive/
-  /// ReceiveFull run their crash points and re-delivery checks, and the
-  /// store's commit-stage sites and allocation-refused accounting activate.
+  /// ReceiveFull run their crash points, and the store's commit-stage sites
+  /// and allocation-refused accounting activate.
   /// Pass nullptr to disarm.
   void SetFaultInjector(util::FaultInjector* faults) {
     faults_ = faults;

@@ -1,11 +1,14 @@
-// Scatter-gather fan-out transfers: window-1 bit-identity with the legacy
-// serial retry loop, windowed overlap, and determinism.
+// Scatter-gather fan-out transfers: the event-driven engine against the
+// pre-engine serial retry loop (decisions and bytes), window 1 as an engine
+// value (per-chunk charges, a shared sender link), windowed overlap, and
+// determinism.
 
 #include "core/scatter_gather.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "buffer_source.h"
@@ -47,7 +50,9 @@ zvol::SendStream TestStream(std::size_t blocks) {
   return stream;
 }
 
-// Reference implementation: the pre-engine serial retry loop, verbatim.
+// Reference implementation: the pre-engine serial retry loop, verbatim. Its
+// decisions, bytes and backoff are what the engine must reproduce; its
+// timing gave every resume the whole link as one message.
 bool LegacyDeliver(const zvol::SendStream& stream, std::uint64_t wire_size,
                    std::uint32_t node_id, std::uint64_t transfer_id,
                    const RetryPolicy& retry, util::FaultInjector* faults,
@@ -111,7 +116,24 @@ util::FaultProfile FlakyProfile() {
   return profile;
 }
 
-TEST(ScatterGather, WindowOneBitIdenticalToLegacyLoop) {
+TEST(ScatterGather, RejectsWindowZero) {
+  // A zero window would admit no chunk, and a retrying receiver would never
+  // settle.
+  sim::NetworkAccountant net(2);
+  EXPECT_THROW(
+      {
+        ScatterGatherTransfer transfer(&net, nullptr, RetryPolicy{},
+                                       ScatterGatherConfig{.window = 0});
+      },
+      std::invalid_argument);
+  SquirrelConfig config;
+  config.transfer.window = 0;
+  EXPECT_THROW(SquirrelCluster(config, 2), std::invalid_argument);
+}
+
+TEST(ScatterGather, WindowOneSingleChunkResumesMatchLegacyLoop) {
+  // Every resume here fits in one 256 KiB chunk, so window 1 charges each
+  // one message, as the legacy loop did.
   const zvol::SendStream stream = TestStream(16);
   const std::uint64_t wire_size = stream.WireSize();
   const std::vector<std::uint32_t> nodes = {1, 2, 3, 4, 5, 6};
@@ -155,6 +177,88 @@ TEST(ScatterGather, WindowOneBitIdenticalToLegacyLoop) {
   }
 }
 
+TEST(ScatterGather, WindowOneChargesEveryChunk) {
+  // One receiver whose retry resumes more than one chunk: at window 1 the
+  // chunks cross the link one after another, each paying its own message
+  // overhead.
+  constexpr std::uint64_t kChunk = 256 * 1024;
+  const zvol::SendStream stream = TestStream(256);  // 1 MiB of payload
+  const std::uint64_t wire_size = stream.WireSize();
+  util::FaultProfile profile;
+  profile.transfer_fail_rate = 0.5;
+  profile.transfer_delay_seconds = 0.05;
+  // A seed whose attempt 1 fails before half the records arrived and whose
+  // attempt 2 goes through: the tail is one fault delay, one backoff and
+  // one resume of more than half the stream.
+  std::uint64_t seed = 0;
+  for (;; ++seed) {
+    util::FaultInjector probe(seed, profile);
+    if (probe.TransferFails(1, 1, 1) && !probe.TransferFails(1, 1, 2) &&
+        probe.PartialProgress(1, 1, 1) < 0.5) {
+      break;
+    }
+  }
+
+  util::FaultInjector faults(seed, profile);
+  sim::NetworkAccountant net(2);
+  TransferStats stats;
+  const RetryPolicy retry{};
+  ScatterGatherTransfer transfer(&net, &faults, retry,
+                                 ScatterGatherConfig{.window = 1});
+  const ScatterGatherResult result =
+      transfer.Run(stream, wire_size, {1}, 1, stats);
+  ASSERT_TRUE(result.outcomes.front().delivered);
+  ASSERT_EQ(stats.retries, 1u);
+  const std::uint64_t resume = stats.retransmitted_bytes;
+  ASSERT_GT(resume, kChunk);
+  EXPECT_EQ(net.bytes_in(1), resume);
+
+  const sim::NetworkConfig& link = net.config();
+  double chunks_ns = 0.0;
+  for (std::uint64_t left = resume; left > 0;) {
+    const std::uint64_t bytes = std::min(left, kChunk);
+    chunks_ns += link.message_overhead_ns +
+                 static_cast<double>(bytes) / link.bandwidth_bytes_per_ns;
+    left -= bytes;
+  }
+  const double expected = profile.transfer_delay_seconds +
+                          BackoffSeconds(retry, 1, 1, 2) + chunks_ns / 1e9;
+  EXPECT_NEAR(result.outcomes.front().seconds, expected, 1e-9);
+  EXPECT_EQ(result.makespan_seconds, result.outcomes.front().seconds);
+}
+
+TEST(ScatterGather, WindowOneSharesSenderLink) {
+  // Two receivers whose attempts all fail: without jitter both back off
+  // equally, so their resumes reach the sender link at the same instant and
+  // the later one queues behind the other.
+  const zvol::SendStream stream = TestStream(16);
+  const std::uint64_t wire_size = stream.WireSize();
+  util::FaultProfile profile;
+  profile.transfer_fail_rate = 1.0;
+  profile.transfer_delay_seconds = 0.05;
+  RetryPolicy retry;
+  retry.max_attempts = 2;
+  retry.jitter = 0.0;
+  auto tails = [&](const std::vector<std::uint32_t>& nodes) {
+    util::FaultInjector faults(0xfab, profile);
+    sim::NetworkAccountant net(3);
+    TransferStats stats;
+    ScatterGatherTransfer transfer(&net, &faults, retry,
+                                   ScatterGatherConfig{.window = 1});
+    std::vector<double> seconds;
+    for (const ReceiverOutcome& outcome :
+         transfer.Run(stream, wire_size, nodes, 1, stats).outcomes) {
+      EXPECT_FALSE(outcome.delivered);
+      seconds.push_back(outcome.seconds);
+    }
+    return seconds;
+  };
+  const std::vector<double> shared = tails({1, 2});
+  const std::uint32_t later = shared[0] < shared[1] ? 1 : 0;
+  const double solo = tails({later + 1}).front();
+  EXPECT_GT(shared[later], solo);
+}
+
 TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   const zvol::SendStream stream = TestStream(16);
   const std::uint64_t wire_size = stream.WireSize();
@@ -177,7 +281,7 @@ TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   const ScatterGatherResult result =
       windowed.Run(stream, wire_size, nodes, 1, stats);
 
-  // Fault decisions are order-independent, so both models agree on what
+  // Fault decisions are order-independent, so both windows agree on what
   // happened — only on when.
   EXPECT_EQ(stats.attempts, serial_stats.attempts);
   EXPECT_EQ(stats.retries, serial_stats.retries);
@@ -193,8 +297,7 @@ TEST(ScatterGather, WindowedMatchesSerialDecisionsAndOverlaps) {
   // the report says by how much.
   EXPECT_LT(result.makespan_seconds, result.sum_seconds);
   EXPECT_GT(stats.overlap_seconds, 0.0);
-  // Sender-link contention cannot beat the perfect-parallelism bound by
-  // more than scheduling slack, and never the serial sum.
+  // A wider window never ends later than window 1's sum of tails.
   EXPECT_LE(result.makespan_seconds, serial_result.sum_seconds);
 }
 
@@ -202,7 +305,8 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
   // Regression: overlap_seconds is derived as sum - makespan per batch; a
   // scheduling path that reports makespan within float slack of (or above)
   // the sum must clamp at zero rather than accumulate a negative overlap.
-  const zvol::SendStream stream = TestStream(6);
+  // 768 KiB of payload: resumes span several 256 KiB chunks.
+  const zvol::SendStream stream = TestStream(192);
   const std::uint64_t wire_size = stream.WireSize();
   for (const std::uint32_t window : {1u, 2u, 4u, 8u}) {
     for (const std::size_t fan_out : {std::size_t{1}, std::size_t{3}}) {
@@ -213,9 +317,9 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
       sim::NetworkAccountant net(10.0);
       util::FaultInjector faults(11, FlakyProfile());
       TransferStats stats;
-      ScatterGatherTransfer transfer(
-          &net, fan_out > 1 ? &faults : nullptr, RetryPolicy{},
-          ScatterGatherConfig{.window = window, .chunk_bytes = 8 * 1024});
+      ScatterGatherTransfer transfer(&net, fan_out > 1 ? &faults : nullptr,
+                                     RetryPolicy{},
+                                     ScatterGatherConfig{.window = window});
       const ScatterGatherResult result =
           transfer.Run(stream, wire_size, nodes, 1, stats);
       EXPECT_GE(result.makespan_seconds, 0.0) << "window " << window;
@@ -231,16 +335,16 @@ TEST(ScatterGather, AggregateSecondsAreNeverNegative) {
 }
 
 TEST(ScatterGather, WindowedIsDeterministic) {
-  const zvol::SendStream stream = TestStream(8);
+  // 1 MiB of payload: resumes span several 256 KiB chunks.
+  const zvol::SendStream stream = TestStream(256);
   const std::uint64_t wire_size = stream.WireSize();
   const std::vector<std::uint32_t> nodes = {1, 2, 3, 4};
   auto run = [&] {
     util::FaultInjector faults(0xfab, FlakyProfile());
     sim::NetworkAccountant net(6);
     TransferStats stats;
-    ScatterGatherTransfer transfer(
-        &net, &faults, RetryPolicy{},
-        ScatterGatherConfig{.window = 3, .chunk_bytes = 8 * 1024});
+    ScatterGatherTransfer transfer(&net, &faults, RetryPolicy{},
+                                   ScatterGatherConfig{.window = 3});
     const ScatterGatherResult result =
         transfer.Run(stream, wire_size, nodes, 1, stats);
     return std::pair<double, double>(result.makespan_seconds,
@@ -288,8 +392,8 @@ TEST(ScatterGather, ClusterRegisterWithWindowedTransfer) {
 }
 
 TEST(ScatterGather, ClusterRetryStatsIdenticalAcrossWindows) {
-  // The same faulted registration through both delivery models: identical
-  // decisions (attempts/retries/abandoned), different timing model.
+  // The same faulted registration at windows 1 and 4: identical decisions
+  // (attempts/retries/abandoned), different timing.
   auto run = [](std::uint32_t window) {
     SquirrelConfig config;
     config.volume = zvol::VolumeConfig{.block_size = 4096,

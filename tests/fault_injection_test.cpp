@@ -479,11 +479,11 @@ TEST(FaultRepair, DegradedBootHealsFromStorageNodeAndChargesNetwork) {
       cluster.Boot(0,
       {.image_id = "img", .base_image = BufferSource(cache), .trace = trace},
       io);
-  EXPECT_GT(report.repair_reads, 0u);
-  EXPECT_GT(report.repaired_blocks_bytes, 0u);
+  EXPECT_GT(report.degraded.repair_reads, 0u);
+  EXPECT_GT(report.degraded.repaired_bytes, 0u);
   // Healing traffic comes from the storage node over the network — the
   // warm-replica headline property is given up exactly where corruption hit.
-  EXPECT_GE(report.network_bytes, report.repaired_blocks_bytes);
+  EXPECT_GE(report.network_bytes, report.degraded.repaired_bytes);
   // The heal is persistent: the replica scrubs clean afterwards.
   EXPECT_EQ(cluster.compute_node(0).volume().Scrub().errors, 0u);
 }

@@ -142,14 +142,15 @@ TEST(PlacementCluster, HealthyStripedBootAssemblesFromSetPeers) {
   EXPECT_GT(report.result.bytes_read, 0u);
   EXPECT_EQ(report.result.base_bytes_read, 0u);  // cache covers the trace
   // Healthy set: pure data-shard reassembly, no parity, no fallbacks.
-  EXPECT_EQ(report.reconstructed_blocks, 0u);
-  EXPECT_EQ(report.parity_reads, 0u);
-  EXPECT_EQ(report.reconstruct_fallbacks, 0u);
-  EXPECT_EQ(report.repair_reads, 0u);
+  EXPECT_EQ(report.striped.reconstructed_blocks, 0u);
+  EXPECT_EQ(report.striped.parity_reads, 0u);
+  EXPECT_EQ(report.striped.reconstruct_fallbacks, 0u);
+  EXPECT_EQ(report.striped.storage_fetches, 0u);
   // k - 1 of every block's data shards cross the set network.
-  EXPECT_GT(report.shard_remote_bytes, 0u);
-  EXPECT_GE(report.network_bytes, report.shard_remote_bytes);
-  test::ExpectReconstructionConservation(report, 2, "healthy striped boot");
+  EXPECT_GT(report.striped.remote_shard_bytes, 0u);
+  EXPECT_GE(report.network_bytes, report.striped.remote_shard_bytes);
+  test::ExpectReconstructionConservation(report.striped, 2,
+                                         "healthy striped boot");
 }
 
 TEST(PlacementCluster, DegradedBootReconstructsWithZeroStorageRefetches) {
@@ -168,12 +169,13 @@ TEST(PlacementCluster, DegradedBootReconstructsWithZeroStorageRefetches) {
   EXPECT_GT(report.result.bytes_read, 0u);
   // The acceptance property: every block the offline peers stripped a data
   // shard from rebuilds through parity; none re-fetch from the storage node.
-  EXPECT_GT(report.reconstructed_blocks, 0u);
-  EXPECT_GE(report.parity_reads, report.reconstructed_blocks);
-  EXPECT_EQ(report.reconstruct_fallbacks, 0u);
-  EXPECT_EQ(report.repair_reads, 0u);
-  EXPECT_EQ(report.repaired_blocks_bytes, 0u);
-  test::ExpectReconstructionConservation(report, 2, "degraded striped boot");
+  EXPECT_GT(report.striped.reconstructed_blocks, 0u);
+  EXPECT_GE(report.striped.parity_reads, report.striped.reconstructed_blocks);
+  EXPECT_EQ(report.striped.reconstruct_fallbacks, 0u);
+  EXPECT_EQ(report.striped.storage_fetches, 0u);
+  EXPECT_EQ(report.striped.storage_fetch_bytes, 0u);
+  test::ExpectReconstructionConservation(report.striped, 2,
+                                         "degraded striped boot");
 }
 
 TEST(PlacementCluster, MoreThanMPeersDownFallsBackToStorageNode) {
@@ -191,11 +193,13 @@ TEST(PlacementCluster, MoreThanMPeersDownFallsBackToStorageNode) {
       0, {.image_id = "img-1", .base_image = base, .trace = fx.trace}, io);
   // The boot still completes — through whole-block storage fetches.
   EXPECT_GT(report.result.bytes_read, 0u);
-  EXPECT_EQ(report.reconstructed_blocks, 0u);
-  EXPECT_GT(report.reconstruct_fallbacks, 0u);
-  EXPECT_EQ(report.repair_reads, report.reconstruct_fallbacks);
-  EXPECT_GT(report.repaired_blocks_bytes, 0u);
-  test::ExpectReconstructionConservation(report, 2, "short-set striped boot");
+  EXPECT_EQ(report.striped.reconstructed_blocks, 0u);
+  EXPECT_GT(report.striped.reconstruct_fallbacks, 0u);
+  EXPECT_EQ(report.striped.storage_fetches,
+            report.striped.reconstruct_fallbacks);
+  EXPECT_GT(report.striped.storage_fetch_bytes, 0u);
+  test::ExpectReconstructionConservation(report.striped, 2,
+                                         "short-set striped boot");
 }
 
 TEST(PlacementCluster, TrailingUndersizedSetKeepsFullReplicas) {
@@ -219,8 +223,9 @@ TEST(PlacementCluster, TrailingUndersizedSetKeepsFullReplicas) {
       7, {.image_id = "img-1", .base_image = base, .trace = fx.trace}, io);
   EXPECT_GT(report.result.bytes_read, 0u);
   EXPECT_EQ(report.network_bytes, 0u);  // warm full replica, zero network
-  EXPECT_EQ(report.shard_remote_bytes, 0u);
-  test::ExpectReconstructionConservation(report, 0, "full-replica boot");
+  EXPECT_EQ(report.striped.remote_shard_bytes, 0u);
+  test::ExpectReconstructionConservation(report.striped, 0,
+                                         "full-replica boot");
 }
 
 TEST(PlacementCluster, FullReplicationReportsZeroReconstructionCounters) {
@@ -237,7 +242,7 @@ TEST(PlacementCluster, FullReplicationReportsZeroReconstructionCounters) {
   sim::IoContext io;
   const BootReport report = cluster.Boot(
       1, {.image_id = "img-1", .base_image = base, .trace = fx.trace}, io);
-  test::ExpectReconstructionConservation(report, 0, "placement off");
+  test::ExpectReconstructionConservation(report.striped, 0, "placement off");
 }
 
 // --- RepairSession reconstruction source -------------------------------------

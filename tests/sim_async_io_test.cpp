@@ -282,7 +282,8 @@ TEST(AsyncBoot, LocalCacheAndStripedReadsGoThroughQueue) {
     sim::IoContext io(config);
     const BootReport report = cluster.Boot(
         0, {.image_id = "img", .base_image = base, .trace = trace}, io);
-    EXPECT_GT(report.shard_remote_bytes, 0u);  // the striped device served it
+    // The striped device served it.
+    EXPECT_GT(report.striped.remote_shard_bytes, 0u);
     EXPECT_GT(io.disk_queue()->stats().submitted, 0u);
   }
 }

@@ -177,8 +177,8 @@ TEST(ProfilePrefetch, PrefetchOffBitIdentical) {
   const BootProfileRun off{};
   const BootRun with_off = RunBoot(config, &off);
   ExpectIdenticalRuns(plain, with_off);
-  EXPECT_EQ(with_off.report.prefetch_issued, 0u);
-  EXPECT_EQ(with_off.report.preheal_repair_fetches, 0u);
+  EXPECT_EQ(with_off.report.prefetch.issued, 0u);
+  EXPECT_EQ(with_off.report.preheal.repair_fetches, 0u);
 }
 
 TEST(ProfilePrefetch, ReplayStrictlyFasterOnColdCache) {
@@ -207,7 +207,7 @@ TEST(ProfilePrefetch, ReplayStrictlyFasterOnColdCache) {
     EXPECT_LT(replayed.elapsed_ns, first.elapsed_ns)
         << "readahead=" << readahead;
     EXPECT_LT(replayed.report.result.seconds, first.report.result.seconds);
-    EXPECT_GT(replayed.report.prefetch_issued, 0u);
+    EXPECT_GT(replayed.report.prefetch.issued, 0u);
   }
 }
 
@@ -223,7 +223,7 @@ TEST(ProfilePrefetch, ReplayIsDeterministic) {
   const BootRun a = RunBoot(config, &replay_run);
   const BootRun b = RunBoot(config, &replay_run);
   ExpectIdenticalRuns(a, b);
-  EXPECT_EQ(a.report.prefetch_issued, b.report.prefetch_issued);
+  EXPECT_EQ(a.report.prefetch.issued, b.report.prefetch.issued);
 }
 
 TEST(ProfilePrefetch, PreHealMovesRepairsOffCriticalPath) {
@@ -238,8 +238,8 @@ TEST(ProfilePrefetch, PreHealMovesRepairsOffCriticalPath) {
   // Degraded boot without a profile: every corrupt cluster heals on demand,
   // inside the boot.
   const BootRun on_demand = RunBoot(config, nullptr, 96, kStride);
-  EXPECT_GT(on_demand.report.repair_reads, 0u);
-  EXPECT_GT(on_demand.report.repaired_blocks_bytes, 0u);
+  EXPECT_GT(on_demand.report.degraded.repair_reads, 0u);
+  EXPECT_GT(on_demand.report.degraded.repaired_bytes, 0u);
 
   // Same corruption with profile replay + pre-heal: the repairs happen
   // before the guest starts, so the boot itself sees a healthy replica.
@@ -247,9 +247,9 @@ TEST(ProfilePrefetch, PreHealMovesRepairsOffCriticalPath) {
   preheal_run.replay = &profile;
   preheal_run.pre_heal = true;
   const BootRun prehealed = RunBoot(config, &preheal_run, 96, kStride);
-  EXPECT_EQ(prehealed.report.repair_reads, 0u);
-  EXPECT_GT(prehealed.report.preheal_repair_fetches, 0u);
-  EXPECT_GT(prehealed.report.preheal_repaired_bytes, 0u);
+  EXPECT_EQ(prehealed.report.degraded.repair_reads, 0u);
+  EXPECT_GT(prehealed.report.preheal.repair_fetches, 0u);
+  EXPECT_GT(prehealed.report.preheal.repaired_bytes, 0u);
   // The healed bytes still count as network traffic (they crossed the wire).
   EXPECT_GT(prehealed.report.network_bytes, 0u);
   // Same guest-visible bytes either way.

@@ -301,9 +301,39 @@ TEST(Receive, FullStreamIntoNonEmptyVolumeThrows) {
   Volume source(SmallConfig());
   source.CreateFile("f", 4096);
   source.CreateSnapshot("s1", 100);
+  source.CreateFile("g", 4096);
+  source.CreateSnapshot("s2", 200);
   Volume replica(SmallConfig());
   replica.Receive(source.Send("", "s1"));
-  EXPECT_THROW(replica.Receive(source.Send("", "s1")), StreamMismatchError);
+  EXPECT_THROW(replica.Receive(source.Send("", "s2")), StreamMismatchError);
+}
+
+TEST(Receive, RedeliveryIsIdempotentWithoutInjector) {
+  // A stream whose `to` snapshot is already the replica's latest was applied
+  // before; receiving it again changes nothing, with or without a fault
+  // injector armed.
+  Volume source(SmallConfig());
+  source.WriteFile("a", BufferSource(RandomBytes(4 * 4096, 21)));
+  source.CreateSnapshot("s1", 100);
+  source.WriteFile("b", BufferSource(RandomBytes(4 * 4096, 22)));
+  source.CreateSnapshot("s2", 200);
+
+  Volume replica(SmallConfig());
+  replica.Receive(source.Send("", "s1"));
+  const SendStream incremental = source.Send("s1", "s2");
+  replica.Receive(incremental);
+  const Bytes applied = replica.Serialize();
+  replica.Receive(incremental);
+  EXPECT_EQ(replica.Serialize(), applied);
+
+  Volume resynced(SmallConfig());
+  const SendStream full = source.Send("", "s2");
+  resynced.ReceiveFull(full);
+  const Bytes resynced_image = resynced.Serialize();
+  resynced.ReceiveFull(full);
+  EXPECT_EQ(resynced.Serialize(), resynced_image);
+  resynced.Receive(full);
+  EXPECT_EQ(resynced.Serialize(), resynced_image);
 }
 
 TEST(Receive, BlockSizeMismatchThrows) {
