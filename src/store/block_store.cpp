@@ -5,6 +5,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -148,19 +149,38 @@ PutResult BlockStore::Put(util::ByteSpan raw) {
 
 std::vector<PutResult> BlockStore::PutBatch(
     std::span<const util::ByteSpan> blocks) {
-  std::vector<PutResult> results(blocks.size());
-  if (blocks.empty()) return results;
+  return PutBatchImpl(blocks, {});
+}
+
+std::vector<PutResult> BlockStore::PutBatch(
+    std::span<const SuppliedBlock> blocks) {
+  return PutBatchImpl({}, blocks);
+}
+
+std::vector<PutResult> BlockStore::PutBatchImpl(
+    std::span<const util::ByteSpan> raw,
+    std::span<const SuppliedBlock> supplied) {
+  assert(raw.empty() || supplied.empty());
+  const std::size_t count = raw.size() + supplied.size();
+  std::vector<PutResult> results(count);
+  if (count == 0) return results;
+  const auto logical_size = [&](std::size_t i) {
+    return supplied.empty() ? static_cast<std::uint32_t>(raw[i].size())
+                            : supplied[i].logical_size;
+  };
 
   // Stage 1: digest every block in parallel. Content hashing is one of the
   // two CPU-bound pieces of the write path; it reads only the input spans,
-  // so every block hashes independently.
-  std::vector<util::Digest> digests(blocks.size());
-  if (config_.dedup) {
-    ForEachIngest(blocks.size(), [&](std::size_t i) {
-      assert(!blocks[i].empty());
-      assert(!util::IsAllZero(blocks[i]) &&
+  // so every block hashes independently. Supplied blocks bring their digest.
+  std::vector<util::Digest> digests(count);
+  if (config_.dedup && !supplied.empty()) {
+    for (std::size_t i = 0; i < count; ++i) digests[i] = supplied[i].digest;
+  } else if (config_.dedup) {
+    ForEachIngest(count, [&](std::size_t i) {
+      assert(!raw[i].empty());
+      assert(!util::IsAllZero(raw[i]) &&
              "holes must be elided by the volume layer");
-      digests[i] = ComputeDigest(blocks[i]);
+      digests[i] = ComputeDigest(raw[i]);
     });
   } else {
     // Dedup disabled: synthesize unique keys in input order so every write
@@ -168,12 +188,11 @@ std::vector<PutResult> BlockStore::PutBatch(
     // reservation per batch keeps concurrent batches collision-free while
     // a serial caller still sees consecutive ids.
     const std::uint64_t base =
-        fake_digest_counter_.fetch_add(blocks.size(),
-                                       std::memory_order_relaxed);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      assert(!blocks[i].empty());
-      assert(!util::IsAllZero(blocks[i]) &&
-             "holes must be elided by the volume layer");
+        fake_digest_counter_.fetch_add(count, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < count; ++i) {
+      assert(!supplied.empty() ||
+             (!raw[i].empty() && !util::IsAllZero(raw[i]) &&
+              "holes must be elided by the volume layer"));
       const std::uint64_t id = base + i;
       std::memcpy(digests[i].bytes.data(), &id, sizeof(id));
     }
@@ -188,7 +207,7 @@ std::vector<PutResult> BlockStore::PutBatch(
   // the same decisions a serial loop would make for those digests, so
   // refcounts and per-shard allocation order stay bit-identical. Shards
   // share no state, so the passes run concurrently on the pool.
-  std::vector<std::uint8_t> is_miss(blocks.size(), 0);
+  std::vector<std::uint8_t> is_miss(count, 0);
   if (config_.dedup) {
     ForEachIngest(part.active.size(), [&](std::size_t k) {
       const std::size_t s = part.active[k];
@@ -206,7 +225,7 @@ std::vector<PutResult> BlockStore::PutBatch(
       }
     });
   } else {
-    for (std::size_t i = 0; i < blocks.size(); ++i) is_miss[i] = 1;
+    for (std::size_t i = 0; i < count; ++i) is_miss[i] = 1;
   }
 
   // Misses grouped by shard (input order within each shard), so stage 4 can
@@ -221,25 +240,32 @@ std::vector<PutResult> BlockStore::PutBatch(
     miss_begin[k + 1] = miss_indices.size();
   }
 
-  // Stage 3: compress only the misses, in parallel across the whole batch
-  // (work steals across shards). Codecs are stateless; each miss writes
-  // only its own slot.
+  // Stage 3: stage the stored form of every miss, in parallel across the
+  // whole batch (work steals across shards): compress a raw block, or copy
+  // a supplied one as is. Codecs are stateless; each miss writes only its
+  // own slot.
   struct StagedPayload {
     util::Bytes payload;
     bool compressed = false;
   };
   std::vector<StagedPayload> staged(miss_indices.size());
   ForEachIngest(miss_indices.size(), [&](std::size_t j) {
-    const util::ByteSpan raw = blocks[miss_indices[j]];
+    if (!supplied.empty()) {
+      const SuppliedBlock& block = supplied[miss_indices[j]];
+      staged[j].payload.assign(block.payload.begin(), block.payload.end());
+      staged[j].compressed = block.compressed;
+      return;
+    }
+    const util::ByteSpan block = raw[miss_indices[j]];
     if (config_.codec != compress::CodecId::kNull) {
-      util::Bytes compressed = codec_->Compress(raw);
-      if (WorthKeeping(compressed.size(), raw.size())) {
+      util::Bytes compressed = codec_->Compress(block);
+      if (WorthKeeping(compressed.size(), block.size())) {
         staged[j].payload = std::move(compressed);
         staged[j].compressed = true;
         return;
       }
     }
-    staged[j].payload.assign(raw.begin(), raw.end());
+    staged[j].payload.assign(block.begin(), block.end());
   });
 
   // Stage 4: per-shard ordered commit. Each shard allocates extents from
@@ -282,7 +308,7 @@ std::vector<PutResult> BlockStore::PutBatch(
         } else {
           StagedPayload& payload = staged[next_miss];
           Entry entry;
-          entry.logical_size = static_cast<std::uint32_t>(blocks[i].size());
+          entry.logical_size = logical_size(i);
           entry.refcount = 1;
           entry.payload = std::move(payload.payload);
           entry.compressed = payload.compressed;
@@ -403,34 +429,34 @@ util::Bytes BlockStore::Get(const util::Digest& digest) const {
 }
 
 util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
-  // Snapshot the stored payload under the shard lock, decompress outside it.
   // No ARC interaction at all: the rollback path this serves must not
   // disturb cache state or read counters.
-  util::Bytes payload;
-  std::uint32_t logical_size = 0;
-  bool compressed = false;
-  {
-    const Shard& shard = *shards_[ShardOf(digest)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(digest);
-    if (it == shard.entries.end()) throw NoSuchBlockError(digest);
-    payload = it->second.payload;
-    logical_size = it->second.logical_size;
-    compressed = it->second.compressed;
-  }
+  std::optional<util::Bytes> raw = DecodeStored(digest, GetStored(digest));
+  if (!raw.has_value()) throw BlockCorruptionError(digest);
+  return std::move(*raw);
+}
+
+StoredBlock BlockStore::GetStored(const util::Digest& digest) const {
+  const Shard& shard = *shards_[ShardOf(digest)];
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.entries.find(digest);
+  if (it == shard.entries.end()) throw NoSuchBlockError(digest);
+  return {it->second.payload, it->second.logical_size, it->second.compressed};
+}
+
+std::optional<util::Bytes> BlockStore::DecodeStored(const util::Digest& digest,
+                                                    StoredBlock stored) const {
   util::Bytes raw;
-  if (compressed) {
+  if (stored.compressed) {
     try {
-      raw = codec_->Decompress(payload, logical_size);
+      raw = codec_->Decompress(stored.payload, stored.logical_size);
     } catch (const std::runtime_error&) {
-      throw BlockCorruptionError(digest);
+      return std::nullopt;  // corruption broke the compressed framing
     }
   } else {
-    raw = std::move(payload);
+    raw = std::move(stored.payload);
   }
-  if (config_.dedup && ComputeDigest(raw) != digest) {
-    throw BlockCorruptionError(digest);
-  }
+  if (config_.dedup && ComputeDigest(raw) != digest) return std::nullopt;
   return raw;
 }
 
@@ -799,33 +825,15 @@ std::uint32_t BlockStore::LogicalSize(const util::Digest& digest) const {
 }
 
 bool BlockStore::Verify(const util::Digest& digest) const {
-  // Snapshot the stored payload under the shard lock so scrubs can run
-  // concurrently with ingest (a scrub must observe a coherent copy of the
-  // stored bytes, never a cached one).
-  util::Bytes payload;
-  std::uint32_t logical_size = 0;
-  bool compressed = false;
-  {
-    const Shard& shard = *shards_[ShardOf(digest)];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(digest);
-    if (it == shard.entries.end()) return false;
-    if (!config_.dedup) return true;  // synthetic digests carry no hash
-    payload = it->second.payload;
-    logical_size = it->second.logical_size;
-    compressed = it->second.compressed;
+  if (!config_.dedup) return Contains(digest);  // synthetic: no hash to check
+  // GetStored copies the stored bytes under the shard lock, so scrubs can
+  // run concurrently with ingest (a scrub must observe a coherent copy of
+  // the stored bytes, never a cached one).
+  try {
+    return DecodeStored(digest, GetStored(digest)).has_value();
+  } catch (const NoSuchBlockError&) {
+    return false;
   }
-  util::Bytes raw;
-  if (compressed) {
-    try {
-      raw = codec_->Decompress(payload, logical_size);
-    } catch (const std::runtime_error&) {
-      return false;  // corruption broke the compressed framing
-    }
-  } else {
-    raw = std::move(payload);
-  }
-  return ComputeDigest(raw) == digest;
 }
 
 std::vector<std::uint8_t> BlockStore::VerifyBatch(

@@ -21,7 +21,9 @@
 // ordered commit passes. Because each shard's mutation replays the serial
 // Lookup/Insert sequence in input order *within that shard*, results are
 // bit-identical to a serial loop of single-block Puts at any thread count
-// (for a fixed shard count).
+// (for a fixed shard count). The supplied-form PutBatch (volume Receive)
+// enters the same pipeline with each block's digest and stored form already
+// known and skips the hash and compress stages.
 //
 // Read path (batch-first, mirroring ingest): GetBatch classifies every
 // requested digest against the byte-budgeted ARC stripe of its shard in
@@ -54,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -196,6 +199,24 @@ struct BlockStoreConfig {
   std::uint64_t capacity_bytes = 0;
 };
 
+/// A block as its DDT entry stores it (GetStored): the codec's output when
+/// compression saved at least 1/8th of the block, the raw bytes otherwise.
+struct StoredBlock {
+  util::Bytes payload;
+  std::uint32_t logical_size = 0;  // raw payload size
+  bool compressed = false;         // payload is codec output
+};
+
+/// One block for the supplied-form PutBatch: its digest and its stored form
+/// as another store of the same codec holds them. The bytes are borrowed
+/// for the duration of the call.
+struct SuppliedBlock {
+  util::Digest digest;  // unused with dedup off (synthetic digests)
+  util::ByteSpan payload;
+  std::uint32_t logical_size = 0;
+  bool compressed = false;
+};
+
 struct PutResult {
   util::Digest digest;
   bool deduplicated = false;       // true: refcount bump, no new space
@@ -311,6 +332,17 @@ class BlockStore {
   /// plus refcount bumps (content addressing makes the winner irrelevant).
   std::vector<PutResult> PutBatch(std::span<const util::ByteSpan> blocks);
 
+  /// PutBatch of blocks whose digest and stored form are already known —
+  /// volume Receive passes a stream's carried payloads as the sender stored
+  /// them. Skips the hash and compress stages: a miss stores `payload` and
+  /// `compressed` exactly as supplied. Dedup, allocation, accounting and
+  /// the all-or-nothing unwind are the raw PutBatch's, so results, stats
+  /// and disk offsets equal a raw PutBatch of the decoded blocks whenever
+  /// each supplied form is what this store's codec makes of its block. The
+  /// caller vouches that each payload decodes to `logical_size` bytes
+  /// hashing to `digest`; nothing here checks it.
+  std::vector<PutResult> PutBatch(std::span<const SuppliedBlock> blocks);
+
   /// Adds one reference to an existing block (snapshot / clone paths).
   /// Throws NoSuchBlockError for unknown digests.
   void Ref(const util::Digest& digest);
@@ -330,6 +362,13 @@ class BlockStore {
   /// NoSuchBlockError for unknown digests and BlockCorruptionError when the
   /// stored payload no longer matches its digest.
   util::Bytes GetUncached(const util::Digest& digest) const;
+
+  /// Copy of the stored form of a block: payload, logical size and flag as
+  /// the DDT entry holds them. Does not decompress or verify, and neither
+  /// probes the ARC nor moves read counters. Volume Send ships carried
+  /// payloads this way (ZFS compressed send); receivers verify them. Throws
+  /// NoSuchBlockError for unknown digests.
+  StoredBlock GetStored(const util::Digest& digest) const;
 
   /// Batch-first read path: returns the decompressed payloads of `digests`
   /// in input order, bit-identical to a serial loop of Get calls at any
@@ -524,7 +563,8 @@ class BlockStore {
 
   /// Runs fn(i) for i in [0, count) on the worker pool when the read side
   /// is parallel (read.threads != 1), inline otherwise. Exposed for the
-  /// volume layer's read-side stages (Send payload compression).
+  /// volume layer's per-payload stages: Send's stored-form copies and
+  /// record checksums, and Receive's decode-and-digest validation.
   void ForEachRead(std::size_t count,
                    const std::function<void(std::size_t)>& fn) const;
 
@@ -575,6 +615,14 @@ class BlockStore {
   /// ingest side is serial or the batch is trivial.
   void ForEachIngest(std::size_t count,
                      const std::function<void(std::size_t)>& fn);
+  /// Shared implementation of both PutBatch forms; exactly one of `raw` and
+  /// `supplied` is non-empty.
+  std::vector<PutResult> PutBatchImpl(std::span<const util::ByteSpan> raw,
+                                      std::span<const SuppliedBlock> supplied);
+  /// Decompresses a stored form and, with dedup on, re-hashes it against
+  /// `digest`; nullopt when the framing is broken or the hash differs.
+  std::optional<util::Bytes> DecodeStored(const util::Digest& digest,
+                                          StoredBlock stored) const;
   /// Shared implementation of GetBatch/WarmCache. In warm mode, cache hits
   /// skip the payload copy (counted as warm_skipped_resident) and aliases
   /// are not materialized; misses still decompress and fill their stripe —

@@ -56,7 +56,7 @@ class Volume::StoreTxn {
   }
 
   std::vector<store::PutResult> PutBatch(
-      std::span<const util::ByteSpan> blocks) {
+      std::span<const store::SuppliedBlock> blocks) {
     std::vector<store::PutResult> results = store_.PutBatch(blocks);
     // PutBatch is atomic (it unwinds itself on crash/no-space before
     // throwing), so the whole batch logs only on success.
@@ -663,57 +663,48 @@ SendStream Volume::Send(const std::string& from_name,
     }
   }
 
-  // Materialize carried payloads in one pass: a single cache-aware GetBatch
-  // fetches every block (parallel decompress, ARC hits for recently read
-  // blocks), then the wire-format compression — applying the store's
-  // keep-if-it-saves-1/8 rule — runs in parallel on the worker pool.
+  // Carried payloads travel as stored (ZFS compressed send): each record
+  // copies its block's bytes and compressed flag out of the DDT entry, with
+  // no decompression, verification, ARC traffic or compression. The
+  // receiver's digest check stands in for a verified read here. Copies and
+  // record checksums run in parallel on the worker pool.
   std::vector<BlockRecord*> payload_recs;
-  std::vector<util::Digest> payload_digests;
   for (FileRecord& f : stream.files) {
     for (BlockRecord& b : f.blocks) {
-      if (!b.has_payload) continue;
-      payload_recs.push_back(&b);
-      payload_digests.push_back(b.digest);
+      if (b.has_payload) payload_recs.push_back(&b);
     }
   }
-  const std::vector<util::Bytes> raws = store_.GetBatch(payload_digests);
-  const compress::Codec* codec = &store_.codec();
   store_.ForEachRead(payload_recs.size(), [&](std::size_t k) {
     BlockRecord& rec = *payload_recs[k];
-    const util::Bytes& raw = raws[k];
-    util::Bytes compressed = codec->Compress(raw);
-    if (config_.codec != compress::CodecId::kNull &&
-        compressed.size() + raw.size() / 8 <= raw.size()) {
-      rec.payload = std::move(compressed);
-      rec.payload_compressed = true;
-    } else {
-      rec.payload = raw;
-    }
+    store::StoredBlock stored = store_.GetStored(rec.digest);
+    rec.payload = std::move(stored.payload);
+    rec.payload_compressed = stored.compressed;
     rec.payload_checksum = SendStream::PayloadChecksum(rec.payload);
   });
   return stream;
 }
 
-std::vector<Volume::CarriedPayload> Volume::ValidateStream(
-    const SendStream& stream, bool store_references) const {
+void Volume::ValidateStream(const SendStream& stream,
+                            bool store_references) const {
   const compress::Codec* codec = compress::FindCodec(stream.codec);
   if (codec == nullptr) {
     throw StreamCorruptError("receive: unknown codec " + stream.codec);
   }
+  // New blocks keep the carried bytes as their stored form, which only
+  // this volume's own codec can decode later.
+  if (codec != &store_.codec()) {
+    throw StreamMismatchError("receive: codec mismatch");
+  }
 
-  // Validate structure and record checksums, and materialize every carried
-  // payload, before touching any table or store state — a damaged stream
-  // must leave the volume unchanged. Checksums are re-checked here (not
-  // just at Deserialize) so corruption of an in-memory stream that never
-  // crossed the wire encoding is caught too. Decompression of the
-  // validated payloads runs in parallel on the ingest pool; failures are
-  // recorded per slot and thrown for the first bad record in stream order,
-  // so the error is identical at any thread count.
-  struct Slot {
-    CarriedPayload carried;
-    std::uint8_t bad = 0;
-  };
-  std::vector<Slot> slots;
+  // Validate structure and record checksums, and decode and verify every
+  // carried payload, before touching any table or store state — a damaged
+  // stream must leave the volume unchanged. Checksums are re-checked here
+  // (not just at Deserialize) so corruption of an in-memory stream that
+  // never crossed the wire encoding is caught too. Decoding runs in
+  // parallel on the worker pool; failures are recorded per record and
+  // thrown for the first bad record in stream order, so the error is
+  // identical at any thread count.
+  std::vector<const BlockRecord*> payloads;
   // Digests the apply will have put by the time it installs the current
   // file's pointers: it puts each file's payloads before its pointers.
   DigestSet carried_digests;
@@ -751,45 +742,48 @@ std::vector<Volume::CarriedPayload> Volume::ValidateStream(
           SendStream::PayloadChecksum(b.payload) != b.payload_checksum) {
         throw StreamMismatchError("receive: record checksum mismatch");
       }
-      slots.push_back({{&b, {}}, 0});
+      payloads.push_back(&b);
     }
   }
-  // ForEachIngest is non-const (it may touch the pool); replicate its inline
-  // fallback here through the store's read-side helper, which serves the
-  // same pool. Decompression is pure per-slot CPU either way.
-  store_.ForEachRead(slots.size(), [&](std::size_t k) {
-    Slot& slot = slots[k];
-    const BlockRecord& b = *slot.carried.rec;
+  enum Verdict : std::uint8_t { kGood, kUndecodable, kMislabeled };
+  std::vector<std::uint8_t> verdicts(payloads.size(), kGood);
+  store_.ForEachRead(payloads.size(), [&](std::size_t k) {
+    const BlockRecord& b = *payloads[k];
+    util::Bytes decoded;
     if (b.payload_compressed) {
       try {
-        slot.carried.raw = codec->Decompress(b.payload, b.logical_size);
+        decoded = codec->Decompress(b.payload, b.logical_size);
       } catch (const std::runtime_error&) {
-        slot.bad = 1;  // damage broke the compressed framing
+        verdicts[k] = kUndecodable;  // damage broke the compressed framing
         return;
       }
-    } else {
-      slot.carried.raw = b.payload;
     }
+    const util::ByteSpan raw = b.payload_compressed
+                                   ? util::ByteSpan(decoded)
+                                   : util::ByteSpan(b.payload);
     // Reject payloads a healthy sender never produces: wrong length, empty,
     // or all zeros (holes are never carried as payloads).
-    if (slot.carried.raw.size() != b.logical_size || slot.carried.raw.empty() ||
-        util::IsAllZero(slot.carried.raw)) {
-      slot.bad = 1;
+    if (raw.size() != b.logical_size || raw.empty() || util::IsAllZero(raw)) {
+      verdicts[k] = kUndecodable;
+    } else if (config_.dedup && store_.ComputeDigest(raw) != b.digest) {
+      // The sender ships stored bytes unverified and the apply installs
+      // them under the record's digest, so they must hash to it.
+      // Synthetic digests (dedup off) carry no hash.
+      verdicts[k] = kMislabeled;
     }
   });
-  for (const Slot& slot : slots) {
-    if (slot.bad) {
+  for (const std::uint8_t verdict : verdicts) {
+    if (verdict == kUndecodable) {
       throw StreamCorruptError("receive: undecodable block payload");
     }
+    if (verdict == kMislabeled) {
+      throw StreamCorruptError(
+          "receive: block payload does not match its digest");
+    }
   }
-  std::vector<CarriedPayload> carried;
-  carried.reserve(slots.size());
-  for (Slot& slot : slots) carried.push_back(std::move(slot.carried));
-  return carried;
 }
 
 void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
-                                std::vector<CarriedPayload>& carried,
                                 StoreTxn& txn) {
   const auto crash_site = [&](const char* site, std::uint64_t salt = 0) {
     if (faults_ != nullptr) faults_->CrashPoint(site, salt);
@@ -810,7 +804,6 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
     table.erase(it);
   }
 
-  std::size_t next_carried = 0;
   std::uint64_t file_index = 0;
   for (const FileRecord& f : stream.files) {
     crash_site("receive/file", file_index++);
@@ -852,16 +845,16 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
       }
     }
 
-    // Batch-put this file's carried payloads (parallel hash + compress,
-    // ordered commit), then install pointers in record order — a later
-    // record may reference the digest a carried payload just inserted.
-    const std::size_t file_carried = static_cast<std::size_t>(
-        std::count_if(f.blocks.begin(), f.blocks.end(),
-                      [](const BlockRecord& b) { return b.has_payload; }));
-    std::vector<util::ByteSpan> payloads;
-    payloads.reserve(file_carried);
-    for (std::size_t k = 0; k < file_carried; ++k) {
-      payloads.emplace_back(carried[next_carried + k].raw);
+    // Batch-put this file's carried payloads as the sender stored them
+    // (ValidateStream verified each against its digest, so the store skips
+    // hashing and compressing), then install pointers in record order — a
+    // later record may reference the digest a carried payload just
+    // inserted.
+    std::vector<store::SuppliedBlock> payloads;
+    for (const BlockRecord& b : f.blocks) {
+      if (!b.has_payload) continue;
+      payloads.push_back(
+          {b.digest, b.payload, b.logical_size, b.payload_compressed});
     }
     const std::vector<store::PutResult> puts = txn.PutBatch(payloads);
     std::size_t next_put = 0;
@@ -872,9 +865,10 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
         const store::PutResult& put = puts[next_put++];
         ptr = BlockPtr{false, put.digest, put.logical_size};
       } else {
-        // Backstop: ValidateStream matched the reference against the
-        // digests payload records claim, but a carried payload whose bytes
-        // hash to another digest is only caught once it has been put.
+        // Backstop: ValidateStream saw the digest carried or held, but
+        // the apply can still lose it — an unref above may have dropped
+        // its last reference, and with dedup off a carried payload is put
+        // under a synthetic digest of this store's own.
         if (!store_.Contains(b.digest)) {
           throw StreamCorruptError(
               "receive: stream references a block this volume does not hold");
@@ -883,12 +877,10 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
         ptr = BlockPtr{false, b.digest, b.logical_size};
       }
     }
-    next_carried += next_put;
   }
 }
 
-void Volume::CommitReceive(const SendStream& stream,
-                           std::vector<CarriedPayload>& carried) {
+void Volume::CommitReceive(const SendStream& stream) {
   // Stage against a shadow copy of the file table; the store operations
   // run for real but carry an undo log. Any failure — simulated crash,
   // disk-full, stream damage discovered mid-apply — rolls the store back
@@ -897,7 +889,7 @@ void Volume::CommitReceive(const SendStream& stream,
   StoreTxn txn(store_);
   try {
     if (faults_ != nullptr) faults_->CrashPoint("receive/begin");
-    ApplyStreamToTable(stream, staged, carried, txn);
+    ApplyStreamToTable(stream, staged, txn);
     if (faults_ != nullptr) faults_->CrashPoint("receive/staged");
   } catch (...) {
     txn.Rollback();
@@ -941,9 +933,8 @@ void Volume::Receive(const SendStream& stream) {
     throw StreamMismatchError("receive: full stream into non-empty volume");
   }
 
-  std::vector<CarriedPayload> carried =
-      ValidateStream(stream, /*store_references=*/true);
-  CommitReceive(stream, carried);
+  ValidateStream(stream, /*store_references=*/true);
+  CommitReceive(stream);
 }
 
 void Volume::ReceiveFull(const SendStream& stream) {
@@ -953,12 +944,12 @@ void Volume::ReceiveFull(const SendStream& stream) {
   if (stream.block_size != config_.block_size) {
     throw StreamMismatchError("receive: block size mismatch");
   }
-  // Validate the stream in full — shape, checksums, references, payload
-  // decode — BEFORE dropping anything: a mismatched or damaged stream must
-  // leave the volume untouched. The drop releases every block the store
-  // holds, so only the stream's own payloads can satisfy a reference.
-  std::vector<CarriedPayload> carried =
-      ValidateStream(stream, /*store_references=*/false);
+  // Validate the stream in full — codec, shape, checksums, references,
+  // payload decode and digests — BEFORE dropping anything: a mismatched or
+  // damaged stream must leave the volume untouched. The drop releases
+  // every block the store holds, so only the stream's own payloads can
+  // satisfy a reference.
+  ValidateStream(stream, /*store_references=*/false);
 
   // Idempotent re-delivery, as in Receive.
   const Snapshot* latest = LatestSnapshot();
@@ -977,7 +968,7 @@ void Volume::ReceiveFull(const SendStream& stream) {
   snapshots_.clear();
   if (faults_ != nullptr) faults_->CrashPoint("receive_full/dropped");
 
-  CommitReceive(stream, carried);
+  CommitReceive(stream);
 }
 
 std::vector<util::Digest> Volume::CollectScrubDigests(

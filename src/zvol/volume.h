@@ -41,8 +41,8 @@ struct VolumeConfig {
   /// size). Runtime tuning only — not part of the serialized volume state.
   store::IngestConfig ingest{};
   /// Batch-read parallelism, decompressed-block ARC budget and cluster
-  /// readahead for ReadFile/ReadRange/Scrub/Send. Runtime tuning only —
-  /// not part of the serialized volume state.
+  /// readahead for ReadFile/ReadRange/Scrub. Runtime tuning only — not
+  /// part of the serialized volume state.
   store::ReadConfig read{};
   /// DDT/SpaceMap/ARC shard count for the backing block store (power of two
   /// in [1, 256]; 1 reproduces the unsharded layout byte-for-byte). Runtime
@@ -315,14 +315,23 @@ class Volume {
   /// Incremental stream between two held snapshots (`from_name` empty =>
   /// full stream from scratch). Payloads are carried only for blocks not
   /// reachable from `from` — the receiver, holding `from`, already stores
-  /// every other block (Squirrel's replication invariant).
+  /// every other block (Squirrel's replication invariant). Each payload
+  /// travels in its stored form (`zfs send -c`): the bytes and compressed
+  /// flag are copied out of the block store without decompressing,
+  /// verifying or touching the ARC, so a block corrupted here is caught by
+  /// the receiver's digest check, not by Send.
   SendStream Send(const std::string& from_name, const std::string& to_name) const;
 
   /// Applies a stream. For an incremental stream the volume's latest
   /// snapshot must match the stream's `from` (id and name); otherwise throws
   /// StreamMismatchError and the caller falls back to full replication
-  /// (Section 3.5). On success the live table becomes `to` and a snapshot of
-  /// it is recorded under the stream's `to` name/id/time.
+  /// (Section 3.5). A stream of another block size or codec throws
+  /// StreamMismatchError too. Every carried payload is decoded and, with
+  /// dedup on, hashed against its record's digest before anything changes
+  /// (StreamCorruptError on a mismatch); new blocks then keep the carried
+  /// bytes as their stored form, with no second compression. On success
+  /// the live table becomes `to` and a snapshot of it is recorded under the
+  /// stream's `to` name/id/time.
   ///
   /// Crash consistency (DESIGN.md §15): the apply runs against a staged copy
   /// of the file table with an undo log of store operations, so a stream
@@ -335,9 +344,10 @@ class Volume {
 
   /// Drops all state and applies a full stream (the "node offline for more
   /// than n days" recovery path). The stream is fully validated — shape,
-  /// checksums, payload decode — *before* anything is dropped, so a
-  /// mismatched or damaged stream leaves the volume untouched. Re-delivery
-  /// of the latest snapshot's stream is a no-op, as in Receive.
+  /// codec, checksums, payload decode and digests — *before* anything is
+  /// dropped, so a mismatched or damaged stream leaves the volume
+  /// untouched. Re-delivery of the latest snapshot's stream is a no-op, as
+  /// in Receive.
   void ReceiveFull(const SendStream& stream);
 
   // --- persistence -----------------------------------------------------------
@@ -454,12 +464,6 @@ class Volume {
 
  private:
   class StoreTxn;
-  /// One validated, decompressed carried payload of a stream, in stream
-  /// order (ValidateStream output, ApplyStreamToTable input).
-  struct CarriedPayload {
-    const BlockRecord* rec = nullptr;
-    util::Bytes raw;
-  };
 
   void ReleaseTable(const FileTable& table);
   void RetainTable(const FileTable& table);
@@ -467,26 +471,26 @@ class Volume {
   /// zero-detects the chunks in parallel, and feeds the non-hole blocks to
   /// BlockStore::PutBatch (parallel hash + compress, ordered commit).
   FileMeta IngestSource(const util::DataSource& data);
-  /// Validate-before-mutate stage of Receive: checks stream structure,
-  /// record checksums and by-reference records, and decompresses every
-  /// carried payload, touching no table or store state. A by-reference
-  /// record must name a digest a payload record carries in an earlier file
-  /// or in its own file, or, when `store_references` is set (Receive, which
-  /// keeps the store), one the store already holds. Throws
-  /// StreamCorruptError / StreamMismatchError on damage; on success the
-  /// returned payloads feed ApplyStreamToTable.
-  std::vector<CarriedPayload> ValidateStream(const SendStream& stream,
-                                             bool store_references) const;
-  /// Applies a validated stream to the staged `table`, routing every store
-  /// operation through the undo log of `txn`; the volume crash sites fire
-  /// when an injector is armed.
+  /// Validate-before-mutate stage of Receive: checks the codec, stream
+  /// structure, record checksums and by-reference records, and decodes
+  /// every carried payload, touching no table or store state. A decoded
+  /// payload must have its record's length and, with dedup on, hash to its
+  /// record's digest. A by-reference record must name a digest a payload
+  /// record carries in an earlier file or in its own file, or, when
+  /// `store_references` is set (Receive, which keeps the store), one the
+  /// store already holds. Throws StreamCorruptError / StreamMismatchError
+  /// on damage.
+  void ValidateStream(const SendStream& stream, bool store_references) const;
+  /// Applies a validated stream to the staged `table`, putting carried
+  /// payloads in their stored form and routing every store operation
+  /// through the undo log of `txn`; the volume crash sites fire when an
+  /// injector is armed.
   void ApplyStreamToTable(const SendStream& stream, FileTable& table,
-                          std::vector<CarriedPayload>& carried, StoreTxn& txn);
+                          StoreTxn& txn);
   /// Shared tail of Receive/ReceiveFull after validation: applies the
   /// stream to a staged copy of the file table, rolls back on any failure,
   /// and otherwise swaps the table in and records the `to` snapshot.
-  void CommitReceive(const SendStream& stream,
-                     std::vector<CarriedPayload>& carried);
+  void CommitReceive(const SendStream& stream);
   /// Shared scrub walk: unique digests referenced by the live table and all
   /// snapshots; dangling references are counted into *dangling_refs.
   std::vector<util::Digest> CollectScrubDigests(

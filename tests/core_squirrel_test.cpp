@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer_source.h"
+#include "store_invariants.h"
 #include "util/rng.h"
 #include "vmi/bootset.h"
 
@@ -54,6 +55,34 @@ TEST(Squirrel, SecondRegistrationDiffIsSmall) {
   const auto second =
       cluster.Register({"img-2", BufferSource(MakeCacheContent(2)), SimClock::FromSeconds(2000)});
   EXPECT_LT(second.diff_wire_bytes, first.diff_wire_bytes / 3);
+}
+
+TEST(Receive, RegisterWithCorruptStorageBlockLeavesReplicas) {
+  // A corrupted scVolume block that a registration's diff carries fails
+  // that registration, and no replica changes: the receivers' digest check
+  // rejects the stream before any of them applies it.
+  SquirrelCluster cluster(SmallConfig(), 3);
+  cluster.Register({"img-1", BufferSource(MakeCacheContent(1)),
+                    SimClock::FromSeconds(1000)});
+  std::vector<Bytes> before;
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    before.push_back(cluster.compute_node(n).volume().Serialize());
+  }
+  // A live scVolume file the next snapshot picks up; block 24 starts its
+  // unique tail, so the diff carries it.
+  zvol::Volume& storage = cluster.storage_volume();
+  storage.WriteFile("stray", BufferSource(MakeCacheContent(9)));
+  ASSERT_TRUE(storage.CorruptBlockForTesting("stray", 24));
+
+  EXPECT_THROW(cluster.Register({"img-2", BufferSource(MakeCacheContent(2)),
+                                 SimClock::FromSeconds(2000)}),
+               squirrel::Error);
+  for (std::uint32_t n = 0; n < 3; ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    const zvol::Volume& replica = cluster.compute_node(n).volume();
+    EXPECT_EQ(replica.Serialize(), before[n]);
+    test::ExpectVolumeInvariants(replica);
+  }
 }
 
 TEST(Squirrel, DuplicateRegistrationRejected) {

@@ -154,5 +154,49 @@ TEST(BlockStore, DiskOffsetsAreDistinct) {
   EXPECT_EQ(store.PhysicalSize(a.digest), 4096u);
 }
 
+TEST(BlockStore, GetStoredCopiesTheStoredFormWithoutReading) {
+  // The stored-form read Send ships payloads with: the DDT entry's bytes,
+  // size and flag as kept, with no decode, no verify and no ARC traffic.
+  BlockStore store({.codec = compress::CodecId::kGzip6,
+                    .dedup = true,
+                    .read = {.cache_bytes = util::kMiB}});
+  const PutResult text = store.Put(TextBlock(65536, 12));
+  const Bytes random_block = RandomBlock(65536, 13);
+  const PutResult random = store.Put(random_block);
+  util::Digest bogus;
+  bogus.bytes[0] = 0xaa;
+  const ReadStats before = store.read_stats();
+
+  const StoredBlock packed = store.GetStored(text.digest);
+  EXPECT_TRUE(packed.compressed);
+  EXPECT_EQ(packed.logical_size, text.logical_size);
+  EXPECT_EQ(util::AlignUp(packed.payload.size(), kSectorBytes),
+            text.physical_size);
+  const StoredBlock plain = store.GetStored(random.digest);
+  EXPECT_FALSE(plain.compressed);
+  EXPECT_EQ(plain.payload, random_block);
+  EXPECT_THROW(store.GetStored(bogus), NoSuchBlockError);
+
+  const ReadStats after = store.read_stats();
+  EXPECT_EQ(after.blocks_requested, before.blocks_requested);
+  EXPECT_EQ(after.cache_hits, before.cache_hits);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.raw_blocks, before.raw_blocks);
+  EXPECT_EQ(after.decompressed_blocks, before.decompressed_blocks);
+  EXPECT_EQ(after.decompressed_bytes, before.decompressed_bytes);
+  EXPECT_EQ(after.cached_bytes, before.cached_bytes);
+  EXPECT_FALSE(store.CachedDecompressed(text.digest));
+
+  EXPECT_EQ(store.codec().Decompress(packed.payload, packed.logical_size),
+            store.Get(text.digest));
+  EXPECT_EQ(plain.payload, store.Get(random.digest));
+
+  // No verification: a damaged block comes back damaged, not as an error.
+  ASSERT_TRUE(store.CorruptPayloadForTesting(random.digest));
+  StoredBlock damaged;
+  ASSERT_NO_THROW(damaged = store.GetStored(random.digest));
+  EXPECT_NE(damaged.payload, random_block);
+}
+
 }  // namespace
 }  // namespace squirrel::store

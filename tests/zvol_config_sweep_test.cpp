@@ -101,6 +101,63 @@ TEST_P(VolumeConfigSweep, FullLifeCycle) {
                 stats.blkptr_disk_bytes);
 }
 
+TEST_P(VolumeConfigSweep, SendCarriesStoredFormReplicaKeepsIt) {
+  // Wire and volume identity oracle. Every carried payload of a full and an
+  // incremental stream is the codec's output when that saves at least 1/8th
+  // of the block and the raw bytes otherwise — the rule Send applied when it
+  // recompressed each block itself — and after Receive the replica stores
+  // every block in the same physical size as the source.
+  const VolumeConfig config = Config();
+  Volume source(config);
+  source.WriteFile("one", BufferSource(MixedContent(200000, 1)));
+  source.CreateSnapshot("s1", 100);
+  source.WriteFile("two", BufferSource(MixedContent(150000, 2)));
+  source.DeleteFile("one");
+  source.CreateSnapshot("s2", 200);
+
+  const compress::Codec& codec = compress::GetCodec(config.codec);
+  const auto expect_stored_rule = [&](const SendStream& stream,
+                                      const std::string& which) {
+    std::size_t carried = 0;
+    for (const FileRecord& file : stream.files) {
+      for (const BlockRecord& rec : file.blocks) {
+        if (!rec.has_payload) continue;
+        ++carried;
+        const Bytes raw = source.block_store().Get(rec.digest);
+        const Bytes compressed = codec.Compress(raw);
+        const bool keep = config.codec != compress::CodecId::kNull &&
+                          compressed.size() + raw.size() / 8 <= raw.size();
+        EXPECT_EQ(rec.payload_compressed, keep)
+            << which << " " << file.name << " block " << rec.index;
+        EXPECT_TRUE(rec.payload == (keep ? compressed : raw))
+            << which << " " << file.name << " block " << rec.index;
+      }
+    }
+    EXPECT_GT(carried, 0u) << which;
+  };
+  const SendStream full = source.Send("", "s1");
+  const SendStream incremental = source.Send("s1", "s2");
+  expect_stored_rule(full, "full");
+  expect_stored_rule(incremental, "incremental");
+
+  Volume replica(config);
+  replica.Receive(full);
+  replica.Receive(incremental);
+  std::size_t checked = 0;
+  for (const auto& snap : replica.snapshots()) {
+    for (const auto& [name, meta] : snap->files) {
+      for (const BlockPtr& ptr : meta.blocks) {
+        if (ptr.hole) continue;
+        ++checked;
+        EXPECT_EQ(replica.block_store().PhysicalSize(ptr.digest),
+                  source.block_store().PhysicalSize(ptr.digest))
+            << snap->name << " " << name;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 TEST_P(VolumeConfigSweep, CorruptionAlwaysDetected) {
   Volume volume(Config());
   const Bytes content = MixedContent(160000, 4);

@@ -300,14 +300,14 @@ TEST(Crash, ReceiveFullDanglingReferenceLeavesVolume) {
 }
 
 TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
-  // Receive must roll back fully whether or not an injector is armed —
-  // atomicity is not test instrumentation. Two damaged streams: a
-  // reference to a block the replica does not hold (rejected by
-  // validation, before the apply starts), and a carried payload whose
-  // record claims a digest its bytes do not hash to, referenced by a later
-  // record (validation sees the claimed digest carried; the apply puts the
-  // payload under its real digest and only then finds the reference
-  // dangling).
+  // A damaged stream must leave the replica exactly as it was whether or
+  // not an injector is armed — atomicity is not test instrumentation. Two
+  // damaged streams, both rejected by validation before the apply starts:
+  // a reference to a block the replica does not hold, and a carried
+  // payload whose record claims a digest its bytes do not hash to,
+  // referenced by a later record (the receiver hashes every carried
+  // payload). DiskFull.ReceiveRollsBackAndReportsRefusals covers a failure
+  // that does reach the apply with nothing armed.
   const DonorStreams d = MakeDonorStreams(1);
   SendStream unknown_ref = d.incr_s2;
   bool rewired = false;
@@ -347,7 +347,7 @@ TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
     bool reaches_apply;
   };
   for (const Case& c : {Case{"unknown reference", &unknown_ref, false},
-                        Case{"mislabeled payload", &mislabeled, true}}) {
+                        Case{"mislabeled payload", &mislabeled, false}}) {
     for (const bool armed : {true, false}) {
       SCOPED_TRACE(std::string(c.name) +
                    (armed ? ", injector armed" : ", nothing armed"));
@@ -366,6 +366,45 @@ TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
         EXPECT_EQ(faults.crash_sites_passed() > sites, c.reaches_apply);
       }
     }
+  }
+}
+
+TEST(Receive, MislabeledPayloadRejectedBeforeApply) {
+  // A payload record whose digest its bytes do not hash to, with nothing
+  // referencing it, must not apply: the receiver installs carried bytes
+  // under the record's digest, so it hashes every carried payload first.
+  // Checked for the incremental stream through Receive and for a full
+  // stream through ReceiveFull, with and without an injector armed.
+  const DonorStreams d = MakeDonorStreams(1);
+  const auto mislabel_last_payload = [](SendStream stream) {
+    BlockRecord* last = nullptr;
+    for (auto& file : stream.files) {
+      for (auto& block : file.blocks) {
+        if (block.has_payload) last = &block;
+      }
+    }
+    EXPECT_NE(last, nullptr) << "stream carries no payload";
+    if (last != nullptr) last->digest.bytes[0] ^= 0x01;
+    return stream;
+  };
+  const SendStream incremental = mislabel_last_payload(d.incr_s2);
+  const SendStream full = mislabel_last_payload(d.full_s2);
+
+  for (const bool armed : {true, false}) {
+    SCOPED_TRACE(armed ? "injector armed" : "nothing armed");
+    util::FaultInjector faults(0x5eed, util::FaultProfile{});
+    Volume replica(d.config);
+    if (armed) replica.SetFaultInjector(&faults);
+    replica.Receive(d.full_s1);
+    const Bytes before = replica.Serialize();
+    const std::uint64_t sites = faults.crash_sites_passed();
+    EXPECT_THROW(replica.Receive(incremental), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), before);
+    EXPECT_THROW(replica.ReceiveFull(full), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), before);
+    test::ExpectVolumeInvariants(replica);
+    // No crash site passed: both streams stopped in validation.
+    EXPECT_EQ(faults.crash_sites_passed(), sites);
   }
 }
 

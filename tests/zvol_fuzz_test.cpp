@@ -376,7 +376,9 @@ TEST_P(VolumeFuzzFaults, CrashAndDiskFullInterleavingsUnwindCleanly) {
   // Every seed exercises at least one fault path: crash unwinds on ample
   // pools, a refused allocation (which aborts the chain early, before many
   // crash sites are even interrogated) on tight ones.
-  if (!out_of_space) EXPECT_GT(faults.stats().crashes_injected, 0u);
+  if (!out_of_space) {
+    EXPECT_GT(faults.stats().crashes_injected, 0u);
+  }
   if (delivered == snaps.size()) {
     // Full chain landed despite the faults: bit-identical to a clean apply.
     Volume reference(donor_config);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "buffer_source.h"
+#include "store_invariants.h"
 #include "util/hash.h"
 #include "util/rng.h"
 #include "zvol/send_stream.h"
@@ -21,6 +22,14 @@ Bytes RandomBytes(std::size_t size, std::uint64_t seed) {
 
 VolumeConfig SmallConfig() {
   return VolumeConfig{.block_size = 4096, .codec = compress::CodecId::kGzip6, .dedup = true};
+}
+
+/// Low-entropy text: every codec compresses it well past the 1/8th rule.
+Bytes TextBytes(std::size_t size, std::uint64_t seed) {
+  Bytes data(size);
+  util::Rng rng(seed);
+  for (auto& b : data) b = static_cast<util::Byte>('a' + rng.Below(4));
+  return data;
 }
 
 /// Reads every file of `volume` at its latest state and compares.
@@ -253,9 +262,7 @@ TEST(Send, IncrementalOmitsPayloadsTheReceiverHas) {
 
 TEST(Send, PayloadsCompressedOnTheWire) {
   Volume source(SmallConfig());
-  Bytes text(16 * 4096);
-  util::Rng rng(5);
-  for (auto& b : text) b = static_cast<util::Byte>('a' + rng.Below(4));
+  const Bytes text = TextBytes(16 * 4096, 5);
   source.WriteFile("text", BufferSource(text));
   source.CreateSnapshot("s1", 100);
   const SendStream stream = source.Send("", "s1");
@@ -342,6 +349,67 @@ TEST(Receive, BlockSizeMismatchThrows) {
   source.CreateSnapshot("s1", 100);
   Volume replica(VolumeConfig{.block_size = 8192, .codec = compress::CodecId::kGzip6});
   EXPECT_THROW(replica.Receive(source.Send("", "s1")), StreamMismatchError);
+}
+
+TEST(Receive, CorruptSenderBlockRejectedByReceiver) {
+  // Send ships payloads as stored, without reading them back, so a block
+  // corrupted on the sender travels; the receiver's decode and digest check
+  // rejects the stream before anything changes. gzip6 stores the damaged
+  // block compressed, null stores it raw.
+  for (const compress::CodecId codec :
+       {compress::CodecId::kGzip6, compress::CodecId::kNull}) {
+    SCOPED_TRACE(std::string(compress::CodecName(codec)));
+    const VolumeConfig config{.block_size = 4096, .codec = codec, .dedup = true};
+    Volume source(config);
+    source.WriteFile("a", BufferSource(RandomBytes(4 * 4096, 31)));
+    source.CreateSnapshot("s1", 100);
+    source.WriteFile("b", BufferSource(TextBytes(4 * 4096, 32)));
+    source.CreateSnapshot("s2", 200);
+    Volume replica(config);
+    replica.Receive(source.Send("", "s1"));
+    const Bytes before = replica.Serialize();
+
+    ASSERT_TRUE(source.CorruptBlockForTesting("b", 1));
+    SendStream incremental;
+    SendStream full;
+    ASSERT_NO_THROW(incremental = source.Send("s1", "s2"));
+    ASSERT_NO_THROW(full = source.Send("", "s2"));
+    EXPECT_THROW(replica.Receive(incremental), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), before);
+    EXPECT_THROW(replica.ReceiveFull(full), StreamCorruptError);
+    EXPECT_EQ(replica.Serialize(), before);
+    test::ExpectVolumeInvariants(replica);
+  }
+}
+
+TEST(Receive, CodecMismatchRejected) {
+  // A receiver keeps carried payloads in the form the sender stored them,
+  // so a stream must carry the receiver's own codec.
+  Volume source(SmallConfig());
+  const Bytes a = TextBytes(4 * 4096, 41);
+  source.WriteFile("a", BufferSource(a));
+  source.CreateSnapshot("s1", 100);
+  source.WriteFile("b", BufferSource(TextBytes(4 * 4096, 42)));
+  source.CreateSnapshot("s2", 200);
+
+  const VolumeConfig lz4{.block_size = 4096, .codec = compress::CodecId::kLz4,
+                         .dedup = true};
+  Volume empty(lz4);
+  const Bytes empty_image = empty.Serialize();
+  EXPECT_THROW(empty.Receive(source.Send("", "s1")), StreamMismatchError);
+  EXPECT_EQ(empty.Serialize(), empty_image);
+
+  // An lz4 replica whose latest snapshot has the stream base's identity.
+  Volume replica(lz4);
+  replica.WriteFile("a", BufferSource(a));
+  replica.CreateSnapshot("s1", 100);
+  const Bytes before = replica.Serialize();
+  EXPECT_THROW(replica.Receive(source.Send("s1", "s2")), StreamMismatchError);
+  EXPECT_EQ(replica.Serialize(), before);
+  EXPECT_THROW(replica.ReceiveFull(source.Send("", "s2")),
+               StreamMismatchError);
+  EXPECT_EQ(replica.Serialize(), before);
+  test::ExpectVolumeInvariants(replica);
 }
 
 TEST(ReceiveFull, ResetsStaleReplica) {
