@@ -335,6 +335,7 @@ std::uint64_t VolumeFileDevice::WarmCacheFromBlocks(
 void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
   // Accounting runs before the read executes so cache residency reflects the
   // state this request found (the read itself warms the store's ARC).
+  bool page_cache_hit = false;  // every non-hole block touched hit
   const std::uint64_t block_count = volume_->FileBlockCount(file_);
   if (io_ != nullptr && !out.empty() && block_count > 0 &&
       offset / volume_->config().block_size < block_count) {
@@ -364,6 +365,7 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
       in_flight.push_back(io_->InFlight(device_id_, b) ? 1 : 0);
       digests.push_back(ptr.digest);
     }
+    page_cache_hit = pending.empty();
     // Decompression CPU is charged per block unless the decompressed payload
     // is already resident in the store's ARC (ReadConfig::cache_bytes > 0),
     // where a hit serves the plain bytes straight from memory.
@@ -423,6 +425,13 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
   }
 
+  // The page cache already served this read in the model: copy the bytes
+  // an earlier read returned instead of fetching and decoding them again.
+  if (page_cache_hit && ServeHeld(offset, out)) {
+    ReleaseEvicted();
+    return;
+  }
+
   util::Bytes data;
   if (repair_session_ == nullptr) {
     data = volume_->ReadRangeAs(tenant_, file_, offset, out.size());
@@ -448,6 +457,79 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
   }
   std::memcpy(out.data(), data.data(), out.size());
+  if (io_ != nullptr) {
+    Hold(offset, std::move(data));
+    ReleaseEvicted();
+  }
+}
+
+bool VolumeFileDevice::ServeHeld(std::uint64_t offset,
+                                 util::MutableByteSpan out) const {
+  if (offset + out.size() > volume_->FileSize(file_)) return false;
+  const std::uint32_t block_size = volume_->config().block_size;
+  const std::uint64_t first = offset / block_size;
+  const std::uint64_t last = (offset + out.size() - 1) / block_size;
+  // Check every block before copying, so a refused read leaves `out` alone.
+  for (std::uint64_t b = first; b <= last; ++b) {
+    const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+    if (ptr.hole) continue;
+    const auto it = held_.find(b);
+    // The digest guard: a block rewritten behind the device (or a file
+    // grown past it) reads through the volume again.
+    if (it == held_.end() || it->second.digest != ptr.digest ||
+        it->second.bytes.size() != BlockLength(b)) {
+      return false;
+    }
+  }
+  for (std::uint64_t b = first; b <= last; ++b) {
+    const std::uint64_t block_start = b * block_size;
+    const std::uint64_t from = std::max(offset, block_start);
+    const std::uint64_t to =
+        std::min<std::uint64_t>(offset + out.size(), block_start + block_size);
+    util::Byte* dst = out.data() + (from - offset);
+    if (volume_->FileBlock(file_, b).hole) {
+      std::memset(dst, 0, to - from);
+    } else {
+      std::memcpy(dst, held_.at(b).bytes.data() + (from - block_start),
+                  to - from);
+    }
+  }
+  return true;
+}
+
+void VolumeFileDevice::Hold(std::uint64_t offset, util::Bytes data) {
+  const std::uint32_t block_size = volume_->config().block_size;
+  const std::uint64_t end = offset + data.size();
+  for (std::uint64_t b = (offset + block_size - 1) / block_size;; ++b) {
+    const std::uint64_t block_start = b * block_size;
+    const std::uint64_t length = BlockLength(b);
+    if (length == 0 || block_start + length > end) break;
+    const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+    // A block the page cache did not keep (no capacity, or evicted by a
+    // later block of this read) would never be served.
+    if (ptr.hole || !io_->page_cache().Resident(device_id_, b)) continue;
+    HeldBlock& held = held_[b];
+    held.digest = ptr.digest;
+    if (length == data.size()) {
+      held.bytes = std::move(data);  // the read was exactly this block
+    } else {
+      const auto src = data.begin() + static_cast<std::ptrdiff_t>(
+                                          block_start - offset);
+      held.bytes.assign(src, src + static_cast<std::ptrdiff_t>(length));
+    }
+  }
+}
+
+void VolumeFileDevice::ReleaseEvicted() {
+  std::erase_if(held_, [&](const auto& entry) {
+    return !io_->page_cache().Resident(device_id_, entry.first);
+  });
+}
+
+std::uint64_t VolumeFileDevice::held_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const auto& [block, held] : held_) bytes += held.bytes.size();
+  return bytes;
 }
 
 void VolumeFileDevice::WriteAt(std::uint64_t offset, util::ByteSpan data) {

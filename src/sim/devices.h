@@ -8,7 +8,8 @@
 //   VolumeFileDevice  a file inside a zvol::Volume (the ccVolume): per-block
 //                     DDT lookup, page cache keyed by volume block, disk
 //                     reads at the block's *physical* (scattered) offset,
-//                     decompression CPU.
+//                     decompression CPU. Page-cache hits are served from the
+//                     bytes an earlier read of the block returned.
 //   RemoteImageDevice the base VMI behind the parallel file system: charges
 //                     network transfer and counts the bytes Figure 18 plots.
 #pragma once
@@ -18,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cow/device.h"
@@ -113,6 +115,20 @@ class LocalCacheDevice final : public cow::WritableDevice {
 /// copy-on-read, so a cluster whose leading blocks happen to be zeros (file
 /// system slack before a misaligned package) is still present; the zvol
 /// stores those zeros as holes.
+///
+/// Page-cache hits are served from memory, as the simulated charges already
+/// assume (DESIGN.md §21). With an IoContext, the device holds the
+/// decompressed bytes of every block a read returned in full, with the
+/// block's digest, while the page cache holds that block. A ReadAt whose
+/// non-hole blocks all hit the page cache in its own accounting pass, and
+/// are all held under the digest their BlockPtr carries now and at their
+/// current in-file length, copies the held bytes (zeros for holes) and
+/// never reaches the volume; any other read goes through the volume and
+/// holds what came back. Every ReadAt ends by releasing the blocks the
+/// page cache no longer holds, so a device never holds more than the
+/// blocks it had resident after its last read. The simulated clock, caches
+/// and counters are the same either way; the store's ReadStats see only
+/// the page-cache misses.
 class VolumeFileDevice final : public cow::WritableDevice,
                                public PrefetchTarget {
  public:
@@ -195,10 +211,29 @@ class VolumeFileDevice final : public cow::WritableDevice,
 
   const DegradedReadStats& degraded_stats() const { return degraded_; }
 
+  /// Decompressed bytes held for page-cache hits (see the class comment).
+  std::uint64_t held_bytes() const;
+
  private:
+  /// Decompressed in-file bytes of one volume block and the digest they
+  /// were read under.
+  struct HeldBlock {
+    util::Digest digest;
+    util::Bytes bytes;
+  };
+
   /// Charged bytes of volume block `b`: block size, clamped at the final
   /// partial block; 0 at or past EOF.
   std::uint64_t BlockLength(std::uint64_t b) const;
+  /// Copies [offset, offset + out.size()) from held bytes if every non-hole
+  /// block in it is held under its current digest and length; otherwise
+  /// leaves `out` alone and returns false.
+  bool ServeHeld(std::uint64_t offset, util::MutableByteSpan out) const;
+  /// Holds each page-cache-resident, non-hole block that `data` (the bytes
+  /// of a volume read at `offset`) covers in full.
+  void Hold(std::uint64_t offset, util::Bytes data);
+  /// Drops held blocks the page cache no longer holds.
+  void ReleaseEvicted();
 
   zvol::Volume* volume_;
   std::string file_;
@@ -211,6 +246,7 @@ class VolumeFileDevice final : public cow::WritableDevice,
   std::unique_ptr<zvol::RepairSession> repair_session_;
   DegradedReadStats degraded_;
   store::TenantId tenant_ = store::kDefaultTenant;
+  std::unordered_map<std::uint64_t, HeldBlock> held_;  // by volume block
 };
 
 /// The base VMI served by the storage nodes over the data-center network.

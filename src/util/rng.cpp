@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 namespace squirrel::util {
 namespace {
@@ -14,6 +15,19 @@ std::uint64_t SplitMix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+// One xoshiro256** draw, advancing `s`.
+inline std::uint64_t Xoshiro256(std::uint64_t (&s)[4]) {
+  const std::uint64_t result = std::rotl(s[1] * 5, 7) * 9;
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = std::rotl(s[3], 45);
+  return result;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -21,17 +35,7 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& lane : state_) lane = SplitMix64(sm);
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = std::rotl(state_[3], 45);
-  return result;
-}
+std::uint64_t Rng::Next() { return Xoshiro256(state_); }
 
 std::uint64_t Rng::Below(std::uint64_t bound) {
   if (bound == 0) return 0;
@@ -63,20 +67,25 @@ Rng Rng::Fork(std::uint64_t salt) {
 }
 
 void Rng::Fill(MutableByteSpan out) {
+  // Draw from a local copy of the state: a byte store through `out` may
+  // alias `state_`, which would make every draw reload and store it.
+  std::uint64_t s[4];
+  std::memcpy(s, state_, sizeof s);
   std::size_t i = 0;
-  while (i + 8 <= out.size()) {
-    const std::uint64_t value = Next();
-    for (int b = 0; b < 8; ++b) {
-      out[i + b] = static_cast<Byte>(value >> (8 * b));
-    }
-    i += 8;
-  }
-  if (i < out.size()) {
-    const std::uint64_t value = Next();
-    for (std::size_t b = 0; i + b < out.size(); ++b) {
-      out[i + b] = static_cast<Byte>(value >> (8 * b));
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; i + 8 <= out.size(); i += 8) {
+      const std::uint64_t value = Xoshiro256(s);
+      std::memcpy(out.data() + i, &value, 8);
     }
   }
+  // The tail, and every draw on a big-endian host: low byte first.
+  for (; i < out.size(); i += 8) {
+    const std::uint64_t value = Xoshiro256(s);
+    for (std::size_t b = 0; b < 8 && i + b < out.size(); ++b) {
+      out[i + b] = static_cast<Byte>(value >> (8 * b));
+    }
+  }
+  std::memcpy(state_, s, sizeof s);
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) {

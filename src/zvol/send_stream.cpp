@@ -106,9 +106,10 @@ util::Bytes SendStream::Serialize() const {
       w.Blob(util::ByteSpan(b.digest.bytes.data(), b.digest.bytes.size()));
       w.U32(b.logical_size);
       if (b.has_payload) {
-        // Computed over the bytes going onto the wire, so hand-built
-        // records need not pre-fill the field.
-        w.U64(PayloadChecksum(b.payload));
+        // Volume::Send fills the checksum in; a hand-built record may leave
+        // it 0 and gets one computed over the bytes going onto the wire.
+        w.U64(b.payload_checksum != 0 ? b.payload_checksum
+                                      : PayloadChecksum(b.payload));
         w.Blob(b.payload);
       }
     }

@@ -76,7 +76,9 @@ struct SendStream {
   std::vector<FileRecord> files;
 
   /// Wire encoding (version 2: per-record payload checksums) with a SHA-256
-  /// integrity trailer.
+  /// integrity trailer. A record's checksum is written as it stands (a
+  /// payload altered after Send then fails Deserialize); only a record whose
+  /// field is 0 gets one computed from its payload.
   util::Bytes Serialize() const;
 
   /// Parses and verifies; accepts version-1 (no record checksums) and

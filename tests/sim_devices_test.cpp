@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "buffer_source.h"
+#include "cow/chain.h"
+#include "cow/qcow.h"
 #include "sim/parallel_fs.h"
 #include "util/rng.h"
 
@@ -134,6 +136,171 @@ TEST(VolumeFileDevice, WriteGoesThroughVolume) {
   const Bytes data = RandomBytes(4096, 7);
   device.WriteAt(4096, data);
   EXPECT_EQ(volume.ReadRange("f", 4096, 4096), data);
+}
+
+/// Compressible page-like content with zero runs: whole-zero 4 KiB blocks
+/// become holes in a 4 KiB-block volume.
+Bytes CacheImageBytes(std::size_t size, std::uint64_t seed) {
+  Bytes data(size, 0);
+  util::Rng rng(seed);
+  for (std::size_t block = 0; block < size / 4096; ++block) {
+    if (block % 16 == 15 || rng.Chance(0.2)) continue;  // a hole
+    for (std::size_t i = 0; i < 4096; ++i) {
+      data[block * 4096 + i] = static_cast<util::Byte>('a' + rng.Below(5));
+    }
+  }
+  return data;
+}
+
+std::uint64_t StoreRequests(const zvol::Volume& volume) {
+  return volume.block_store().read_stats().blocks_requested;
+}
+
+TEST(VolumeFileDevice, WarmReplicaBootAsksStoreOncePerPageCacheMiss) {
+  // A boot over a fully populated cache file (ARC off), through the §3.3
+  // chain: the guest re-reads clusters, the page-cache hits are served from
+  // held bytes, and only the misses reach the store.
+  Bytes image = CacheImageBytes(1 << 20, 11);
+  // The last 64 KiB cluster is all zeros, so the cache lacks it.
+  std::fill(image.end() - 65536, image.end(), util::Byte{0});
+  zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kGzip6});
+  volume.WriteFile("cache", BufferSource(image));
+  BufferSource base_source(image);
+  IoContext io;
+  cow::QcowOverlay overlay(image.size(), cow::kDefaultClusterSize);
+  VolumeFileDevice cache(&volume, "cache", &io, 1);
+  RemoteImageDevice base(&base_source, &io, nullptr, 1);
+  cow::Chain chain(&overlay, &cache, &base, /*copy_on_read=*/false);
+
+  const std::uint64_t requests0 = StoreRequests(volume);
+  util::Rng rng(12);
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t offset = rng.Below(image.size() - 8192);
+    const std::uint64_t length = rng.Between(1, 8192);
+    const Bytes got = chain.Read(offset, length);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), image.begin() + offset))
+        << "read " << i << " at " << offset;
+  }
+  EXPECT_GT(io.page_cache().hits(), io.page_cache().misses());
+  EXPECT_GT(chain.base_bytes_read(), 0u);  // the all-zero cluster
+  EXPECT_EQ(StoreRequests(volume) - requests0, io.page_cache().misses());
+  EXPECT_LE(cache.held_bytes(), io.page_cache().resident_bytes());
+}
+
+TEST(VolumeFileDevice, RewrittenResidentBlockIsReadAgain) {
+  zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kGzip6});
+  const Bytes before = CacheImageBytes(4 * 4096, 13);
+  volume.WriteFile("f", BufferSource(before));
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  Bytes out(4096);
+  device.ReadAt(0, out);
+  ASSERT_TRUE(std::equal(out.begin(), out.end(), before.begin()));
+
+  // Rewritten behind the device while the page cache still holds block 0:
+  // its digest moved, so the next read goes back to the volume.
+  const Bytes after = RandomBytes(4096, 14);
+  volume.WriteRange("f", 0, after);
+  ASSERT_TRUE(io.page_cache().Resident(1, 0));
+  const std::uint64_t requests = StoreRequests(volume);
+  const std::uint64_t hits = io.page_cache().hits();
+  device.ReadAt(0, out);
+  EXPECT_EQ(io.page_cache().hits(), hits + 1);
+  EXPECT_EQ(out, after);
+  EXPECT_EQ(StoreRequests(volume), requests + 1);
+  // The fresh bytes are held now: a third read is a pure page-cache hit.
+  device.ReadAt(0, out);
+  EXPECT_EQ(out, after);
+  EXPECT_EQ(StoreRequests(volume), requests + 1);
+}
+
+TEST(VolumeFileDevice, GrownTailBlockIsReadAgain) {
+  // A write past EOF grows the file without rewriting the old partial tail
+  // block: same digest, longer in-file block, whose new tail reads as zeros.
+  zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kGzip6});
+  const Bytes content = RandomBytes(4096 + 100, 18);
+  volume.WriteFile("f", BufferSource(content));
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  Bytes tail(100);
+  device.ReadAt(4096, tail);
+  const util::Digest digest = volume.FileBlock("f", 1).digest;
+  device.WriteAt(3 * 4096, RandomBytes(4096, 19));
+  ASSERT_EQ(volume.FileBlock("f", 1).digest, digest);
+  ASSERT_TRUE(io.page_cache().Resident(1, 1));
+  Bytes out(4096);
+  device.ReadAt(4096, out);
+  Bytes want(4096, 0);
+  std::copy(content.begin() + 4096, content.end(), want.begin());
+  EXPECT_EQ(out, want);
+}
+
+TEST(VolumeFileDevice, OneBlockPageCacheReachesStoreEveryTime) {
+  zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kGzip6});
+  const Bytes content = CacheImageBytes(2 * 4096, 15);
+  const Bytes other = RandomBytes(4096, 16);
+  volume.WriteFile("f", BufferSource(content));
+  volume.WriteFile("g", BufferSource(other));
+  IoContextConfig config;
+  config.page_cache_bytes = 4096;  // one block
+  IoContext io(config);
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  Bytes out(4096);
+  for (int i = 0; i < 6; ++i) {
+    const std::uint64_t block = i % 2;
+    const std::uint64_t requests = StoreRequests(volume);
+    device.ReadAt(block * 4096, out);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                           content.begin() + block * 4096))
+        << i;
+    EXPECT_EQ(StoreRequests(volume), requests + 1) << i;
+    // The evicted block's bytes went with it.
+    EXPECT_LE(device.held_bytes(), io.page_cache().resident_bytes()) << i;
+  }
+
+  // A second device on the same IoContext evicts the first one's block
+  // between its reads: the first device still holds the bytes, but the
+  // page cache missed, so the read reaches the store.
+  VolumeFileDevice neighbour(&volume, "g", &io, 2);
+  for (int i = 0; i < 4; ++i) {
+    const std::uint64_t requests = StoreRequests(volume);
+    if (i % 2 == 0) {
+      device.ReadAt(0, out);
+      EXPECT_TRUE(std::equal(out.begin(), out.end(), content.begin())) << i;
+    } else {
+      neighbour.ReadAt(0, out);
+      EXPECT_EQ(out, other) << i;
+    }
+    EXPECT_EQ(StoreRequests(volume), requests + 1) << i;
+  }
+}
+
+TEST(VolumeFileDevice, HealedBlockServedFromPageCacheWithoutSecondRepair) {
+  const zvol::VolumeConfig config{.block_size = 4096,
+                                  .codec = compress::CodecId::kGzip6};
+  const Bytes content = CacheImageBytes(4 * 4096, 17);
+  zvol::Volume local(config);
+  local.WriteFile("f", BufferSource(content));
+  zvol::Volume storage(config);
+  storage.WriteFile("f", BufferSource(content));
+  ASSERT_TRUE(local.CorruptBlockForTesting("f", 1));
+
+  IoContext io;
+  VolumeFileDevice device(&local, "f", &io, 1);
+  device.SetRepairSources({{0, &storage.block_store()}}, nullptr, 1, nullptr);
+  Bytes out(4096);
+  device.ReadAt(4096, out);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), content.begin() + 4096));
+  EXPECT_EQ(device.degraded_stats().repair_reads, 1u);
+
+  const std::uint64_t requests = StoreRequests(local);
+  const std::uint64_t hits = io.page_cache().hits();
+  std::fill(out.begin(), out.end(), util::Byte{0});
+  device.ReadAt(4096, out);
+  EXPECT_EQ(io.page_cache().hits(), hits + 1);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), content.begin() + 4096));
+  EXPECT_EQ(device.degraded_stats().repair_reads, 1u);
+  EXPECT_EQ(StoreRequests(local), requests);
 }
 
 TEST(RemoteImageDevice, CountsNetworkBytes) {

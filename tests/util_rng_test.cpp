@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 namespace squirrel::util {
 namespace {
@@ -107,6 +108,27 @@ TEST(Rng, FillOddLengths) {
     if (len >= 4) {
       EXPECT_FALSE(IsAllZero(buf)) << len;
     }
+  }
+}
+
+TEST(Rng, FillIsLittleEndianNextDraws) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 17; ++len) lengths.push_back(len);
+  lengths.push_back(51 * 1024);
+  for (const std::size_t len : lengths) {
+    Rng filler(77), drawer(77);
+    Bytes got(len);
+    filler.Fill(got);
+    Bytes want;
+    while (want.size() < len) {
+      const std::uint64_t value = drawer.Next();
+      for (int b = 0; b < 8 && want.size() < len; ++b) {
+        want.push_back(static_cast<Byte>(value >> (8 * b)));
+      }
+    }
+    EXPECT_EQ(got, want) << len;
+    // Fill leaves the state exactly where the draws it used would.
+    EXPECT_EQ(filler.Next(), drawer.Next()) << len;
   }
 }
 

@@ -284,6 +284,25 @@ TEST(Send, DuplicatePayloadSentOnceWithinStream) {
   EXPECT_EQ(replica.ReadRange("dup", 0, content.size()), content);
 }
 
+TEST(Send, PayloadAlteredAfterSendFailsRecordChecksum) {
+  // Serialize writes the checksum Send stamped; it does not re-checksum the
+  // payload, so bytes altered in between reach the wire and are caught.
+  Volume source(SmallConfig());
+  source.WriteFile("text", BufferSource(TextBytes(4 * 4096, 7)));
+  source.CreateSnapshot("s1", 100);
+  SendStream stream = source.Send("", "s1");
+  BlockRecord* carried = nullptr;
+  for (FileRecord& file : stream.files) {
+    for (BlockRecord& block : file.blocks) {
+      if (block.has_payload && carried == nullptr) carried = &block;
+    }
+  }
+  ASSERT_NE(carried, nullptr);
+  ASSERT_NE(carried->payload_checksum, 0u);
+  carried->payload[0] ^= 0x01;
+  EXPECT_THROW(SendStream::Deserialize(stream.Serialize()), StreamMismatchError);
+}
+
 TEST(Receive, BaseMismatchThrows) {
   Volume source(SmallConfig());
   source.CreateFile("f", 4096);
