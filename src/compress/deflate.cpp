@@ -1,9 +1,11 @@
 #include "compress/deflate.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "compress/bitio.h"
 #include "compress/huffman.h"
@@ -97,14 +99,27 @@ DeflateCodec::DeflateCodec(int level)
 }
 
 util::Bytes DeflateCodec::Compress(util::ByteSpan input) const {
-  // 1. LZ77 parse with a hash-chain match finder.
-  std::vector<Token> tokens;
-  tokens.reserve(input.size() / 4 + 16);
-
-  std::vector<std::int32_t> head(kHashSize, -1);
-  std::vector<std::int32_t> prev(input.size(), -1);
+  // 1. LZ77 parse with a hash-chain match finder. The match-finder arrays
+  // and the token buffer are per-thread scratch that only grows: `head` is
+  // reset on every call, while `prev` keeps stale entries from earlier
+  // calls, since a position enters a chain only through `insert`, which
+  // writes its `prev` entry first. A parse emits at most one token per
+  // input byte, so the token buffer never reallocates inside a call.
+  struct Scratch {
+    std::vector<std::int32_t> head = std::vector<std::int32_t>(kHashSize);
+    std::vector<std::int32_t> prev;
+    std::vector<Token> tokens;
+  };
+  thread_local Scratch scratch;
   const util::Byte* data = input.data();
   const std::size_t n = input.size();
+  std::vector<std::int32_t>& head = scratch.head;
+  std::fill(head.begin(), head.end(), -1);
+  std::vector<std::int32_t>& prev = scratch.prev;
+  if (prev.size() < n) prev.resize(n);
+  std::vector<Token>& tokens = scratch.tokens;
+  tokens.clear();
+  tokens.reserve(n + 1);
 
   auto find_match = [&](std::size_t pos, std::size_t& best_len,
                         std::size_t& best_dist) {

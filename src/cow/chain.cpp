@@ -13,6 +13,7 @@ Chain::Chain(QcowOverlay* cow, WritableDevice* cache, Device* base,
   if (cow_ == nullptr || base_ == nullptr) {
     throw std::invalid_argument("chain requires a CoW overlay and a base");
   }
+  cluster_buffer_.resize(cow_->cluster_size());
 }
 
 ReadSource Chain::FetchClusterFromBelow(std::uint64_t cluster_index,
@@ -54,7 +55,6 @@ util::Bytes Chain::Read(std::uint64_t offset, std::uint64_t length) {
   const std::uint32_t cluster_size = cow_->cluster_size();
 
   std::uint64_t pos = 0;
-  util::Bytes cluster_buffer(cluster_size);
   while (pos < length) {
     const std::uint64_t abs = offset + pos;
     const std::uint64_t index = abs / cluster_size;
@@ -73,7 +73,7 @@ util::Bytes Chain::Read(std::uint64_t offset, std::uint64_t length) {
       const std::uint64_t cluster_start = index * cluster_size;
       const std::uint64_t cluster_len = std::min<std::uint64_t>(
           cluster_size, size() - cluster_start);
-      util::MutableByteSpan cluster(cluster_buffer.data(), cluster_len);
+      util::MutableByteSpan cluster(cluster_buffer_.data(), cluster_len);
       FetchClusterFromBelow(index, cluster);
       std::memcpy(out.data() + pos, cluster.data() + within, take);
     }
@@ -88,7 +88,6 @@ void Chain::Write(std::uint64_t offset, util::ByteSpan data) {
   }
   const std::uint32_t cluster_size = cow_->cluster_size();
   std::uint64_t pos = 0;
-  util::Bytes cluster_buffer(cluster_size);
   while (pos < data.size()) {
     const std::uint64_t abs = offset + pos;
     const std::uint64_t index = abs / cluster_size;
@@ -101,7 +100,7 @@ void Chain::Write(std::uint64_t offset, util::ByteSpan data) {
       const std::uint64_t cluster_start = index * cluster_size;
       const std::uint64_t cluster_len = std::min<std::uint64_t>(
           cluster_size, size() - cluster_start);
-      util::MutableByteSpan cluster(cluster_buffer.data(), cluster_len);
+      util::MutableByteSpan cluster(cluster_buffer_.data(), cluster_len);
       FetchClusterFromBelow(index, cluster);
       cow_->InstallCluster(index, cluster);
     }

@@ -66,6 +66,9 @@ class Chain {
   Device* base_;
   bool copy_on_read_;
   ReadObserver observer_;
+  // One cluster of scratch for lower-layer fetches, reused by every Read and
+  // Write; FetchClusterFromBelow overwrites every byte it hands back.
+  util::Bytes cluster_buffer_;
   std::uint64_t base_bytes_read_ = 0;
   std::uint64_t cache_bytes_read_ = 0;
 };

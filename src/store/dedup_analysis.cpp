@@ -22,6 +22,11 @@ void DedupAnalyzer::AddFile(const util::DataSource& file) {
   // dropped, which keeps the surviving sample a uniform subset.
   for (std::uint64_t offset = 0; offset < size; offset += config_.block_size) {
     const std::uint64_t len = std::min<std::uint64_t>(config_.block_size, size - offset);
+    // A block the file reports as a hole reads as zeros: count it unread.
+    if (!file.RangeHasData(offset, len)) {
+      ++result_.zero_blocks;
+      continue;
+    }
     util::MutableByteSpan block(buffer.data(), len);
     file.Read(offset, block);
     if (util::IsAllZero(block)) {

@@ -74,7 +74,9 @@ class DedupAnalyzer {
  public:
   explicit DedupAnalyzer(AnalysisConfig config);
 
-  /// Scans one file; call once per file in the dataset.
+  /// Scans one file; call once per file in the dataset. A block the file
+  /// reports as a hole (DataSource::RangeHasData) counts as a zero block
+  /// without being read.
   void AddFile(const util::DataSource& file);
 
   /// Finalizes cross-similarity and compression aggregates.

@@ -21,6 +21,17 @@ class DataSource {
   /// Fills `out` with the bytes at [offset, offset + out.size()).
   /// Reading past `size()` is a programming error.
   virtual void Read(std::uint64_t offset, MutableByteSpan out) const = 0;
+
+  /// False only if every byte of [offset, offset + length) reads as zero,
+  /// so a consumer may treat the range as a hole without reading it. True
+  /// is always allowed (the default: no hole information). A source that
+  /// forwards Read to another source must forward this too, or it hides
+  /// the inner source's holes (DESIGN.md §22).
+  virtual bool RangeHasData(std::uint64_t offset, std::uint64_t length) const {
+    (void)offset;
+    (void)length;
+    return true;
+  }
 };
 
 }  // namespace squirrel::util

@@ -25,6 +25,17 @@ std::vector<Range> MergeRanges(std::vector<Range> ranges) {
   return merged;
 }
 
+// First of the sorted, disjoint `ranges` that may overlap [offset, ...).
+std::vector<Range>::const_iterator FirstOverlap(
+    const std::vector<Range>& ranges, std::uint64_t offset) {
+  auto it = std::upper_bound(ranges.begin(), ranges.end(), offset,
+                             [](std::uint64_t off, const Range& r) {
+                               return off < r.offset;
+                             });
+  if (it != ranges.begin()) --it;
+  return it;
+}
+
 }  // namespace
 
 BootWorkingSet::BootWorkingSet(const Catalog& catalog, const VmImage& image)
@@ -209,17 +220,26 @@ void CacheImage::Read(std::uint64_t offset, util::MutableByteSpan out) const {
   std::memset(out.data(), 0, out.size());
   const std::uint64_t end = offset + out.size();
   const auto& ranges = boot_set_->ranges();
-  auto it = std::upper_bound(ranges.begin(), ranges.end(), offset,
-                             [](std::uint64_t off, const Range& r) {
-                               return off < r.offset;
-                             });
-  if (it != ranges.begin()) --it;
-  for (; it != ranges.end() && it->offset < end; ++it) {
+  for (auto it = FirstOverlap(ranges, offset);
+       it != ranges.end() && it->offset < end; ++it) {
     const std::uint64_t lo = std::max(offset, it->offset);
     const std::uint64_t hi = std::min(end, it->end());
     if (lo >= hi) continue;
     image_->Read(lo, util::MutableByteSpan(out.data() + (lo - offset), hi - lo));
   }
+}
+
+bool CacheImage::RangeHasData(std::uint64_t offset,
+                              std::uint64_t length) const {
+  const std::uint64_t end = offset + length;
+  const auto& ranges = boot_set_->ranges();
+  for (auto it = FirstOverlap(ranges, offset);
+       it != ranges.end() && it->offset < end; ++it) {
+    const std::uint64_t lo = std::max(offset, it->offset);
+    const std::uint64_t hi = std::min(end, it->end());
+    if (lo < hi && image_->RangeHasData(lo, hi - lo)) return true;
+  }
+  return false;
 }
 
 }  // namespace squirrel::vmi

@@ -81,6 +81,11 @@ class CacheImage final : public util::DataSource {
   std::uint64_t size() const override { return image_->size(); }
   void Read(std::uint64_t offset, util::MutableByteSpan out) const override;
 
+  /// True if [offset, offset+length) intersects a boot range where the
+  /// image itself has data: bytes outside the boot set are cache holes,
+  /// and inside it the cache holds the image's own (possibly sparse) bytes.
+  bool RangeHasData(std::uint64_t offset, std::uint64_t length) const override;
+
  private:
   const VmImage* image_;
   const BootWorkingSet* boot_set_;

@@ -64,8 +64,10 @@ class VmImage final : public util::DataSource {
   std::uint64_t nonzero_bytes() const { return nonzero_bytes_; }
 
   /// True if [offset, offset+length) intersects any content extent — the
-  /// sparse-allocation map QCOW2 consults before reading a backing range.
-  bool RangeHasData(std::uint64_t offset, std::uint64_t length) const;
+  /// sparse-allocation map QCOW2 consults before reading a backing range,
+  /// and the hole map ingest consults before reading a block. Patches lie
+  /// inside extents, so a range with no extent reads as zeros.
+  bool RangeHasData(std::uint64_t offset, std::uint64_t length) const override;
 
   /// Logical offset where each chosen package landed (same order as
   /// spec().packages); the boot set builder reads service prefixes there.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <unordered_set>
 
 #include "util/fault_injector.h"
@@ -231,13 +232,18 @@ void Volume::ForEachIngest(std::size_t count,
 FileMeta Volume::IngestSource(const util::DataSource& data) {
   FileMeta meta;
   meta.logical_size = data.size();
+  const std::uint64_t block_size = config_.block_size;
   const std::uint64_t block_count =
-      util::CeilDiv(meta.logical_size, config_.block_size);
+      util::CeilDiv(meta.logical_size, block_size);
   meta.blocks.resize(block_count);
 
   const std::size_t batch_blocks =
       std::max<std::size_t>(1, config_.ingest.batch_blocks);
-  util::Bytes buffer(batch_blocks * static_cast<std::size_t>(config_.block_size));
+  // Left uninitialized: only the bytes a Read below fills are looked at, and
+  // a mostly sparse source never touches most of the buffer.
+  const auto buffer = std::make_unique_for_overwrite<util::Byte[]>(
+      batch_blocks * static_cast<std::size_t>(block_size));
+  std::vector<std::size_t> to_read;  // batch positions of may-have-data blocks
   std::vector<std::uint8_t> is_zero(batch_blocks);
   std::vector<util::ByteSpan> payloads;
   std::vector<std::uint64_t> payload_index;
@@ -245,28 +251,49 @@ FileMeta Volume::IngestSource(const util::DataSource& data) {
   for (std::uint64_t base = 0; base < block_count; base += batch_blocks) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(batch_blocks, block_count - base));
-    const std::uint64_t offset = base * config_.block_size;
-    const std::uint64_t bytes =
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(n) * config_.block_size,
-                                meta.logical_size - offset);
-    data.Read(offset, util::MutableByteSpan(buffer.data(), bytes));
+    const std::uint64_t offset = base * block_size;
+    const std::uint64_t bytes = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(n) * block_size, meta.logical_size - offset);
     const auto chunk = [&](std::size_t j) {
-      const std::uint64_t start = static_cast<std::uint64_t>(j) * config_.block_size;
+      const std::uint64_t start = static_cast<std::uint64_t>(j) * block_size;
       const std::uint64_t len =
-          std::min<std::uint64_t>(config_.block_size, bytes - start);
-      return util::ByteSpan(buffer.data() + start, len);
+          std::min<std::uint64_t>(block_size, bytes - start);
+      return util::ByteSpan(buffer.get() + start, len);
     };
 
-    // Stage 1a: zero-detect the chunks in parallel (stage 1b, hashing, runs
-    // inside PutBatch on the same pool).
-    ForEachIngest(n, [&](std::size_t j) { is_zero[j] = util::IsAllZero(chunk(j)); });
+    // Stage 0: a block the source reports as a hole stays a hole without
+    // being read; each maximal run of the other blocks takes one Read.
+    to_read.clear();
+    for (std::size_t j = 0; j < n; ++j) {
+      if (data.RangeHasData(offset + j * block_size, chunk(j).size())) {
+        to_read.push_back(j);
+      }
+    }
+    for (std::size_t r = 0; r < to_read.size();) {
+      std::size_t end = r + 1;
+      while (end < to_read.size() && to_read[end] == to_read[end - 1] + 1) {
+        ++end;
+      }
+      const std::uint64_t start = to_read[r] * block_size;
+      const std::uint64_t stop =
+          std::min<std::uint64_t>((to_read[end - 1] + 1) * block_size, bytes);
+      data.Read(offset + start,
+                util::MutableByteSpan(buffer.get() + start, stop - start));
+      r = end;
+    }
+
+    // Stage 1a: zero-detect the blocks read, in parallel (stage 1b, hashing,
+    // runs inside PutBatch on the same pool).
+    ForEachIngest(to_read.size(), [&](std::size_t r) {
+      is_zero[r] = util::IsAllZero(chunk(to_read[r]));
+    });
 
     payloads.clear();
     payload_index.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (is_zero[j]) continue;  // stays a hole
-      payloads.push_back(chunk(j));
-      payload_index.push_back(base + j);
+    for (std::size_t r = 0; r < to_read.size(); ++r) {
+      if (is_zero[r]) continue;  // stays a hole
+      payloads.push_back(chunk(to_read[r]));
+      payload_index.push_back(base + to_read[r]);
     }
     const std::vector<store::PutResult> puts = store_.PutBatch(payloads);
     for (std::size_t k = 0; k < puts.size(); ++k) {

@@ -239,7 +239,8 @@ class Volume {
   // --- file operations -----------------------------------------------------
 
   /// Creates or replaces a file by streaming `data` in block-size chunks.
-  /// All-zero blocks become holes.
+  /// All-zero blocks become holes; blocks `data` reports as holes are not
+  /// read.
   void WriteFile(const std::string& name, const util::DataSource& data);
 
   /// Creates an empty sparse file of `logical_size` bytes.
@@ -467,9 +468,11 @@ class Volume {
 
   void ReleaseTable(const FileTable& table);
   void RetainTable(const FileTable& table);
-  /// Staged batch ingest: reads `data` in batches of ingest.batch_blocks,
-  /// zero-detects the chunks in parallel, and feeds the non-hole blocks to
-  /// BlockStore::PutBatch (parallel hash + compress, ordered commit).
+  /// Staged batch ingest: walks `data` in batches of ingest.batch_blocks,
+  /// reads only the blocks the source does not report as holes
+  /// (DataSource::RangeHasData), zero-detects those in parallel, and feeds
+  /// the nonzero ones to BlockStore::PutBatch (parallel hash + compress,
+  /// ordered commit).
   FileMeta IngestSource(const util::DataSource& data);
   /// Validate-before-mutate stage of Receive: checks the codec, stream
   /// structure, record checksums and by-reference records, and decodes

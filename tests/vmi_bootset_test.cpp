@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace squirrel::vmi {
 namespace {
 
@@ -163,6 +165,90 @@ TEST(CacheImage, StraddlingReadMixesContentAndZeros) {
   image.Read(first.end() - len / 2, expected_head);
   EXPECT_TRUE(std::equal(expected_head.begin(), expected_head.end(), out.begin()));
   EXPECT_TRUE(util::IsAllZero(util::ByteSpan(out.data() + len / 2, len / 2)));
+}
+
+// RangeHasData property over one source: every 64 KiB block it reports as a
+// hole, and every reported-hole probe just outside an edge of `data` (the
+// ranges the source must report as data), reads as zeros; every range of
+// `data` reports data, down to its first and last byte. Returns the number
+// of 64 KiB blocks reported as holes.
+std::uint64_t ExpectSoundHoleReports(const util::DataSource& source,
+                                     const std::vector<Range>& data) {
+  constexpr std::uint64_t kBlock = 64 * util::kKiB;
+  Bytes buffer(kBlock);
+  const auto expect_zero_if_hole = [&](std::uint64_t offset,
+                                       std::uint64_t length) {
+    if (length == 0 || source.RangeHasData(offset, length)) return;
+    const util::MutableByteSpan out(buffer.data(), length);
+    source.Read(offset, out);
+    EXPECT_TRUE(util::IsAllZero(out))
+        << "hole reported at " << offset << "+" << length;
+  };
+  std::uint64_t holes = 0;
+  for (std::uint64_t offset = 0; offset < source.size(); offset += kBlock) {
+    const std::uint64_t length = std::min(kBlock, source.size() - offset);
+    if (!source.RangeHasData(offset, length)) ++holes;
+    expect_zero_if_hole(offset, length);
+  }
+  for (const Range& r : data) {
+    EXPECT_TRUE(source.RangeHasData(r.offset, r.length)) << r.offset;
+    EXPECT_TRUE(source.RangeHasData(r.offset, 1)) << r.offset;
+    EXPECT_TRUE(source.RangeHasData(r.end() - 1, 1)) << r.end();
+    for (const std::uint64_t k : {std::uint64_t{1}, 4 * util::kKiB, kBlock}) {
+      const std::uint64_t before = std::min(k, r.offset);
+      EXPECT_TRUE(source.RangeHasData(r.offset - before, before + 1))
+          << r.offset;
+      expect_zero_if_hole(r.offset - before, before);
+      expect_zero_if_hole(r.end(), std::min(k, source.size() - r.end()));
+    }
+  }
+  return holes;
+}
+
+TEST(VmImage, ReportedHolesReadZeroDenseAndScattered) {
+  for (const bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "dense" : "scattered");
+    CatalogConfig config = TestConfig(8);
+    config.dense_layout = dense;
+    const Catalog catalog = Catalog::AzureCommunity(config);
+    for (int i = 0; i < 3; ++i) {
+      const VmImage image(catalog, catalog.images()[i]);
+      std::vector<Range> extents;
+      for (const Extent& e : image.extents()) {
+        extents.push_back(Range{e.logical_offset, e.length});
+      }
+      EXPECT_GT(ExpectSoundHoleReports(image, extents), 0u) << i;
+    }
+  }
+}
+
+TEST(CacheImage, ReportedHolesReadZeroDenseAndScattered) {
+  for (const bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "dense" : "scattered");
+    CatalogConfig config = TestConfig(8);
+    config.dense_layout = dense;
+    const Catalog catalog = Catalog::AzureCommunity(config);
+    for (int i = 0; i < 3; ++i) {
+      const VmImage image(catalog, catalog.images()[i]);
+      const BootWorkingSet boot(catalog, image);
+      const CacheImage cache(image, boot);
+      // The cache holds data exactly where a boot range meets an extent.
+      std::vector<Range> data;
+      for (const Range& r : boot.ranges()) {
+        for (const Extent& e : image.extents()) {
+          const std::uint64_t lo = std::max(r.offset, e.logical_offset);
+          const std::uint64_t hi =
+              std::min(r.end(), e.logical_offset + e.length);
+          if (lo < hi) data.push_back(Range{lo, hi - lo});
+        }
+      }
+      EXPECT_GT(ExpectSoundHoleReports(cache, data), 0u) << i;
+      // Every boot range holds some of the image's data.
+      for (const Range& r : boot.ranges()) {
+        EXPECT_TRUE(cache.RangeHasData(r.offset, r.length)) << r.offset;
+      }
+    }
+  }
 }
 
 }  // namespace

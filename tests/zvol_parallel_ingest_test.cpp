@@ -3,8 +3,12 @@
 // same per-block digests, VolumeStats, StoreStats, disk offsets, clean Scrub —
 // at every thread count and batch size, over randomized block mixes (holes,
 // intra-file dedup hits, incompressible random blocks, compressible text).
+// A source that reports its holes must give the same volume without any of
+// them being read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "buffer_source.h"
@@ -129,6 +133,94 @@ TEST(ParallelIngest, WriteFileMatchesSerialAcrossThreadsAndBatches) {
       }
     }
   }
+  }
+}
+
+/// In-memory source that reports holes from a per-block map (every byte of
+/// a reported hole is zero) and records the range of every Read.
+class HoleMapSource final : public util::DataSource {
+ public:
+  HoleMapSource(Bytes data, std::vector<bool> hole)
+      : data_(std::move(data)), hole_(std::move(hole)) {}
+  std::uint64_t size() const override { return data_.size(); }
+  void Read(std::uint64_t offset, util::MutableByteSpan out) const override {
+    reads_.emplace_back(offset, out.size());
+    std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset),
+                out.size(), out.begin());
+  }
+  bool RangeHasData(std::uint64_t offset, std::uint64_t length) const override {
+    for (std::uint64_t b = offset / kBlockSize;
+         b <= (offset + length - 1) / kBlockSize; ++b) {
+      if (!hole_[b]) return true;
+    }
+    return false;
+  }
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>>& reads() const {
+    return reads_;
+  }
+
+ private:
+  Bytes data_;
+  std::vector<bool> hole_;
+  mutable std::vector<std::pair<std::uint64_t, std::uint64_t>> reads_;
+};
+
+TEST(ParallelIngest, SparseSourceSkipsReportedHoles) {
+  // 300 whole blocks and a partial tail. About a third of the blocks, and
+  // all of [128, 256) (a whole batch at batch_blocks 128), are reported
+  // holes; MixedContent's own zero blocks, and block 7, are reported as
+  // data but read as zeros, so ingest must still zero-detect them.
+  constexpr std::size_t kBlocks = 300;
+  Bytes content = MixedContent(kBlocks, /*seed=*/11);
+  std::vector<bool> hole(kBlocks + 1, false);
+  util::Rng rng(0x401e);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    hole[b] = (b >= 128 && b < 256) || rng.Below(3) == 0;
+  }
+  hole[7] = false;
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    if (hole[b] || b == 7) {
+      std::fill_n(content.begin() + static_cast<std::ptrdiff_t>(b * kBlockSize),
+                  kBlockSize, 0);
+    }
+  }
+
+  for (const std::size_t threads : {1u, 4u}) {
+    for (const std::size_t batch : {1u, 3u, 128u}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " batch " +
+                   std::to_string(batch));
+      Volume dense(Config(threads, batch));
+      dense.WriteFile("f", BufferSource(content));
+      const HoleMapSource source(content, hole);
+      Volume sparse(Config(threads, batch));
+      sparse.WriteFile("f", source);
+
+      EXPECT_EQ(sparse.FileSize("f"), dense.FileSize("f"));
+      ExpectSameBlocks(sparse, dense, "f");
+      ExpectSameStats(sparse.Stats(), dense.Stats());
+      EXPECT_EQ(sparse.Serialize(), dense.Serialize());
+
+      // Every reported-data block is read exactly once and no reported
+      // hole at all, with one block-aligned Read per run of data blocks
+      // inside a batch.
+      std::vector<int> times_read(hole.size(), 0);
+      for (const auto& [offset, length] : source.reads()) {
+        ASSERT_GT(length, 0u);
+        EXPECT_EQ(offset % kBlockSize, 0u);
+        EXPECT_TRUE(length % kBlockSize == 0 ||
+                    offset + length == content.size());
+        for (std::uint64_t b = offset / kBlockSize;
+             b <= (offset + length - 1) / kBlockSize; ++b) {
+          ++times_read[b];
+        }
+      }
+      std::size_t runs = 0;
+      for (std::size_t b = 0; b < hole.size(); ++b) {
+        EXPECT_EQ(times_read[b], hole[b] ? 0 : 1) << "block " << b;
+        if (!hole[b] && (b % batch == 0 || hole[b - 1])) ++runs;
+      }
+      EXPECT_EQ(source.reads().size(), runs);
+    }
   }
 }
 
