@@ -4,80 +4,15 @@
 #include <unordered_set>
 
 #include "util/hash.h"
-#include "util/sha256.h"
+#include "util/wire.h"
 
 namespace squirrel::vmi {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x50425153;  // "SQBP"
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kShaTrailerBytes = 32;
 /// Encoded touch record: u32 file + u64 block + u8 flags.
 constexpr std::size_t kRecordBytes = 4 + 8 + 1;
-
-class Writer {
- public:
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  std::size_t size() const { return out_.size(); }
-  util::ByteSpan Tail(std::size_t from) const {
-    return util::ByteSpan(out_.data() + from, out_.size() - from);
-  }
-  util::Bytes Take() { return std::move(out_); }
-
- private:
-  util::Bytes out_;
-};
-
-class Reader {
- public:
-  explicit Reader(util::ByteSpan data) : data_(data) {}
-
-  std::uint8_t U8() { return Raw(1)[0]; }
-  std::uint32_t U32() {
-    const auto* p = Raw(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t U64() {
-    const auto* p = Raw(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t n = U32();
-    const auto* p = Raw(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-  util::ByteSpan Span(std::size_t from, std::size_t length) const {
-    return util::ByteSpan(data_.data() + from, length);
-  }
-  std::size_t pos() const { return pos_; }
-
- private:
-  const util::Byte* Raw(std::size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw ProfileCorruptError("boot profile truncated");
-    }
-    const util::Byte* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  util::ByteSpan data_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -108,7 +43,7 @@ std::vector<std::uint64_t> BootProfile::BlocksForFile(const std::string& file,
 }
 
 util::Bytes BootProfile::Serialize() const {
-  Writer w;
+  util::wire::Writer w;
   w.U32(kMagic);
   w.U32(kVersion);
   w.U32(static_cast<std::uint32_t>(files_.size()));
@@ -123,30 +58,14 @@ util::Bytes BootProfile::Serialize() const {
     // a bit flip inside one touch is caught without re-reading the trailer.
     w.U64(util::Fnv1a64(w.Tail(record_start)));
   }
-  util::Bytes body = w.Take();
-  util::Sha256Context sha;
-  sha.Update(body);
-  const auto trailer = sha.Finish();
-  body.insert(body.end(), trailer.begin(), trailer.end());
-  return body;
+  return w.TakeWithTrailer();
 }
 
 BootProfile BootProfile::Deserialize(util::ByteSpan wire) {
-  if (wire.size() < kShaTrailerBytes) {
-    throw ProfileCorruptError("boot profile shorter than its trailer");
-  }
-  const util::ByteSpan body(wire.data(), wire.size() - kShaTrailerBytes);
-  util::Sha256Context sha;
-  sha.Update(body);
-  const auto expected = sha.Finish();
-  const util::Byte* carried = wire.data() + body.size();
-  for (std::size_t i = 0; i < kShaTrailerBytes; ++i) {
-    if (carried[i] != expected[i]) {
-      throw ProfileCorruptError("boot profile trailer mismatch");
-    }
-  }
-
-  Reader r(body);
+  const util::ByteSpan body = util::wire::VerifyTrailer<ProfileCorruptError>(
+      wire, "boot profile shorter than its trailer",
+      "boot profile trailer mismatch");
+  util::wire::Reader<ProfileCorruptError> r(body, "boot profile truncated");
   if (r.U32() != kMagic) throw ProfileCorruptError("boot profile bad magic");
   const std::uint32_t version = r.U32();
   if (version != kVersion) {

@@ -1,7 +1,7 @@
 // Volume persistence: Serialize() / Deserialize() members of zvol::Volume.
 //
 // Image layout (all little-endian, SHA-256 trailer over the body):
-//   magic "SQVL", version
+//   magic "SQVC", version
 //   config: block_size, codec, dedup, fast_hash
 //   next snapshot id
 //   block section: count, then per unique digest the raw payload
@@ -13,7 +13,7 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "util/sha256.h"
+#include "util/wire.h"
 #include "zvol/volume.h"
 
 namespace squirrel::zvol {
@@ -22,68 +22,7 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53515643;  // "SQVC"
 constexpr std::uint32_t kVersion = 1;
 
-class Writer {
- public:
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void Blob(util::ByteSpan b) {
-    U32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-  util::Bytes Take() { return std::move(out_); }
-
- private:
-  util::Bytes out_;
-};
-
-class Reader {
- public:
-  explicit Reader(util::ByteSpan data) : data_(data) {}
-  std::uint8_t U8() { return Raw(1)[0]; }
-  std::uint32_t U32() {
-    const auto* p = Raw(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t U64() {
-    const auto* p = Raw(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t n = U32();
-    const auto* p = Raw(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-  util::Bytes Blob() {
-    const std::uint32_t n = U32();
-    const auto* p = Raw(n);
-    return util::Bytes(p, p + n);
-  }
-
- private:
-  const util::Byte* Raw(std::size_t n) {
-    if (pos_ + n > data_.size()) throw VolumeImageError("volume image truncated");
-    const util::Byte* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-  util::ByteSpan data_;
-  std::size_t pos_ = 0;
-};
-
-void WriteTable(Writer& w, const FileTable& table) {
+void WriteTable(util::wire::Writer& w, const FileTable& table) {
   w.U32(static_cast<std::uint32_t>(table.size()));
   for (const auto& [name, meta] : table) {
     w.Str(name);
@@ -99,7 +38,7 @@ void WriteTable(Writer& w, const FileTable& table) {
   }
 }
 
-FileTable ReadTable(Reader& r) {
+FileTable ReadTable(util::wire::Reader<VolumeImageError>& r) {
   FileTable table;
   const std::uint32_t files = r.U32();
   for (std::uint32_t f = 0; f < files; ++f) {
@@ -129,7 +68,7 @@ FileTable ReadTable(Reader& r) {
 }  // namespace
 
 util::Bytes Volume::Serialize() const {
-  Writer w;
+  util::wire::Writer w;
   w.U32(kMagic);
   w.U32(kVersion);
   w.U32(config_.block_size);
@@ -181,21 +120,14 @@ util::Bytes Volume::Serialize() const {
     WriteTable(w, snap->files);
   }
 
-  util::Bytes body = w.Take();
-  const auto checksum = util::Sha256(body);
-  body.insert(body.end(), checksum.begin(), checksum.end());
-  return body;
+  return w.TakeWithTrailer();
 }
 
 std::unique_ptr<Volume> Volume::Deserialize(util::ByteSpan image) {
-  if (image.size() < 32) throw VolumeImageError("volume image too short");
-  const util::ByteSpan body = image.first(image.size() - 32);
-  const auto checksum = util::Sha256(body);
-  if (std::memcmp(checksum.data(), image.data() + body.size(), 32) != 0) {
-    throw VolumeImageError("volume image checksum mismatch");
-  }
-
-  Reader r(body);
+  util::wire::Reader<VolumeImageError> r(
+      util::wire::VerifyTrailer<VolumeImageError>(
+          image, "volume image too short", "volume image checksum mismatch"),
+      "volume image truncated");
   if (r.U32() != kMagic) throw VolumeImageError("volume image bad magic");
   if (r.U32() != kVersion) throw VolumeImageError("volume image bad version");
 

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "util/sha256.h"
+#include "util/wire.h"
 
 namespace squirrel::zvol {
 namespace {
@@ -10,76 +10,10 @@ namespace {
 constexpr std::uint32_t kMagicV1 = 0x53515353;  // "SQSS" — no record checksums
 constexpr std::uint32_t kMagicV2 = 0x32515353;  // "SSQ2" — record checksums
 
-class Writer {
- public:
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void Blob(util::ByteSpan b) {
-    U32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-  util::Bytes Take() { return std::move(out_); }
-
- private:
-  util::Bytes out_;
-};
-
-class Reader {
- public:
-  explicit Reader(util::ByteSpan data) : data_(data) {}
-
-  std::uint8_t U8() { return Raw(1)[0]; }
-  std::uint32_t U32() {
-    const auto* p = Raw(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::uint64_t U64() {
-    const auto* p = Raw(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(p[i]) << (8 * i);
-    return v;
-  }
-  std::string Str() {
-    const std::uint32_t n = U32();
-    const auto* p = Raw(n);
-    return std::string(reinterpret_cast<const char*>(p), n);
-  }
-  util::Bytes Blob() {
-    const std::uint32_t n = U32();
-    const auto* p = Raw(n);
-    return util::Bytes(p, p + n);
-  }
-  std::size_t remaining() const { return data_.size() - pos_; }
-
- private:
-  const util::Byte* Raw(std::size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw StreamCorruptError("send stream truncated");
-    }
-    const util::Byte* p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  util::ByteSpan data_;
-  std::size_t pos_ = 0;
-};
-
 }  // namespace
 
 util::Bytes SendStream::Serialize() const {
-  Writer w;
+  util::wire::Writer w;
   w.U32(kMagicV2);
   w.U8(incremental ? 1 : 0);
   w.U64(from_id);
@@ -115,21 +49,14 @@ util::Bytes SendStream::Serialize() const {
     }
   }
 
-  util::Bytes body = w.Take();
-  const auto checksum = util::Sha256(body);
-  body.insert(body.end(), checksum.begin(), checksum.end());
-  return body;
+  return w.TakeWithTrailer();
 }
 
 SendStream SendStream::Deserialize(util::ByteSpan wire) {
-  if (wire.size() < 32) throw StreamCorruptError("send stream too short");
-  const util::ByteSpan body = wire.first(wire.size() - 32);
-  const auto checksum = util::Sha256(body);
-  if (std::memcmp(checksum.data(), wire.data() + body.size(), 32) != 0) {
-    throw StreamCorruptError("send stream checksum mismatch");
-  }
-
-  Reader r(body);
+  util::wire::Reader<StreamCorruptError> r(
+      util::wire::VerifyTrailer<StreamCorruptError>(
+          wire, "send stream too short", "send stream checksum mismatch"),
+      "send stream truncated");
   const std::uint32_t magic = r.U32();
   if (magic != kMagicV1 && magic != kMagicV2) {
     throw StreamCorruptError("send stream bad magic");
