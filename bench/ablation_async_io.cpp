@@ -20,6 +20,7 @@
 #include "cow/chain.h"
 #include "sim/boot_sim.h"
 #include "sim/devices.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -78,36 +79,27 @@ SweepPoint RunPoint(zvol::Volume& volume,
 
 void WriteJson(const std::vector<SweepPoint>& points, double baseline_seconds,
                const Options& options) {
-  FILE* out = std::fopen("BENCH_async_io.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "ablation_async_io: cannot write BENCH_async_io.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "async_io");
+  json.Group().Uint("images", options.images);
+  json.Group().Uint("seed", options.seed);
+  json.Group().Double("sync_baseline_seconds", "%.9f", baseline_seconds);
+  json.Group().Rows("sweep");
+  for (const SweepPoint& p : points) {
+    json.Object()
+        .Uint("depth", p.depth)
+        .Uint("readahead", p.readahead)
+        .Double("mean_boot_seconds", "%.9f", p.mean_seconds)
+        .Double("speedup_vs_sync", "%.4f",
+                p.mean_seconds > 0 ? baseline_seconds / p.mean_seconds : 0.0)
+        .Uint("physical_ops", p.queue.physical_ops)
+        .Uint("coalesced", p.queue.coalesced)
+        .Uint("reordered", p.queue.reordered)
+        .Uint("prefetch_drops", p.queue.prefetch_drops)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"async_io\",\n  \"images\": %u,\n"
-               "  \"seed\": %llu,\n  \"sync_baseline_seconds\": %.9f,\n"
-               "  \"sweep\": [\n",
-               options.images, static_cast<unsigned long long>(options.seed),
-               baseline_seconds);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(
-        out,
-        "    {\"depth\": %u, \"readahead\": %u, \"mean_boot_seconds\": %.9f, "
-        "\"speedup_vs_sync\": %.4f, \"physical_ops\": %llu, "
-        "\"coalesced\": %llu, \"reordered\": %llu, "
-        "\"prefetch_drops\": %llu}%s\n",
-        p.depth, p.readahead, p.mean_seconds,
-        p.mean_seconds > 0 ? baseline_seconds / p.mean_seconds : 0.0,
-        static_cast<unsigned long long>(p.queue.physical_ops),
-        static_cast<unsigned long long>(p.queue.coalesced),
-        static_cast<unsigned long long>(p.queue.reordered),
-        static_cast<unsigned long long>(p.queue.prefetch_drops),
-        i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  WriteBenchJson("BENCH_async_io.json", json.Finish());
 }
 
 }  // namespace
@@ -183,6 +175,5 @@ int main(int argc, char** argv) {
       "into fewer physical ops, strictly lowering simulated boot time.\n");
 
   WriteJson(points, baseline_seconds, options);
-  std::printf("\nwrote BENCH_async_io.json\n");
   return 0;
 }

@@ -35,6 +35,7 @@
 #include "bench/harness.h"
 #include "store/block_store.h"
 #include "store/cache_controller.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -294,40 +295,28 @@ int main(int argc, char** argv) {
                 adaptive_rate / best_static);
   }
 
-  FILE* out = std::fopen("BENCH_cache.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "ablation_cache_adaptive: cannot write BENCH_cache.json\n");
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"tenants\": %u, \"budget_bytes\": %llu,\n",
-               boot_tenants, static_cast<unsigned long long>(budget));
-  std::fprintf(out, "  \"modes\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ModeResult& r = results[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"boot_hit_rate\": %.9g, "
-                 "\"hit_rate\": %.9g, \"controller_ticks\": %llu, "
-                 "\"tenants\": [",
-                 r.name.c_str(), r.boot_hit_rate, r.hit_rate,
-                 static_cast<unsigned long long>(r.controller_ticks));
-    for (std::size_t t = 0; t < r.per_tenant.size(); ++t) {
-      const TenantTally& tally = r.per_tenant[t];
-      std::fprintf(out,
-                   "%s{\"hits\": %llu, \"misses\": %llu, "
-                   "\"ghost_hits\": %llu}",
-                   t > 0 ? ", " : "",
-                   static_cast<unsigned long long>(tally.hits),
-                   static_cast<unsigned long long>(tally.misses),
-                   static_cast<unsigned long long>(tally.ghost_hits));
+  util::JsonWriter json;
+  json.Group().Uint("tenants", boot_tenants).Uint("budget_bytes", budget);
+  json.Group().Rows("modes");
+  for (const ModeResult& r : results) {
+    json.Object()
+        .Str("name", r.name)
+        .Double("boot_hit_rate", "%.9g", r.boot_hit_rate)
+        .Double("hit_rate", "%.9g", r.hit_rate)
+        .Uint("controller_ticks", r.controller_ticks)
+        .Array("tenants");
+    for (const TenantTally& tally : r.per_tenant) {
+      json.Object()
+          .Uint("hits", tally.hits)
+          .Uint("misses", tally.misses)
+          .Uint("ghost_hits", tally.ghost_hits)
+          .End();
     }
-    std::fprintf(out, "]}%s\n", i + 1 < results.size() ? "," : "");
+    json.End().End();
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"adaptive_over_best_static\": %.9g\n",
-               best_static > 0.0 ? adaptive_rate / best_static : 0.0);
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-  std::printf("\nwrote BENCH_cache.json\n");
+  json.End();
+  json.Group().Double("adaptive_over_best_static", "%.9g",
+                      best_static > 0.0 ? adaptive_rate / best_static : 0.0);
+  WriteBenchJson("BENCH_cache.json", json.Finish());
   return 0;
 }

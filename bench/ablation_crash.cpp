@@ -26,6 +26,7 @@
 #include "bench/ingest_common.h"
 #include "core/squirrel.h"
 #include "util/fault_injector.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -179,52 +180,40 @@ ByzantineRow RunByzantineSweep(const vmi::Catalog& catalog, double rate,
 void WriteJson(const std::vector<CrashRow>& crash,
                const std::vector<ByzantineRow>& byzantine,
                const Options& options) {
-  FILE* out = std::fopen("BENCH_crash.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "ablation_crash: cannot write BENCH_crash.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "crash");
+  json.Group().Uint("images", options.images);
+  json.Group().Uint("seed", options.seed);
+  json.Group().Rows("crash");
+  for (const CrashRow& r : crash) {
+    json.Object()
+        .Double("crash_rate", "%g", r.rate)
+        .Uint("crashed_applies", r.crashed_applies)
+        .Uint("recovery_syncs", r.recovery_syncs)
+        .Uint("sync_crashes", r.sync_crashes)
+        .Uint("full_resyncs", r.full_resyncs)
+        .Uint("consistent_nodes", r.consistent_nodes)
+        .Uint("nodes", r.nodes)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"crash\",\n  \"images\": %u,\n"
-               "  \"seed\": %llu,\n  \"crash\": [\n",
-               options.images,
-               static_cast<unsigned long long>(options.seed));
-  for (std::size_t i = 0; i < crash.size(); ++i) {
-    const CrashRow& r = crash[i];
-    std::fprintf(
-        out,
-        "    {\"crash_rate\": %g, \"crashed_applies\": %llu, "
-        "\"recovery_syncs\": %llu, \"sync_crashes\": %llu, "
-        "\"full_resyncs\": %llu, \"consistent_nodes\": %u, "
-        "\"nodes\": %u}%s\n",
-        r.rate, static_cast<unsigned long long>(r.crashed_applies),
-        static_cast<unsigned long long>(r.recovery_syncs),
-        static_cast<unsigned long long>(r.sync_crashes),
-        static_cast<unsigned long long>(r.full_resyncs), r.consistent_nodes,
-        r.nodes, i + 1 < crash.size() ? "," : "");
+  json.End();
+  json.Group().Rows("byzantine");
+  for (const ByzantineRow& r : byzantine) {
+    json.Object()
+        .Double("byzantine_peer_rate", "%g", r.rate)
+        .Uint("boots", r.boots)
+        .Uint("completed", r.completed)
+        .Uint("repair_reads", r.repair_reads)
+        .Uint("byzantine_rejected", r.byzantine_rejected)
+        .Uint("peers_blacklisted", r.max_peers_blacklisted)
+        .Uint("resourced_blocks", r.resourced_blocks)
+        .Uint("byzantine_served", r.byzantine_served)
+        .Uint("byzantine_detected", r.byzantine_detected)
+        .Double("mean_boot_seconds", "%.4f", r.mean_boot_seconds)
+        .End();
   }
-  std::fprintf(out, "  ],\n  \"byzantine\": [\n");
-  for (std::size_t i = 0; i < byzantine.size(); ++i) {
-    const ByzantineRow& r = byzantine[i];
-    std::fprintf(
-        out,
-        "    {\"byzantine_peer_rate\": %g, \"boots\": %llu, "
-        "\"completed\": %llu, \"repair_reads\": %llu, "
-        "\"byzantine_rejected\": %llu, \"peers_blacklisted\": %llu, "
-        "\"resourced_blocks\": %llu, \"byzantine_served\": %llu, "
-        "\"byzantine_detected\": %llu, \"mean_boot_seconds\": %.4f}%s\n",
-        r.rate, static_cast<unsigned long long>(r.boots),
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.repair_reads),
-        static_cast<unsigned long long>(r.byzantine_rejected),
-        static_cast<unsigned long long>(r.max_peers_blacklisted),
-        static_cast<unsigned long long>(r.resourced_blocks),
-        static_cast<unsigned long long>(r.byzantine_served),
-        static_cast<unsigned long long>(r.byzantine_detected),
-        r.mean_boot_seconds, i + 1 < byzantine.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  WriteBenchJson("BENCH_crash.json", json.Finish());
 }
 
 }  // namespace
@@ -279,6 +268,5 @@ int main(int argc, char** argv) {
       "deaths and Byzantine peers, not just bit rot.\n");
 
   WriteJson(crash, byzantine, options);
-  std::printf("\nwrote BENCH_crash.json\n");
   return 0;
 }

@@ -18,6 +18,7 @@
 #include "bench/ingest_common.h"
 #include "core/squirrel.h"
 #include "util/fault_injector.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -123,52 +124,39 @@ TransferRow RunTransferSweep(const vmi::Catalog& catalog, double rate,
 void WriteJson(const std::vector<CorruptionRow>& corruption,
                const std::vector<TransferRow>& transfers,
                const Options& options) {
-  FILE* out = std::fopen("BENCH_faults.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "ablation_faults: cannot write BENCH_faults.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "faults");
+  json.Group().Uint("images", options.images);
+  json.Group().Uint("seed", options.seed);
+  json.Group().Rows("corruption");
+  for (const CorruptionRow& r : corruption) {
+    json.Object()
+        .Double("block_corrupt_rate", "%g", r.rate)
+        .Uint("blocks_checked", r.blocks_checked)
+        .Uint("blocks_corrupted", r.corrupted)
+        .Uint("errors_found", r.errors_found)
+        .Uint("repaired", r.repaired)
+        .Uint("unrepairable", r.unrepairable)
+        .Uint("repaired_bytes", r.repaired_bytes)
+        .Uint("post_scrub_errors", r.post_scrub_errors)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"faults\",\n  \"images\": %u,\n"
-               "  \"seed\": %llu,\n  \"corruption\": [\n",
-               options.images,
-               static_cast<unsigned long long>(options.seed));
-  for (std::size_t i = 0; i < corruption.size(); ++i) {
-    const CorruptionRow& r = corruption[i];
-    std::fprintf(
-        out,
-        "    {\"block_corrupt_rate\": %g, \"blocks_checked\": %llu, "
-        "\"blocks_corrupted\": %llu, \"errors_found\": %llu, "
-        "\"repaired\": %llu, \"unrepairable\": %llu, "
-        "\"repaired_bytes\": %llu, \"post_scrub_errors\": %llu}%s\n",
-        r.rate, static_cast<unsigned long long>(r.blocks_checked),
-        static_cast<unsigned long long>(r.corrupted),
-        static_cast<unsigned long long>(r.errors_found),
-        static_cast<unsigned long long>(r.repaired),
-        static_cast<unsigned long long>(r.unrepairable),
-        static_cast<unsigned long long>(r.repaired_bytes),
-        static_cast<unsigned long long>(r.post_scrub_errors),
-        i + 1 < corruption.size() ? "," : "");
+  json.End();
+  json.Group().Rows("transfers");
+  for (const TransferRow& r : transfers) {
+    json.Object()
+        .Double("transfer_fail_rate", "%g", r.rate)
+        .Uint("attempts", r.totals.attempts)
+        .Uint("retries", r.totals.retries)
+        .Uint("abandoned", r.totals.abandoned)
+        .Uint("retransmitted_bytes", r.totals.retransmitted_bytes)
+        .Double("backoff_seconds", "%.3f", r.totals.backoff_seconds)
+        .Double("mean_registration_seconds", "%.4f", r.mean_reg_seconds)
+        .Double("max_registration_seconds", "%.4f", r.max_reg_seconds)
+        .End();
   }
-  std::fprintf(out, "  ],\n  \"transfers\": [\n");
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    const TransferRow& r = transfers[i];
-    std::fprintf(
-        out,
-        "    {\"transfer_fail_rate\": %g, \"attempts\": %llu, "
-        "\"retries\": %llu, \"abandoned\": %llu, "
-        "\"retransmitted_bytes\": %llu, \"backoff_seconds\": %.3f, "
-        "\"mean_registration_seconds\": %.4f, "
-        "\"max_registration_seconds\": %.4f}%s\n",
-        r.rate, static_cast<unsigned long long>(r.totals.attempts),
-        static_cast<unsigned long long>(r.totals.retries),
-        static_cast<unsigned long long>(r.totals.abandoned),
-        static_cast<unsigned long long>(r.totals.retransmitted_bytes),
-        r.totals.backoff_seconds, r.mean_reg_seconds, r.max_reg_seconds,
-        i + 1 < transfers.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  WriteBenchJson("BENCH_faults.json", json.Finish());
 }
 
 }  // namespace
@@ -225,6 +213,5 @@ int main(int argc, char** argv) {
       "at a bounded network premium.\n");
 
   WriteJson(corruption, transfers, options);
-  std::printf("\nwrote BENCH_faults.json\n");
   return 0;
 }

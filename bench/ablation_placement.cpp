@@ -23,6 +23,7 @@
 #include "bench/ingest_common.h"
 #include "core/squirrel.h"
 #include "sim/fleet/fleet.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -207,51 +208,43 @@ FleetRow RunFleetSweep(std::uint32_t data, std::uint32_t parity,
 
 void WriteJson(const std::vector<ClusterRow>& cluster,
                const std::vector<FleetRow>& fleet, const Options& options) {
-  FILE* out = std::fopen("BENCH_placement.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "ablation_placement: cannot write BENCH_placement.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "placement");
+  json.Group().Uint("images", options.images);
+  json.Group().Uint("seed", options.seed);
+  json.Group().Rows("cluster");
+  for (const ClusterRow& r : cluster) {
+    json.Object()
+        .Str("policy", r.policy)
+        .Uint("set_size", r.set_size)
+        .Double("per_node_raw_bytes", "%.0f", r.per_node_raw_bytes)
+        .Double("per_node_fraction", "%.4f", r.per_node_fraction)
+        .Double("healthy_mean_seconds", "%.4f", r.healthy_mean_seconds)
+        .Double("healthy_p99_seconds", "%.4f", r.healthy_p99_seconds)
+        .Double("degraded_mean_seconds", "%.4f", r.degraded_mean_seconds)
+        .Double("degraded_p99_seconds", "%.4f", r.degraded_p99_seconds)
+        .Uint("reconstructed_blocks", r.reconstructed_blocks)
+        .Uint("parity_reads", r.parity_reads)
+        .Uint("reconstruct_fallbacks", r.reconstruct_fallbacks)
+        .Uint("storage_refetches", r.storage_refetches)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"placement\",\n  \"images\": %u,\n"
-               "  \"seed\": %llu,\n  \"cluster\": [\n",
-               options.images, static_cast<unsigned long long>(options.seed));
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    const ClusterRow& r = cluster[i];
-    std::fprintf(
-        out,
-        "    {\"policy\": \"%s\", \"set_size\": %u, "
-        "\"per_node_raw_bytes\": %.0f, \"per_node_fraction\": %.4f, "
-        "\"healthy_mean_seconds\": %.4f, \"healthy_p99_seconds\": %.4f, "
-        "\"degraded_mean_seconds\": %.4f, \"degraded_p99_seconds\": %.4f, "
-        "\"reconstructed_blocks\": %llu, \"parity_reads\": %llu, "
-        "\"reconstruct_fallbacks\": %llu, \"storage_refetches\": %llu}%s\n",
-        r.policy.c_str(), r.set_size, r.per_node_raw_bytes,
-        r.per_node_fraction, r.healthy_mean_seconds, r.healthy_p99_seconds,
-        r.degraded_mean_seconds, r.degraded_p99_seconds,
-        static_cast<unsigned long long>(r.reconstructed_blocks),
-        static_cast<unsigned long long>(r.parity_reads),
-        static_cast<unsigned long long>(r.reconstruct_fallbacks),
-        static_cast<unsigned long long>(r.storage_refetches),
-        i + 1 < cluster.size() ? "," : "");
+  json.End();
+  json.Group().Rows("fleet");
+  for (const FleetRow& r : fleet) {
+    json.Object()
+        .Str("policy", r.policy)
+        .Uint("set_size", r.set_size)
+        .Double("per_node_capacity_fraction", "%.4f",
+                r.per_node_capacity_fraction)
+        .Double("deploy_p99_seconds", "%.4f", r.deploy_p99_seconds)
+        .Uint("reconstructions", r.reconstructions)
+        .Double("shard_gather_bytes", "%.0f", r.shard_gather_bytes)
+        .Double("sim_seconds", "%.4f", r.sim_seconds)
+        .End();
   }
-  std::fprintf(out, "  ],\n  \"fleet\": [\n");
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const FleetRow& r = fleet[i];
-    std::fprintf(
-        out,
-        "    {\"policy\": \"%s\", \"set_size\": %u, "
-        "\"per_node_capacity_fraction\": %.4f, "
-        "\"deploy_p99_seconds\": %.4f, \"reconstructions\": %llu, "
-        "\"shard_gather_bytes\": %.0f, \"sim_seconds\": %.4f}%s\n",
-        r.policy.c_str(), r.set_size, r.per_node_capacity_fraction,
-        r.deploy_p99_seconds, static_cast<unsigned long long>(r.reconstructions),
-        r.shard_gather_bytes, r.sim_seconds,
-        i + 1 < fleet.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  WriteBenchJson("BENCH_placement.json", json.Finish());
 }
 
 }  // namespace
@@ -309,6 +302,5 @@ int main(int argc, char** argv) {
       "bounded latency premium over a healthy boot.\n");
 
   WriteJson(cluster, fleet, options);
-  std::printf("\nwrote BENCH_placement.json\n");
   return 0;
 }

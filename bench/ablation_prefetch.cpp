@@ -34,6 +34,7 @@
 #include "cow/chain.h"
 #include "sim/boot_sim.h"
 #include "sim/devices.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "vmi/boot_profile.h"
@@ -185,42 +186,34 @@ ModeResult RunMode(const Mode& mode, const std::vector<SampleVm>& vms,
 void WriteJson(const std::vector<Mode>& modes,
                const std::vector<ModeResult>& results,
                double baseline_seconds, const Options& options) {
-  FILE* out = std::fopen("BENCH_prefetch.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr,
-                 "ablation_prefetch: cannot write BENCH_prefetch.json\n");
-    return;
-  }
-  std::fprintf(out,
-               "{\n  \"bench\": \"prefetch\",\n  \"images\": %u,\n"
-               "  \"seed\": %llu,\n  \"sync_baseline_seconds\": %.9f,\n"
-               "  \"modes\": [\n",
-               options.images, static_cast<unsigned long long>(options.seed),
-               baseline_seconds);
+  util::JsonWriter json;
+  json.Group().Str("bench", "prefetch");
+  json.Group().Uint("images", options.images);
+  json.Group().Uint("seed", options.seed);
+  json.Group().Double("sync_baseline_seconds", "%.9f", baseline_seconds);
+  json.Group().Rows("modes");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const Mode& m = modes[i];
     const ModeResult& r = results[i];
-    std::fprintf(
-        out,
-        "    {\"mode\": \"%s\", \"depth\": %u, \"readahead\": %u, "
-        "\"profile\": %s, \"degraded\": %s, \"pre_heal\": %s, "
-        "\"mean_boot_seconds\": %.9f, \"speedup_vs_sync\": %.4f, "
-        "\"repair_reads\": %llu, \"repaired_bytes\": %llu, "
-        "\"preheal_fetches\": %llu, \"preheal_bytes\": %llu, "
-        "\"prefetch_issued\": %llu}%s\n",
-        m.name, m.depth, m.readahead, m.profile ? "true" : "false",
-        m.degraded ? "true" : "false", m.pre_heal ? "true" : "false",
-        r.mean_seconds,
-        r.mean_seconds > 0 ? baseline_seconds / r.mean_seconds : 0.0,
-        static_cast<unsigned long long>(r.repair_reads),
-        static_cast<unsigned long long>(r.repaired_bytes),
-        static_cast<unsigned long long>(r.preheal_fetches),
-        static_cast<unsigned long long>(r.preheal_bytes),
-        static_cast<unsigned long long>(r.prefetch_issued),
-        i + 1 < results.size() ? "," : "");
+    json.Object()
+        .Str("mode", m.name)
+        .Uint("depth", m.depth)
+        .Uint("readahead", m.readahead)
+        .Bool("profile", m.profile)
+        .Bool("degraded", m.degraded)
+        .Bool("pre_heal", m.pre_heal)
+        .Double("mean_boot_seconds", "%.9f", r.mean_seconds)
+        .Double("speedup_vs_sync", "%.4f",
+                r.mean_seconds > 0 ? baseline_seconds / r.mean_seconds : 0.0)
+        .Uint("repair_reads", r.repair_reads)
+        .Uint("repaired_bytes", r.repaired_bytes)
+        .Uint("preheal_fetches", r.preheal_fetches)
+        .Uint("preheal_bytes", r.preheal_bytes)
+        .Uint("prefetch_issued", r.prefetch_issued)
+        .End();
   }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  WriteBenchJson("BENCH_prefetch.json", json.Finish());
 }
 
 }  // namespace
@@ -286,6 +279,5 @@ int main(int argc, char** argv) {
       "on-demand row's critical-path repair reads to before the boot.\n");
 
   WriteJson(modes, results, baseline_seconds, options);
-  std::printf("\nwrote BENCH_prefetch.json\n");
   return 0;
 }

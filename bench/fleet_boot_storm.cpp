@@ -114,14 +114,6 @@ int main(int argc, char** argv) {
               report.sim_seconds,
               static_cast<unsigned long long>(report.events_fired));
 
-  FILE* out = std::fopen("BENCH_fleet.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "fleet_boot_storm: cannot write BENCH_fleet.json\n");
-    return 1;
-  }
-  const std::string json = report.ToJson();
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-  std::printf("\nwrote BENCH_fleet.json\n");
+  WriteBenchJson("BENCH_fleet.json", report.ToJson());
   return 0;
 }

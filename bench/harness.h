@@ -19,6 +19,8 @@
 // Each binary prints (a) the series of the paper figure/table it reproduces,
 // at simulation scale, and (b) paper-scale projections where byte counts are
 // involved (projection = measured ratio applied to the paper's raw sizes).
+// Benches that also write a BENCH_*.json report build it with
+// util::JsonWriter and write it through WriteBenchJson.
 #pragma once
 
 #include <algorithm>
@@ -230,6 +232,23 @@ inline FleetOptions ParseFleetOptions(int argc, char** argv) {
   }
   options.base = ParseOptions(static_cast<int>(rest.size()), rest.data());
   return options;
+}
+
+/// Writes a report built by util::JsonWriter to `name` in the working
+/// directory, then prints "wrote <name>". When the file cannot be opened,
+/// written or closed, it prints why to stderr and exits 1 instead, so no run
+/// claims a report it did not write.
+inline void WriteBenchJson(const char* name, const std::string& json) {
+  FILE* out = std::fopen(name, "w");
+  bool written = out != nullptr &&
+                 std::fwrite(json.data(), 1, json.size(), out) == json.size();
+  if (out != nullptr) written = std::fclose(out) == 0 && written;
+  if (!written) {
+    std::fprintf(stderr, "error: cannot write %s: %s\n", name,
+                 std::strerror(errno));
+    std::exit(1);
+  }
+  std::printf("\nwrote %s\n", name);
 }
 
 inline vmi::CatalogConfig MakeCatalogConfig(const Options& options) {

@@ -13,8 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "bench/harness.h"
 #include "store/block_store.h"
 #include "util/hash.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "vmi/corpus.h"
 #include "zvol/volume.h"
@@ -231,28 +233,24 @@ void RunIngestComparison() {
   }
   std::printf("\n");
 
-  FILE* out = std::fopen("BENCH_ingest.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "micro_store: cannot write BENCH_ingest.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "ingest");
+  json.Group().Uint("block_size", 65536);
+  json.Group().Str("codec", "gzip6");
+  json.Group().Bool("fast_hash", false);
+  json.Group().Uint("file_bytes", file_size);
+  json.Group().Rows("results");
+  for (const IngestRun& run : runs) {
+    json.Object()
+        .Uint("threads", run.threads)
+        .Double("seconds", "%.6f", run.seconds)
+        .Double("mb_per_s", "%.2f", run.mb_per_s)
+        .Double("speedup_vs_serial", "%.3f", run.speedup)
+        .Bool("stats_match_serial", run.stats_match_serial)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"ingest\",\n  \"block_size\": 65536,\n"
-               "  \"codec\": \"gzip6\",\n  \"fast_hash\": false,\n"
-               "  \"file_bytes\": %llu,\n  \"results\": [\n",
-               static_cast<unsigned long long>(file_size));
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const IngestRun& run = runs[i];
-    std::fprintf(out,
-                 "    {\"threads\": %zu, \"seconds\": %.6f, "
-                 "\"mb_per_s\": %.2f, \"speedup_vs_serial\": %.3f, "
-                 "\"stats_match_serial\": %s}%s\n",
-                 run.threads, run.seconds, run.mb_per_s, run.speedup,
-                 run.stats_match_serial ? "true" : "false",
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  bench::WriteBenchJson("BENCH_ingest.json", json.Finish());
 }
 
 // --- serial Get vs batched / cached reads (BENCH_read.json) ----------------
@@ -416,35 +414,30 @@ void RunReadComparison() {
   }
   std::printf("\n");
 
-  FILE* out = std::fopen("BENCH_read.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "micro_store: cannot write BENCH_read.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "read");
+  json.Group().Uint("block_size", 65536);
+  json.Group().Str("codec", "gzip6");
+  json.Group().Uint("image_bytes", image_a.size());
+  json.Group().Uint("images", 2);
+  json.Group().Double("intra_image_dup", "%g", 0.5);
+  json.Group().Double("cross_image_shared", "%g", 0.5);
+  json.Group().Rows("results");
+  for (const ReadRun& run : runs) {
+    json.Object()
+        .Str("mode", run.mode)
+        .Uint("threads", run.threads)
+        .Uint("cache_bytes", run.cache_bytes)
+        .Double("seconds", "%.6f", run.seconds)
+        .Double("mb_per_s", "%.2f", run.mb_per_s)
+        .Double("speedup_vs_serial", "%.3f", run.speedup)
+        .Uint("cache_hits", run.cache_hits)
+        .Uint("decompressed_blocks", run.decompressed_blocks)
+        .Bool("payloads_match_serial", run.payloads_match_serial)
+        .End();
   }
-  std::fprintf(out,
-               "{\n  \"bench\": \"read\",\n  \"block_size\": 65536,\n"
-               "  \"codec\": \"gzip6\",\n  \"image_bytes\": %llu,\n"
-               "  \"images\": 2,\n  \"intra_image_dup\": 0.5,\n"
-               "  \"cross_image_shared\": 0.5,\n  \"results\": [\n",
-               static_cast<unsigned long long>(image_a.size()));
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ReadRun& run = runs[i];
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"threads\": %zu, "
-                 "\"cache_bytes\": %llu, \"seconds\": %.6f, "
-                 "\"mb_per_s\": %.2f, \"speedup_vs_serial\": %.3f, "
-                 "\"cache_hits\": %llu, \"decompressed_blocks\": %llu, "
-                 "\"payloads_match_serial\": %s}%s\n",
-                 run.mode.c_str(), run.threads,
-                 static_cast<unsigned long long>(run.cache_bytes),
-                 run.seconds, run.mb_per_s, run.speedup,
-                 static_cast<unsigned long long>(run.cache_hits),
-                 static_cast<unsigned long long>(run.decompressed_blocks),
-                 run.payloads_match_serial ? "true" : "false",
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  bench::WriteBenchJson("BENCH_read.json", json.Finish());
 }
 
 // --- sharded-store thread scaling (BENCH_store_scaling.json) ---------------
@@ -635,37 +628,36 @@ void RunScalingSweep() {
   }
   std::printf("\n");
 
-  FILE* out = std::fopen("BENCH_store_scaling.json", "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "micro_store: cannot write BENCH_store_scaling.json\n");
-    return;
+  util::JsonWriter json;
+  json.Group().Str("bench", "store_scaling");
+  json.Group().Str("model", "calibrated-lock-contention-simulation");
+  json.Group().Str("note",
+                   "per-op costs measured on the real store single-threaded; "
+                   "thread/shard scaling is a deterministic greedy schedule "
+                   "of those costs (host has too few cores for wall-clock "
+                   "contention)");
+  json.Group().Uint("host_cores", std::thread::hardware_concurrency());
+  json.Group().Uint("chunk_bytes", kChunk);
+  json.Group()
+      .Object("calibrated_ns")
+      .Double("put_dedup_hit", "%.1f", put_hit_ns)
+      .Double("locked_ddt_op", "%.1f", ref_ns)
+      .Double("warm_arc_hit", "%.1f", get_hit_ns)
+      .Double("cold_read", "%.1f", get_cold_ns)
+      .End();
+  json.Group().Rows("results");
+  for (const ScalingRun& run : runs) {
+    json.Object()
+        .Str("workload", run.workload)
+        .Uint("threads", run.threads)
+        .Uint("shards", run.shards)
+        .Double("ops_per_s", "%.0f", run.ops_per_s)
+        .Double("mb_per_s", "%.2f", run.mb_per_s)
+        .Double("speedup_vs_shards1", "%.3f", run.speedup_vs_shards1)
+        .End();
   }
-  std::fprintf(
-      out,
-      "{\n  \"bench\": \"store_scaling\",\n"
-      "  \"model\": \"calibrated-lock-contention-simulation\",\n"
-      "  \"note\": \"per-op costs measured on the real store "
-      "single-threaded; thread/shard scaling is a deterministic greedy "
-      "schedule of those costs (host has too few cores for wall-clock "
-      "contention)\",\n"
-      "  \"host_cores\": %u,\n  \"chunk_bytes\": %zu,\n"
-      "  \"calibrated_ns\": {\"put_dedup_hit\": %.1f, \"locked_ddt_op\": "
-      "%.1f, \"warm_arc_hit\": %.1f, \"cold_read\": %.1f},\n"
-      "  \"results\": [\n",
-      std::thread::hardware_concurrency(), kChunk, put_hit_ns, ref_ns,
-      get_hit_ns, get_cold_ns);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ScalingRun& run = runs[i];
-    std::fprintf(out,
-                 "    {\"workload\": \"%s\", \"threads\": %zu, "
-                 "\"shards\": %zu, \"ops_per_s\": %.0f, \"mb_per_s\": %.2f, "
-                 "\"speedup_vs_shards1\": %.3f}%s\n",
-                 run.workload, run.threads, run.shards, run.ops_per_s,
-                 run.mb_per_s, run.speedup_vs_shards1,
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  json.End();
+  bench::WriteBenchJson("BENCH_store_scaling.json", json.Finish());
 }
 
 }  // namespace

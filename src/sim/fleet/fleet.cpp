@@ -1,24 +1,10 @@
 #include "sim/fleet/fleet.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "util/json.h"
 
 namespace squirrel::sim::fleet {
-namespace {
-
-void AppendF(std::string& out, const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  out += buf;
-}
-
-void AppendU(std::string& out, unsigned long long v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", v);
-  out += buf;
-}
-
-}  // namespace
 
 FleetScenario::FleetScenario(const FleetConfig& config)
     : config_(config),
@@ -416,102 +402,80 @@ FleetReport FleetScenario::Run() {
 }
 
 std::string FleetReport::ToJson() const {
-  std::string out = "{\n  \"nodes\": ";
-  AppendU(out, nodes);
-  out += ", \"images\": ";
-  AppendU(out, images);
-  out += ", \"zipf_s\": ";
-  AppendF(out, "%.9g", zipf_s);
-  out += ", \"seed\": ";
-  AppendU(out, seed);
-  out += ",\n  \"phases\": [\n";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseStats& p = phases[i];
-    out += "    {\"name\": \"" + p.name + "\", \"boots\": ";
-    AppendU(out, p.boots);
-    out += ", \"remote_boots\": ";
-    AppendU(out, p.remote_boots);
-    out += ", \"window_seconds\": ";
-    AppendF(out, "%.9g", p.window_seconds);
-    out += ", \"throughput_boots_per_second\": ";
-    AppendF(out, "%.9g", p.throughput_boots_per_second);
-    out += ", \"p50_seconds\": ";
-    AppendF(out, "%.9g", p.p50_seconds);
-    out += ", \"p99_seconds\": ";
-    AppendF(out, "%.9g", p.p99_seconds);
-    out += ", \"p999_seconds\": ";
-    AppendF(out, "%.9g", p.p999_seconds);
-    out += ", \"mean_seconds\": ";
-    AppendF(out, "%.9g", p.mean_seconds);
-    out += ", \"max_seconds\": ";
-    AppendF(out, "%.9g", p.max_seconds);
-    out += i + 1 < phases.size() ? "},\n" : "}\n";
+  util::JsonWriter json;
+  json.Group()
+      .Uint("nodes", nodes)
+      .Uint("images", images)
+      .Double("zipf_s", "%.9g", zipf_s)
+      .Uint("seed", seed);
+  json.Group().Rows("phases");
+  for (const PhaseStats& p : phases) {
+    json.Object()
+        .Str("name", p.name)
+        .Uint("boots", p.boots)
+        .Uint("remote_boots", p.remote_boots)
+        .Double("window_seconds", "%.9g", p.window_seconds)
+        .Double("throughput_boots_per_second", "%.9g",
+                p.throughput_boots_per_second)
+        .Double("p50_seconds", "%.9g", p.p50_seconds)
+        .Double("p99_seconds", "%.9g", p.p99_seconds)
+        .Double("p999_seconds", "%.9g", p.p999_seconds)
+        .Double("mean_seconds", "%.9g", p.mean_seconds)
+        .Double("max_seconds", "%.9g", p.max_seconds)
+        .End();
   }
-  out += "  ],\n  \"registration_storm\": {\"registrations\": ";
-  AppendU(out, registration.registrations);
-  out += ", \"slots\": ";
-  AppendU(out, registration.slots);
-  out += ", \"service_p50_seconds\": ";
-  AppendF(out, "%.9g", registration.service_p50_seconds);
-  out += ", \"completion_p50_seconds\": ";
-  AppendF(out, "%.9g", registration.completion_p50_seconds);
-  out += ", \"completion_p99_seconds\": ";
-  AppendF(out, "%.9g", registration.completion_p99_seconds);
-  out += ", \"completion_max_seconds\": ";
-  AppendF(out, "%.9g", registration.completion_max_seconds);
-  out += ", \"all_under_minute\": ";
-  out += registration.all_under_minute ? "true" : "false";
-  out += "},\n";
+  json.End();
+  json.Group()
+      .Object("registration_storm")
+      .Uint("registrations", registration.registrations)
+      .Uint("slots", registration.slots)
+      .Double("service_p50_seconds", "%.9g", registration.service_p50_seconds)
+      .Double("completion_p50_seconds", "%.9g",
+              registration.completion_p50_seconds)
+      .Double("completion_p99_seconds", "%.9g",
+              registration.completion_p99_seconds)
+      .Double("completion_max_seconds", "%.9g",
+              registration.completion_max_seconds)
+      .Bool("all_under_minute", registration.all_under_minute)
+      .End();
   if (placement.enabled) {
     // Only striped runs carry this section, so default-policy output stays
     // byte-identical to the pre-placement format.
-    out += "  \"placement\": {\"storage_set_size\": ";
-    AppendU(out, placement.storage_set_size);
-    out += ", \"data_shards\": ";
-    AppendU(out, placement.data_shards);
-    out += ", \"parity_shards\": ";
-    AppendU(out, placement.parity_shards);
-    out += ", \"set_count\": ";
-    AppendU(out, placement.set_count);
-    out += ", \"per_node_capacity_fraction\": ";
-    AppendF(out, "%.9g", placement.per_node_capacity_fraction);
-    out += ", \"shard_gather_bytes\": ";
-    AppendF(out, "%.9g", placement.shard_gather_bytes);
-    out += ", \"reconstructions\": ";
-    AppendU(out, placement.reconstructions);
-    out += ", \"decode_seconds\": ";
-    AppendF(out, "%.9g", placement.decode_seconds);
-    out += "},\n";
+    json.Group()
+        .Object("placement")
+        .Uint("storage_set_size", placement.storage_set_size)
+        .Uint("data_shards", placement.data_shards)
+        .Uint("parity_shards", placement.parity_shards)
+        .Uint("set_count", placement.set_count)
+        .Double("per_node_capacity_fraction", "%.9g",
+                placement.per_node_capacity_fraction)
+        .Double("shard_gather_bytes", "%.9g", placement.shard_gather_bytes)
+        .Uint("reconstructions", placement.reconstructions)
+        .Double("decode_seconds", "%.9g", placement.decode_seconds)
+        .End();
   }
   if (cache.mode != 0) {
     // Only cache-model runs carry this section, so default output stays
     // byte-identical to the pre-cache-model format.
-    out += "  \"cache\": {\"mode\": ";
-    AppendU(out, cache.mode);
-    out += ", \"ticks\": ";
-    AppendU(out, cache.ticks);
-    out += ", \"boots\": ";
-    AppendU(out, cache.boots);
-    out += ", \"extra_seconds\": ";
-    AppendF(out, "%.9g", cache.extra_seconds);
-    out += ", \"mean_miss_fraction\": ";
-    AppendF(out, "%.9g", cache.mean_miss_fraction);
-    out += ", \"hot_share\": ";
-    AppendF(out, "%.9g", cache.hot_share);
-    out += "},\n";
+    json.Group()
+        .Object("cache")
+        .Uint("mode", cache.mode)
+        .Uint("ticks", cache.ticks)
+        .Uint("boots", cache.boots)
+        .Double("extra_seconds", "%.9g", cache.extra_seconds)
+        .Double("mean_miss_fraction", "%.9g", cache.mean_miss_fraction)
+        .Double("hot_share", "%.9g", cache.hot_share)
+        .End();
   }
-  out += "  \"totals\": {\"boots\": ";
-  AppendU(out, total_boots);
-  out += ", \"sync_catchups\": ";
-  AppendU(out, sync_catchups);
-  out += ", \"sync_bytes\": ";
-  AppendF(out, "%.9g", sync_bytes);
-  out += ", \"sim_seconds\": ";
-  AppendF(out, "%.9g", sim_seconds);
-  out += ", \"events_fired\": ";
-  AppendU(out, events_fired);
-  out += "}\n}\n";
-  return out;
+  json.Group()
+      .Object("totals")
+      .Uint("boots", total_boots)
+      .Uint("sync_catchups", sync_catchups)
+      .Double("sync_bytes", "%.9g", sync_bytes)
+      .Double("sim_seconds", "%.9g", sim_seconds)
+      .Uint("events_fired", events_fired)
+      .End();
+  return json.Finish();
 }
 
 }  // namespace squirrel::sim::fleet
