@@ -121,20 +121,11 @@ struct BootProfileRun {
   /// pure bookkeeping — the recorded boot is bit-identical to an
   /// unprofiled one. Null = off.
   vmi::BootProfile* record = nullptr;
-  /// Maximum profile blocks kept in flight ahead of the guest's cursor.
-  std::uint32_t lead_blocks = 32;
   /// Route the profile's blocks through the degraded-read repair path
   /// before the guest starts: a corrupt replica heals off the critical
   /// path (and the reads warm the decompressed-block ARC as a side
   /// effect). When false, replay only warms the ARC.
   bool pre_heal = true;
-  /// Pin the profile's blocks in the ARC while warming (ARC-warm replay
-  /// only; the pre-heal path reads through the repair path and cannot pin).
-  /// Pinned blocks are boot-critical working set: they charge the booting
-  /// tenant's budget but other tenants cannot evict them (DESIGN.md §17).
-  /// UnpinCache() on the volume's store releases them. Default off —
-  /// pinning changes eviction order, so it is strictly opt-in.
-  bool pin_boot_critical = false;
 };
 
 }  // namespace squirrel::core

@@ -430,9 +430,7 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
     cache.SetProfileRecorder(profile->record);
   }
   sim::ProfilePrefetcher prefetcher(
-      profile != nullptr ? profile->replay : nullptr, &io,
-      sim::ProfilePrefetchConfig{
-          profile != nullptr ? profile->lead_blocks : 32});
+      profile != nullptr ? profile->replay : nullptr, &io);
   sim::ProfilePrefetcher* prefetch = nullptr;
   if (profile != nullptr && profile->replay != nullptr) {
     std::vector<std::uint64_t> touched =
@@ -444,10 +442,7 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
       // network accountant but not to the guest clock.
       report.preheal = cache.PreHealBlocks(touched);
     } else {
-      // ARC-warm replay; with pin_boot_critical the profile's blocks — the
-      // boot-critical working set PR 5's profiles recorded — enter the
-      // pinned tier, charged to this tenant but not evictable by others.
-      cache.WarmCacheFromBlocks(touched, profile->pin_boot_critical);
+      cache.WarmCacheFromBlocks(touched);  // ARC-warm replay
     }
     prefetcher.Bind(file, &cache);
     prefetch = &prefetcher;

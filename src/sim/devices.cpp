@@ -319,7 +319,7 @@ PrefetchOutcome VolumeFileDevice::PrefetchBlock(std::uint64_t block) {
 }
 
 std::uint64_t VolumeFileDevice::WarmCacheFromBlocks(
-    std::span<const std::uint64_t> blocks, bool pin) {
+    std::span<const std::uint64_t> blocks) {
   const std::uint64_t count = volume_->FileBlockCount(file_);
   std::vector<util::Digest> digests;
   digests.reserve(blocks.size());
@@ -329,7 +329,7 @@ std::uint64_t VolumeFileDevice::WarmCacheFromBlocks(
     if (ptr.hole) continue;
     digests.push_back(ptr.digest);
   }
-  return volume_->block_store().WarmCacheAs(tenant_, digests, pin);
+  return volume_->block_store().WarmCacheAs(tenant_, digests);
 }
 
 void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {

@@ -157,8 +157,7 @@ class VolumeFileDevice final : public cow::WritableDevice,
   /// the guest starts (the modelled prefetch daemon runs during VM
   /// scheduling). Corrupt blocks are skipped, not healed — run the pre-heal
   /// pass first on degraded volumes.
-  std::uint64_t WarmCacheFromBlocks(std::span<const std::uint64_t> blocks,
-                                    bool pin = false);
+  std::uint64_t WarmCacheFromBlocks(std::span<const std::uint64_t> blocks);
 
   /// Tags every subsequent demand read, warm and pre-heal from this device
   /// with `tenant` (see store::TenantId): the VM behind this device is charged

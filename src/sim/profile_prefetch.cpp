@@ -6,9 +6,8 @@
 namespace squirrel::sim {
 
 ProfilePrefetcher::ProfilePrefetcher(const vmi::BootProfile* profile,
-                                     IoContext* io,
-                                     ProfilePrefetchConfig config)
-    : profile_(profile), io_(io), config_(config) {}
+                                     IoContext* io)
+    : profile_(profile), io_(io) {}
 
 void ProfilePrefetcher::Bind(const std::string& file, PrefetchTarget* target) {
   bindings_[file] = target;
@@ -60,7 +59,7 @@ void ProfilePrefetcher::Pump() {
   std::erase_if(outstanding_, [&](const auto& key) {
     return !io_->InFlight(key.first, key.second);
   });
-  while (outstanding_.size() < config_.lead_blocks && cursor_ < plan_.size()) {
+  while (outstanding_.size() < kLeadBlocks && cursor_ < plan_.size()) {
     const PlannedBlock& next = plan_[cursor_];
     const PrefetchOutcome outcome = next.target->PrefetchBlock(next.block);
     if (outcome == PrefetchOutcome::kDropped) {

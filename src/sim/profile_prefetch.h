@@ -9,7 +9,7 @@
 //   pump      before every guest read, the prefetcher issues background
 //             reads (IoContext::PrefetchDiskRead through the AsyncDiskQueue)
 //             for the next miss-annotated profile touches, keeping at most
-//             `lead_blocks` of them outstanding; prefetches never advance
+//             kLeadBlocks of them outstanding; prefetches never advance
 //             the guest clock and are dropped when the queue is saturated;
 //   consume   the guest's demand read finds the block in flight and joins
 //             its completion (the existing InFlight/JoinInFlight barrier in
@@ -51,12 +51,10 @@ class PrefetchTarget {
   virtual std::uint64_t device_id() const = 0;
 };
 
-struct ProfilePrefetchConfig {
-  /// Maximum profile blocks kept in flight ahead of the guest's cursor.
-  /// Bounded so the prefetcher shares the disk queue with demand reads
-  /// instead of monopolizing it.
-  std::uint32_t lead_blocks = 32;
-};
+/// Maximum profile blocks kept in flight ahead of the guest's cursor.
+/// Bounded so the prefetcher shares the disk queue with demand reads instead
+/// of monopolizing it.
+inline constexpr std::size_t kLeadBlocks = 32;
 
 struct ProfilePrefetchStats {
   std::uint64_t issued = 0;           // background reads submitted
@@ -69,15 +67,14 @@ class ProfilePrefetcher {
  public:
   /// `profile` and `io` are borrowed and must outlive the prefetcher. With a
   /// null io Pump() is a no-op.
-  ProfilePrefetcher(const vmi::BootProfile* profile, IoContext* io,
-                    ProfilePrefetchConfig config = {});
+  ProfilePrefetcher(const vmi::BootProfile* profile, IoContext* io);
 
   /// Binds a profile file name to the device that serves it in this boot.
   /// Touches of unbound files are skipped (counted in the stats).
   void Bind(const std::string& file, PrefetchTarget* target);
 
   /// Issues prefetches for upcoming miss-annotated touches until
-  /// `lead_blocks` are outstanding or the plan is exhausted. Never advances
+  /// kLeadBlocks are outstanding or the plan is exhausted. Never advances
   /// the guest clock; call before each demand read.
   void Pump();
 
@@ -96,7 +93,6 @@ class ProfilePrefetcher {
 
   const vmi::BootProfile* profile_;
   IoContext* io_;
-  ProfilePrefetchConfig config_;
   std::unordered_map<std::string, PrefetchTarget*> bindings_;
   bool built_ = false;
   std::vector<PlannedBlock> plan_;

@@ -462,7 +462,7 @@ std::optional<util::Bytes> BlockStore::DecodeStored(const util::Digest& digest,
 
 std::vector<util::Bytes> BlockStore::GetBatch(
     std::span<const util::Digest> digests) const {
-  return GetBatchAs(config_.read.tenant, digests);
+  return GetBatchAs(kDefaultTenant, digests);
 }
 
 std::vector<util::Bytes> BlockStore::GetBatchAs(
@@ -499,7 +499,9 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
     if (lookup[i] == nullptr) throw NoSuchBlockError(digests[i]);
   }
 
-  const bool verify = config_.read.verify_reads && config_.dedup;
+  // Checksum-on-read: each decompressed miss is re-hashed against its
+  // digest. Synthetic digests (dedup off) carry no content hash.
+  const bool verify = config_.dedup;
 
   if (warm) {
     // Warm mode: each stripe classifies, decompresses and installs under
@@ -735,7 +737,7 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
 
 std::uint64_t BlockStore::WarmCache(
     std::span<const util::Digest> digests) const {
-  return WarmCacheAs(config_.read.tenant, digests, /*pin=*/false);
+  return WarmCacheAs(kDefaultTenant, digests, /*pin=*/false);
 }
 
 std::uint64_t BlockStore::WarmCacheAs(TenantId tenant,

@@ -154,18 +154,6 @@ struct ReadConfig {
   /// modelling the QCOW2 64 KB-cluster prefetch effect (Fig 11). Pointless
   /// without a cache, so ignored when cache_bytes == 0.
   std::size_t readahead_blocks = 0;
-  /// Recompute each miss's digest after decompression and throw
-  /// BlockCorruptionError on mismatch (ZFS checksum-on-read). Verified
-  /// payloads entering the ARC are never re-verified; the check costs one
-  /// hash per physical (deduplicated) block actually decompressed. Ignored
-  /// when dedup is off — synthetic digests carry no content hash.
-  bool verify_reads = true;
-  /// Default tenant charged for reads that do not name one explicitly
-  /// (GetBatchAs/WarmCacheAs override per call). Tenant 0 is the
-  /// single-tenant mode: with no other ids, budgets or pins in play the
-  /// cache behaves bit-identically to the pre-tenant code. Appended last so
-  /// positional initializers predating the field keep their meaning.
-  TenantId tenant = kDefaultTenant;
 
   bool operator==(const ReadConfig&) const = default;
 };
@@ -385,7 +373,7 @@ class BlockStore {
       std::span<const util::Digest> digests) const;
 
   /// GetBatch with the cache interaction charged to `tenant` instead of
-  /// ReadConfig::tenant — the multi-tenant boot path tags each VM's reads
+  /// kDefaultTenant — the multi-tenant boot path tags each VM's reads
   /// with its own id so budgets and eviction pressure attribute correctly.
   std::vector<util::Bytes> GetBatchAs(
       TenantId tenant, std::span<const util::Digest> digests) const;

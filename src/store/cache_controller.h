@@ -93,9 +93,6 @@ struct CacheControllerConfig {
   /// Fraction of a stripe's even share it keeps as floor regardless of
   /// demand, so one hot stripe cannot starve the others' history entirely.
   double stripe_floor_fraction = 0.25;
-  /// Rebudget cadence for event-driven callers (the cluster's boot path and
-  /// the fleet simulator tick on this period); benches tick explicitly.
-  double tick_seconds = 1.0;
 };
 
 /// One tenant's decision from a controller tick.

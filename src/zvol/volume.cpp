@@ -432,7 +432,7 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
 
 util::Bytes Volume::ReadRange(const std::string& name, std::uint64_t offset,
                               std::uint64_t length) const {
-  return ReadRangeAs(config_.read.tenant, name, offset, length);
+  return ReadRangeAs(store::kDefaultTenant, name, offset, length);
 }
 
 util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,

@@ -259,7 +259,7 @@ class Volume {
                         std::uint64_t length) const;
 
   /// ReadRange with the cache interaction charged to `tenant` (see
-  /// store::TenantId) instead of the store's configured default — the
+  /// store::TenantId) instead of store::kDefaultTenant — the
   /// multi-tenant boot path tags each VM's reads with its own id.
   util::Bytes ReadRangeAs(store::TenantId tenant, const std::string& name,
                           std::uint64_t offset, std::uint64_t length) const;
