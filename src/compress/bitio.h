@@ -42,9 +42,6 @@ class BitWriter {
     }
   }
 
-  /// Bits written so far.
-  std::size_t bit_count() const { return out_.size() * 8 + filled_; }
-
   /// Reserves room for `bytes` bytes of output in total. A writer that
   /// reserves its final size returns a buffer with no spare capacity.
   void Reserve(std::size_t bytes) { out_.reserve(bytes); }

@@ -213,16 +213,14 @@ util::Bytes DeflateCodec::Compress(util::ByteSpan input) const {
   const HuffmanEncoder litlen_enc(litlen_lengths);
   const HuffmanEncoder dist_enc(dist_lengths);
 
-  // 3. Emit the container. The histograms give the payload's exact size up
-  // front: an incompressible block falls back to stored mode without being
-  // emitted, and the payload is allocated once, at its final size. Stores
-  // keep it for the life of a dedup-table entry, so growth slack would be
-  // resident memory.
-  BitWriter writer;
-  writer.Write(1, 8);  // mode = huffman
-  WriteCodeLengths(writer, litlen_lengths);
-  WriteCodeLengths(writer, dist_lengths);
-  std::uint64_t bits = writer.bit_count();
+  // 3. Emit the container. The code lengths and histograms give the
+  // payload's exact size up front: an incompressible block falls back to
+  // stored mode without being emitted, and the payload is allocated once,
+  // at its final size, before its first byte is written. Stores keep it for
+  // the life of a dedup-table entry, so growth slack would be resident
+  // memory.
+  std::uint64_t bits =
+      8 + CodeLengthsBits(litlen_lengths) + CodeLengthsBits(dist_lengths);
   for (std::size_t s = 0; s < kLitLenSymbols; ++s) {
     const std::uint32_t extra = s >= kLengthBase ? ExtraBits(s - kLengthBase) : 0;
     bits += litlen_freq[s] * (litlen_lengths[s] + extra);
@@ -239,7 +237,11 @@ util::Bytes DeflateCodec::Compress(util::ByteSpan input) const {
     stored.insert(stored.end(), input.begin(), input.end());
     return stored;
   }
+  BitWriter writer;
   writer.Reserve(packed_size);
+  writer.Write(1, 8);  // mode = huffman
+  WriteCodeLengths(writer, litlen_lengths);
+  WriteCodeLengths(writer, dist_lengths);
   for (const Token& t : tokens) {
     if (t.distance == 0) {
       litlen_enc.Encode(writer, t.literal_or_length);

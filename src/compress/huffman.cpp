@@ -166,22 +166,42 @@ std::size_t HuffmanDecoder::DecodeSlow(BitReader& reader) const {
   throw std::runtime_error("invalid Huffman code");
 }
 
-void WriteCodeLengths(BitWriter& writer, const std::vector<std::uint8_t>& lengths) {
-  // 4 bits per length; a zero is followed by a 6-bit run extension so long
-  // stretches of unused symbols stay cheap.
+namespace {
+
+/// Calls emit(value, bit_count) for each field of the serialized code
+/// lengths: 4 bits per length; a zero is followed by a 6-bit run extension
+/// so long stretches of unused symbols stay cheap.
+template <typename Emit>
+void ForEachCodeLengthField(const std::vector<std::uint8_t>& lengths,
+                            Emit&& emit) {
   std::size_t i = 0;
   while (i < lengths.size()) {
     if (lengths[i] == 0) {
       std::size_t run = 1;
       while (i + run < lengths.size() && lengths[i + run] == 0 && run < 64) ++run;
-      writer.Write(0, 4);
-      writer.Write(static_cast<std::uint32_t>(run - 1), 6);
+      emit(0, 4);
+      emit(static_cast<std::uint32_t>(run - 1), 6);
       i += run;
     } else {
-      writer.Write(lengths[i], 4);
+      emit(lengths[i], 4);
       ++i;
     }
   }
+}
+
+}  // namespace
+
+void WriteCodeLengths(BitWriter& writer, const std::vector<std::uint8_t>& lengths) {
+  ForEachCodeLengthField(lengths, [&](std::uint32_t value, unsigned bits) {
+    writer.Write(value, bits);
+  });
+}
+
+std::size_t CodeLengthsBits(const std::vector<std::uint8_t>& lengths) {
+  std::size_t total = 0;
+  ForEachCodeLengthField(lengths,
+                         [&](std::uint32_t, unsigned bits) { total += bits; });
+  return total;
 }
 
 std::vector<std::uint8_t> ReadCodeLengths(BitReader& reader, std::size_t symbol_count) {

@@ -83,8 +83,10 @@ class HuffmanDecoder {
 };
 
 /// Serializes code lengths compactly (4 bits per symbol, with a simple
-/// zero-run escape) and reads them back.
+/// zero-run escape) and reads them back. CodeLengthsBits is the number of
+/// bits WriteCodeLengths writes.
 void WriteCodeLengths(BitWriter& writer, const std::vector<std::uint8_t>& lengths);
+std::size_t CodeLengthsBits(const std::vector<std::uint8_t>& lengths);
 std::vector<std::uint8_t> ReadCodeLengths(BitReader& reader, std::size_t symbol_count);
 
 }  // namespace squirrel::compress

@@ -13,7 +13,8 @@ Chain::Chain(QcowOverlay* cow, WritableDevice* cache, Device* base,
   if (cow_ == nullptr || base_ == nullptr) {
     throw std::invalid_argument("chain requires a CoW overlay and a base");
   }
-  cluster_buffer_.resize(cow_->cluster_size());
+  cluster_buffer_ =
+      std::make_unique_for_overwrite<util::Byte[]>(cow_->cluster_size());
 }
 
 ReadSource Chain::FetchClusterFromBelow(std::uint64_t cluster_index,
@@ -49,21 +50,23 @@ ReadSource Chain::FetchClusterFromBelow(std::uint64_t cluster_index,
   return ReadSource::kBase;
 }
 
-util::Bytes Chain::Read(std::uint64_t offset, std::uint64_t length) {
-  if (offset + length > size()) throw std::out_of_range("chain read past end");
-  util::Bytes out(length);
+void Chain::ReadInto(std::uint64_t offset, util::MutableByteSpan out) {
+  if (offset + out.size() > size()) {
+    throw std::out_of_range("chain read past end");
+  }
   const std::uint32_t cluster_size = cow_->cluster_size();
 
   std::uint64_t pos = 0;
-  while (pos < length) {
+  while (pos < out.size()) {
     const std::uint64_t abs = offset + pos;
     const std::uint64_t index = abs / cluster_size;
     const std::uint64_t within = abs % cluster_size;
     const std::uint64_t take =
-        std::min<std::uint64_t>(cluster_size - within, length - pos);
+        std::min<std::uint64_t>(cluster_size - within, out.size() - pos);
+    const util::MutableByteSpan dst = out.subspan(pos, take);
 
     if (cow_->ClusterPresent(index)) {
-      cow_->ReadAt(abs, util::MutableByteSpan(out.data() + pos, take));
+      cow_->ReadAt(abs, dst);
       if (observer_) {
         observer_(ReadEvent{ReadSource::kCowOverlay, abs,
                             static_cast<std::uint32_t>(take), false});
@@ -73,12 +76,24 @@ util::Bytes Chain::Read(std::uint64_t offset, std::uint64_t length) {
       const std::uint64_t cluster_start = index * cluster_size;
       const std::uint64_t cluster_len = std::min<std::uint64_t>(
           cluster_size, size() - cluster_start);
-      util::MutableByteSpan cluster(cluster_buffer_.data(), cluster_len);
-      FetchClusterFromBelow(index, cluster);
-      std::memcpy(out.data() + pos, cluster.data() + within, take);
+      if (within == 0 && take == cluster_len) {
+        FetchClusterFromBelow(index, dst);
+      } else {
+        const util::MutableByteSpan cluster(cluster_buffer_.get(),
+                                            cluster_len);
+        FetchClusterFromBelow(index, cluster);
+        std::memcpy(dst.data(), cluster.data() + within, take);
+      }
     }
     pos += take;
   }
+}
+
+util::Bytes Chain::Read(std::uint64_t offset, std::uint64_t length) {
+  // Checked before sizing the buffer, as ReadInto checks it again.
+  if (offset + length > size()) throw std::out_of_range("chain read past end");
+  util::Bytes out(length);
+  ReadInto(offset, out);
   return out;
 }
 
@@ -96,13 +111,14 @@ void Chain::Write(std::uint64_t offset, util::ByteSpan data) {
         cluster_size - within, data.size() - pos);
 
     if (!cow_->ClusterPresent(index)) {
-      // Copy-on-write: bring the full cluster up before overwriting part.
-      const std::uint64_t cluster_start = index * cluster_size;
+      // Copy-on-write: bring the full cluster up, into the overlay's new
+      // cluster, before overwriting part of it.
       const std::uint64_t cluster_len = std::min<std::uint64_t>(
-          cluster_size, size() - cluster_start);
-      util::MutableByteSpan cluster(cluster_buffer_.data(), cluster_len);
-      FetchClusterFromBelow(index, cluster);
-      cow_->InstallCluster(index, cluster);
+          cluster_size, size() - index * cluster_size);
+      cow_->InstallCluster(index, cluster_len,
+                           [&](util::MutableByteSpan cluster) {
+                             FetchClusterFromBelow(index, cluster);
+                           });
     }
     cow_->WriteAt(abs, data.subspan(pos, take));
     pos += take;

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "cow/device.h"
 #include "cow/qcow.h"
@@ -42,12 +43,18 @@ class Chain {
 
   std::uint64_t size() const { return base_->size(); }
 
-  /// Guest read. Each touched cluster is served by the topmost layer that
-  /// holds it; base reads optionally populate the cache (CoR).
+  /// Guest read of [offset, offset + out.size()) into `out`. Each touched
+  /// cluster is served by the topmost layer that holds it; base reads
+  /// optionally populate the cache (CoR). A read that covers a whole
+  /// cluster the lower layers serve fetches it straight into `out`; a
+  /// partial one goes through one cluster of scratch.
+  void ReadInto(std::uint64_t offset, util::MutableByteSpan out);
+
+  /// ReadInto a new buffer of `length` bytes.
   util::Bytes Read(std::uint64_t offset, std::uint64_t length);
 
-  /// Guest write: copy-on-write into the overlay (fills the cluster from
-  /// the lower layers first).
+  /// Guest write: copy-on-write into the overlay (fetches the cluster from
+  /// the lower layers into the overlay's new cluster first).
   void Write(std::uint64_t offset, util::ByteSpan data);
 
   void set_observer(ReadObserver observer) { observer_ = std::move(observer); }
@@ -66,9 +73,10 @@ class Chain {
   Device* base_;
   bool copy_on_read_;
   ReadObserver observer_;
-  // One cluster of scratch for lower-layer fetches, reused by every Read and
-  // Write; FetchClusterFromBelow overwrites every byte it hands back.
-  util::Bytes cluster_buffer_;
+  // One cluster of scratch for partial-cluster reads from the lower layers,
+  // reused by every read and never zero-filled: FetchClusterFromBelow
+  // overwrites every byte it hands back.
+  std::unique_ptr<util::Byte[]> cluster_buffer_;
   std::uint64_t base_bytes_read_ = 0;
   std::uint64_t cache_bytes_read_ = 0;
 };

@@ -29,7 +29,7 @@ void QcowOverlay::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     if (it == clusters_.end()) {
       throw std::logic_error("reading unallocated cluster");
     }
-    std::memcpy(out.data() + pos, it->second.data() + within, take);
+    std::memcpy(out.data() + pos, it->second.get() + within, take);
     pos += take;
   }
 }
@@ -46,20 +46,30 @@ void QcowOverlay::WriteAt(std::uint64_t offset, util::ByteSpan data) {
     auto it = clusters_.find(index);
     if (it == clusters_.end()) {
       // The chain is responsible for copy-on-write fills; a direct write
-      // allocates a zero-filled cluster (tail clusters stay full-sized for
-      // simplicity; the logical size bounds reads).
-      it = clusters_.emplace(index, util::Bytes(cluster_size_, 0)).first;
+      // allocates a cluster whose unwritten bytes are zero (tail clusters
+      // stay full-sized for simplicity; the logical size bounds reads).
+      it = clusters_.emplace(index, NewCluster(within, within + take)).first;
     }
-    std::memcpy(it->second.data() + within, data.data() + pos, take);
+    std::memcpy(it->second.get() + within, data.data() + pos, take);
     pos += take;
   }
 }
 
-void QcowOverlay::InstallCluster(std::uint64_t index, util::ByteSpan data) {
-  assert(data.size() <= cluster_size_);
-  util::Bytes cluster(cluster_size_, 0);
-  std::memcpy(cluster.data(), data.data(), data.size());
+void QcowOverlay::InstallCluster(
+    std::uint64_t index, std::uint64_t length,
+    const std::function<void(util::MutableByteSpan)>& fill) {
+  assert(length <= cluster_size_);
+  std::unique_ptr<util::Byte[]> cluster = NewCluster(0, length);
+  fill(util::MutableByteSpan(cluster.get(), length));
   clusters_[index] = std::move(cluster);
+}
+
+std::unique_ptr<util::Byte[]> QcowOverlay::NewCluster(std::uint64_t from,
+                                                      std::uint64_t to) const {
+  auto cluster = std::make_unique_for_overwrite<util::Byte[]>(cluster_size_);
+  std::memset(cluster.get(), 0, from);
+  std::memset(cluster.get() + to, 0, cluster_size_ - to);
+  return cluster;
 }
 
 }  // namespace squirrel::cow

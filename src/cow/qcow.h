@@ -10,8 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "cow/device.h"
 
@@ -38,14 +39,24 @@ class QcowOverlay final : public WritableDevice {
     return clusters_.contains(index);
   }
 
-  /// Installs a full cluster (copy-on-read population). `data` must be
-  /// exactly one cluster, except for the final tail cluster of the image.
-  void InstallCluster(std::uint64_t index, util::ByteSpan data);
+  /// Allocates cluster `index` (copy-on-write population) and has `fill`
+  /// write its first `length` bytes in place, which must be one cluster
+  /// except for the final tail cluster of the image; the bytes past
+  /// `length` read as zeros. Nothing is zero-filled that `fill` overwrites,
+  /// and the cluster is installed only once `fill` returns, so a fetch that
+  /// throws leaves the overlay as it was.
+  void InstallCluster(std::uint64_t index, std::uint64_t length,
+                      const std::function<void(util::MutableByteSpan)>& fill);
 
  private:
+  /// A cluster buffer whose bytes outside [from, to) are zero; the caller
+  /// writes [from, to).
+  std::unique_ptr<util::Byte[]> NewCluster(std::uint64_t from,
+                                           std::uint64_t to) const;
+
   std::uint64_t logical_size_;
   std::uint32_t cluster_size_;
-  std::unordered_map<std::uint64_t, util::Bytes> clusters_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<util::Byte[]>> clusters_;
 };
 
 }  // namespace squirrel::cow

@@ -1,5 +1,8 @@
 #include "sim/boot_sim.h"
 
+#include <algorithm>
+#include <memory>
+
 #include "sim/profile_prefetch.h"
 #include "util/rng.h"
 
@@ -17,14 +20,23 @@ BootResult SimulateBoot(cow::Chain& chain,
   const std::uint64_t base0 = chain.base_bytes_read();
   const std::uint64_t cache0 = chain.cache_bytes_read();
 
+  const auto read_length = [&](const vmi::BootRead& read) {
+    return std::min<std::uint64_t>(read.length, chain.size() - read.offset);
+  };
+  // One guest buffer for every read, sized once for the largest and never
+  // zero-filled: ReadInto overwrites every byte it serves.
+  std::uint64_t largest = 0;
   for (const vmi::BootRead& read : trace) {
-    const std::uint64_t len =
-        std::min<std::uint64_t>(read.length, chain.size() - read.offset);
+    largest = std::max(largest, read_length(read));
+  }
+  const auto guest = std::make_unique_for_overwrite<util::Byte[]>(largest);
+  for (const vmi::BootRead& read : trace) {
+    const std::uint64_t len = read_length(read);
     if (len == 0) continue;
     // Keep profile-guided background reads ahead of the cursor; the demand
     // read below joins any that cover it.
     if (prefetcher != nullptr) prefetcher->Pump();
-    chain.Read(read.offset, len);
+    chain.ReadInto(read.offset, util::MutableByteSpan(guest.get(), len));
     io.ChargeNs(config.guest_ns_per_byte * static_cast<double>(len));
     result.bytes_read += len;
   }

@@ -432,17 +432,19 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     return;
   }
 
-  util::Bytes data;
+  // The volume reads straight into `out`; with an IoContext it also hands
+  // back the blocks' shared payloads for Hold.
+  std::vector<util::SharedBytes>* blocks = io_ != nullptr ? &fetched_ : nullptr;
   if (repair_session_ == nullptr) {
-    data = volume_->ReadRangeAs(tenant_, file_, offset, out.size());
+    volume_->ReadRangeInto(tenant_, file_, offset, out, blocks);
   } else {
     // Degraded mode: a corrupt local block is healed on demand from the
     // first honest replica that has it (the storage node in a one-peer
     // session); the re-fetched bytes are charged as network traffic (the
     // cost curve BENCH_faults measures).
     std::uint64_t fetched = 0;
-    data = volume_->ReadRangeRepair(tenant_, file_, offset, out.size(),
-                                    *repair_session_, &fetched);
+    volume_->ReadRangeRepairInto(tenant_, file_, offset, out, *repair_session_,
+                                 &fetched, blocks);
     degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
     degraded_.resourced_blocks = repair_session_->resourced_blocks();
     degraded_.byzantine_rejected = repair_session_->byzantine_rejected();
@@ -456,9 +458,8 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
       }
     }
   }
-  std::memcpy(out.data(), data.data(), out.size());
   if (io_ != nullptr) {
-    Hold(offset, std::move(data));
+    Hold(offset, out.size());
     ReleaseEvicted();
   }
 }
@@ -477,7 +478,7 @@ bool VolumeFileDevice::ServeHeld(std::uint64_t offset,
     // The digest guard: a block rewritten behind the device (or a file
     // grown past it) reads through the volume again.
     if (it == held_.end() || it->second.digest != ptr.digest ||
-        it->second.bytes.size() != BlockLength(b)) {
+        it->second.length != BlockLength(b)) {
       return false;
     }
   }
@@ -486,38 +487,32 @@ bool VolumeFileDevice::ServeHeld(std::uint64_t offset,
     const std::uint64_t from = std::max(offset, block_start);
     const std::uint64_t to =
         std::min<std::uint64_t>(offset + out.size(), block_start + block_size);
-    util::Byte* dst = out.data() + (from - offset);
+    const util::MutableByteSpan dst = out.subspan(from - offset, to - from);
     if (volume_->FileBlock(file_, b).hole) {
-      std::memset(dst, 0, to - from);
+      std::memset(dst.data(), 0, dst.size());
     } else {
-      std::memcpy(dst, held_.at(b).bytes.data() + (from - block_start),
-                  to - from);
+      zvol::ReadBlockBytes(*held_.at(b).payload, from - block_start, dst);
     }
   }
   return true;
 }
 
-void VolumeFileDevice::Hold(std::uint64_t offset, util::Bytes data) {
+void VolumeFileDevice::Hold(std::uint64_t offset, std::uint64_t length) {
   const std::uint32_t block_size = volume_->config().block_size;
-  const std::uint64_t end = offset + data.size();
+  const std::uint64_t first = offset / block_size;
+  const std::uint64_t end = offset + length;
   for (std::uint64_t b = (offset + block_size - 1) / block_size;; ++b) {
     const std::uint64_t block_start = b * block_size;
-    const std::uint64_t length = BlockLength(b);
-    if (length == 0 || block_start + length > end) break;
+    const std::uint64_t block_length = BlockLength(b);
+    if (block_length == 0 || block_start + block_length > end) break;
     const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
     // A block the page cache did not keep (no capacity, or evicted by a
     // later block of this read) would never be served.
     if (ptr.hole || !io_->page_cache().Resident(device_id_, b)) continue;
-    HeldBlock& held = held_[b];
-    held.digest = ptr.digest;
-    if (length == data.size()) {
-      held.bytes = std::move(data);  // the read was exactly this block
-    } else {
-      const auto src = data.begin() + static_cast<std::ptrdiff_t>(
-                                          block_start - offset);
-      held.bytes.assign(src, src + static_cast<std::ptrdiff_t>(length));
-    }
+    held_[b] = HeldBlock{ptr.digest, block_length,
+                         std::move(fetched_[b - first])};
   }
+  fetched_.clear();
 }
 
 void VolumeFileDevice::ReleaseEvicted() {
@@ -528,7 +523,7 @@ void VolumeFileDevice::ReleaseEvicted() {
 
 std::uint64_t VolumeFileDevice::held_bytes() const {
   std::uint64_t bytes = 0;
-  for (const auto& [block, held] : held_) bytes += held.bytes.size();
+  for (const auto& [block, held] : held_) bytes += held.payload->size();
   return bytes;
 }
 

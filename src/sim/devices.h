@@ -117,18 +117,20 @@ class LocalCacheDevice final : public cow::WritableDevice {
 /// stores those zeros as holes.
 ///
 /// Page-cache hits are served from memory, as the simulated charges already
-/// assume (DESIGN.md §21). With an IoContext, the device holds the
-/// decompressed bytes of every block a read returned in full, with the
-/// block's digest, while the page cache holds that block. A ReadAt whose
-/// non-hole blocks all hit the page cache in its own accounting pass, and
-/// are all held under the digest their BlockPtr carries now and at their
-/// current in-file length, copies the held bytes (zeros for holes) and
-/// never reaches the volume; any other read goes through the volume and
-/// holds what came back. Every ReadAt ends by releasing the blocks the
-/// page cache no longer holds, so a device never holds more than the
-/// blocks it had resident after its last read. The simulated clock, caches
-/// and counters are the same either way; the store's ReadStats see only
-/// the page-cache misses.
+/// assume (DESIGN.md §21). With an IoContext, the device holds the store's
+/// shared decompressed buffer of every block a read returned in full, with
+/// the block's digest and in-file length, while the page cache holds that
+/// block; with the ARC on, that is the ARC's own buffer, not a copy
+/// (DESIGN.md §24). A ReadAt whose non-hole blocks all hit the page cache
+/// in its own accounting pass, and are all held under the digest their
+/// BlockPtr carries now and at their current in-file length, copies the
+/// held bytes (zeros for holes and short-block tails) and never reaches the
+/// volume; any other read goes through the volume straight into the
+/// caller's buffer and holds the buffers that came back. Every ReadAt ends
+/// by releasing the blocks the page cache no longer holds, so a device
+/// never holds more than the blocks it had resident after its last read.
+/// The simulated clock, caches and counters are the same either way; the
+/// store's ReadStats see only the page-cache misses.
 class VolumeFileDevice final : public cow::WritableDevice,
                                public PrefetchTarget {
  public:
@@ -210,15 +212,17 @@ class VolumeFileDevice final : public cow::WritableDevice,
 
   const DegradedReadStats& degraded_stats() const { return degraded_; }
 
-  /// Decompressed bytes held for page-cache hits (see the class comment).
+  /// Decompressed payload bytes held for page-cache hits (see the class
+  /// comment), whether or not the ARC shares them.
   std::uint64_t held_bytes() const;
 
  private:
-  /// Decompressed in-file bytes of one volume block and the digest they
-  /// were read under.
+  /// One volume block's shared decompressed payload, with the digest and
+  /// in-file length it was read under.
   struct HeldBlock {
     util::Digest digest;
-    util::Bytes bytes;
+    std::uint64_t length = 0;
+    util::SharedBytes payload;
   };
 
   /// Charged bytes of volume block `b`: block size, clamped at the final
@@ -228,9 +232,10 @@ class VolumeFileDevice final : public cow::WritableDevice,
   /// block in it is held under its current digest and length; otherwise
   /// leaves `out` alone and returns false.
   bool ServeHeld(std::uint64_t offset, util::MutableByteSpan out) const;
-  /// Holds each page-cache-resident, non-hole block that `data` (the bytes
-  /// of a volume read at `offset`) covers in full.
-  void Hold(std::uint64_t offset, util::Bytes data);
+  /// Holds each page-cache-resident, non-hole block that the volume read of
+  /// [offset, offset + length) covered in full, taking its payload from
+  /// `fetched_`, which it then clears.
+  void Hold(std::uint64_t offset, std::uint64_t length);
   /// Drops held blocks the page cache no longer holds.
   void ReleaseEvicted();
 
@@ -246,6 +251,9 @@ class VolumeFileDevice final : public cow::WritableDevice,
   DegradedReadStats degraded_;
   store::TenantId tenant_ = store::kDefaultTenant;
   std::unordered_map<std::uint64_t, HeldBlock> held_;  // by volume block
+  // The shared payloads of the last volume read, one slot per block it
+  // touched (ReadRangeInto's `blocks`); reused across reads.
+  std::vector<util::SharedBytes> fetched_;
 };
 
 /// The base VMI served by the storage nodes over the data-center network.

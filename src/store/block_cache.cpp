@@ -9,7 +9,8 @@ BlockCache::BlockCache(std::uint64_t capacity_bytes)
            [this](const util::Digest& evicted) { payloads_.erase(evicted); }) {}
 
 BlockCache::Outcome BlockCache::Lookup(const util::Digest& digest,
-                                       util::Bytes* out, TenantId tenant) {
+                                       util::SharedBytes* out,
+                                       TenantId tenant) {
   if (!arc_.Lookup(digest, tenant)) return Outcome::kMiss;
   const auto it = payloads_.find(digest);
   if (it == payloads_.end()) return Outcome::kPending;
@@ -22,9 +23,9 @@ void BlockCache::Admit(const util::Digest& digest, std::uint64_t bytes,
   arc_.Insert(digest, bytes, tenant);
 }
 
-void BlockCache::Fill(const util::Digest& digest, const util::Bytes& payload) {
+void BlockCache::Fill(const util::Digest& digest, util::SharedBytes payload) {
   if (!arc_.Resident(digest)) return;  // evicted before the fill, or bypassed
-  payloads_.emplace(digest, payload);
+  payloads_.emplace(digest, std::move(payload));
 }
 
 bool BlockCache::ResidentPayload(const util::Digest& digest) const {

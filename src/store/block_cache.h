@@ -22,6 +22,12 @@
 // evicted before its Fill simply drops out; a Lookup that hits a pending
 // entry reports kPending and the caller aliases the in-flight decompression.
 //
+// Payloads are immutable shared buffers (util::SharedBytes), as the ZFS ARC
+// lends its buffers to readers: Fill keeps the buffer the read produced and
+// a hit hands out another reference to it, so no payload is copied in or
+// out. Evicting an entry drops only the cache's reference; a reader that
+// still holds the buffer keeps it alive (DESIGN.md §24).
+//
 // Not thread-safe; BlockStore serializes access per stripe. The store runs
 // one BlockCache instance per digest shard (a striped ARC), each guarded by
 // its own stripe mutex and budgeted with an even slice of
@@ -52,7 +58,7 @@ class BlockCache {
   explicit BlockCache(std::uint64_t capacity_bytes);
 
   enum class Outcome {
-    kHit,      // resident and filled; payload copied to `out`
+    kHit,      // resident and filled; `out` shares the payload
     kPending,  // resident, decompression in flight (same batch)
     kMiss,     // not resident
   };
@@ -70,12 +76,10 @@ class BlockCache {
     std::uint64_t pinned_bytes = 0;
   };
 
-  /// ARC lookup; on kHit copies the payload into `*out`. A null `out`
-  /// performs the full ARC touch (promotion, hit counter) without the copy
-  /// — the warm path uses this so re-warming resident blocks is free while
-  /// cache state stays identical to a demand read. The hit charges the
-  /// entry to `tenant`.
-  Outcome Lookup(const util::Digest& digest, util::Bytes* out,
+  /// ARC lookup; on kHit points `*out` at the resident payload. A null
+  /// `out` performs the full ARC touch (promotion, hit counter) alone — the
+  /// warm path uses this. The hit charges the entry to `tenant`.
+  Outcome Lookup(const util::Digest& digest, util::SharedBytes* out,
                  TenantId tenant = kDefaultTenant);
 
   /// Admits `digest` (weight = decompressed size) after a miss, charged to
@@ -86,9 +90,9 @@ class BlockCache {
   void Admit(const util::Digest& digest, std::uint64_t bytes,
              TenantId tenant = kDefaultTenant);
 
-  /// Installs the decompressed payload; a no-op if the entry was evicted
-  /// (or never admitted, e.g. wider than the whole budget).
-  void Fill(const util::Digest& digest, const util::Bytes& payload);
+  /// Keeps a reference to the decompressed payload; a no-op if the entry
+  /// was evicted (or never admitted, e.g. wider than the whole budget).
+  void Fill(const util::Digest& digest, util::SharedBytes payload);
 
   /// Pins a resident entry for `tenant` (boot-critical tier): charged to
   /// the tenant, never evicted by replacement or budget pressure, dropped
@@ -141,7 +145,8 @@ class BlockCache {
 
  private:
   util::ArcCache<util::Digest, util::DigestHasher> arc_;
-  std::unordered_map<util::Digest, util::Bytes, util::DigestHasher> payloads_;
+  std::unordered_map<util::Digest, util::SharedBytes, util::DigestHasher>
+      payloads_;
 };
 
 }  // namespace squirrel::store

@@ -425,13 +425,15 @@ void BlockStore::Unref(const util::Digest& digest) {
 
 util::Bytes BlockStore::Get(const util::Digest& digest) const {
   const util::Digest one[1] = {digest};
-  return std::move(GetBatch(one)[0]);
+  return *GetBatchShared(kDefaultTenant, one)[0];
 }
 
 util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
   // No ARC interaction at all: the rollback path this serves must not
   // disturb cache state or read counters.
-  std::optional<util::Bytes> raw = DecodeStored(digest, GetStored(digest));
+  const StoredBlock stored = GetStored(digest);
+  std::optional<util::Bytes> raw = DecodeStored(
+      digest, stored.payload, stored.logical_size, stored.compressed);
   if (!raw.has_value()) throw BlockCorruptionError(digest);
   return std::move(*raw);
 }
@@ -445,19 +447,29 @@ StoredBlock BlockStore::GetStored(const util::Digest& digest) const {
 }
 
 std::optional<util::Bytes> BlockStore::DecodeStored(const util::Digest& digest,
-                                                    StoredBlock stored) const {
+                                                    util::ByteSpan payload,
+                                                    std::uint32_t logical_size,
+                                                    bool compressed) const {
   util::Bytes raw;
-  if (stored.compressed) {
+  if (compressed) {
     try {
-      raw = codec_->Decompress(stored.payload, stored.logical_size);
+      raw = codec_->Decompress(payload, logical_size);
     } catch (const std::runtime_error&) {
       return std::nullopt;  // corruption broke the compressed framing
     }
   } else {
-    raw = std::move(stored.payload);
+    raw.assign(payload.begin(), payload.end());
   }
   if (config_.dedup && ComputeDigest(raw) != digest) return std::nullopt;
   return raw;
+}
+
+util::SharedBytes BlockStore::DecodeEntry(const util::Digest& digest,
+                                          const Entry& entry) const {
+  std::optional<util::Bytes> raw = DecodeStored(
+      digest, entry.payload, entry.logical_size, entry.compressed);
+  if (!raw.has_value()) return nullptr;
+  return std::make_shared<const util::Bytes>(std::move(*raw));
 }
 
 std::vector<util::Bytes> BlockStore::GetBatch(
@@ -467,14 +479,24 @@ std::vector<util::Bytes> BlockStore::GetBatch(
 
 std::vector<util::Bytes> BlockStore::GetBatchAs(
     TenantId tenant, std::span<const util::Digest> digests) const {
-  std::vector<util::Bytes> results(digests.size());
+  const std::vector<util::SharedBytes> shared = GetBatchShared(tenant, digests);
+  // Copied on the read pool: a serial copy-out would hold a parallel batch
+  // to one thread's copy rate.
+  std::vector<util::Bytes> results(shared.size());
+  ForEachRead(shared.size(), [&](std::size_t i) { results[i] = *shared[i]; });
+  return results;
+}
+
+std::vector<util::SharedBytes> BlockStore::GetBatchShared(
+    TenantId tenant, std::span<const util::Digest> digests) const {
+  std::vector<util::SharedBytes> results(digests.size());
   if (digests.empty()) return results;
-  GetBatchImpl(digests, &results, /*warm=*/false, tenant, /*pin=*/false);
+  GetBatchImpl(digests, &results, tenant, /*pin=*/false);
   return results;
 }
 
 void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
-                              std::vector<util::Bytes>* results, bool warm,
+                              std::vector<util::SharedBytes>* results,
                               TenantId tenant, bool pin) const {
   const ShardPartition part =
       PartitionByShard(digests, shards_.size(), shard_shift_);
@@ -499,11 +521,9 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
     if (lookup[i] == nullptr) throw NoSuchBlockError(digests[i]);
   }
 
-  // Checksum-on-read: each decompressed miss is re-hashed against its
-  // digest. Synthetic digests (dedup off) carry no content hash.
-  const bool verify = config_.dedup;
-
-  if (warm) {
+  // Checksum-on-read: DecodeEntry re-hashes each decompressed miss against
+  // its digest. Synthetic digests (dedup off) carry no content hash.
+  if (results == nullptr) {
     // Warm mode: each stripe classifies, decompresses and installs under
     // ONE continuous lock hold, so the residency judgement
     // (warm_skipped_resident) and the fill commit in the same lock epoch —
@@ -524,8 +544,7 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
       struct WarmMiss {
         std::size_t index;
         const Entry* entry;
-        util::Bytes payload;
-        bool corrupt = false;
+        util::SharedBytes payload;  // null until decoded, or when corrupt
       };
       std::vector<WarmMiss> misses;
       for (std::size_t p = part.begin[s]; p < part.begin[s + 1]; ++p) {
@@ -545,39 +564,30 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
             case BlockCache::Outcome::kPending:
               // Admitted by a concurrent batch, fill in flight elsewhere;
               // decompress locally so this warm pass leaves it filled.
-              misses.push_back({i, entry, {}, false});
+              misses.push_back({i, entry, nullptr});
               continue;
             case BlockCache::Outcome::kMiss:
               stripe.cache.Admit(digests[i], entry->logical_size, tenant);
-              misses.push_back({i, entry, {}, false});
+              misses.push_back({i, entry, nullptr});
               continue;
           }
         }
         // Cache disabled for this stripe: decompress anyway (counted, not
         // filled) — same work and counters as the demand path, which is
         // what keeps warm-vs-demand accounting comparable.
-        misses.push_back({i, entry, {}, false});
+        misses.push_back({i, entry, nullptr});
       }
       for (WarmMiss& miss : misses) {
-        try {
-          miss.payload = codec_->Decompress(miss.entry->payload,
-                                            miss.entry->logical_size);
-        } catch (const std::runtime_error&) {
-          miss.corrupt = true;
-          continue;
-        }
-        if (verify && ComputeDigest(miss.payload) != digests[miss.index]) {
-          miss.corrupt = true;
-        }
+        miss.payload = DecodeEntry(digests[miss.index], *miss.entry);
       }
-      for (const WarmMiss& miss : misses) {
-        if (miss.corrupt) {
+      for (WarmMiss& miss : misses) {
+        if (miss.payload == nullptr) {
           first_corrupt[k] = miss.index;
           break;
         }
         ++stripe.decompressed_blocks;
         stripe.decompressed_bytes += miss.entry->logical_size;
-        stripe.cache.Fill(digests[miss.index], miss.payload);
+        stripe.cache.Fill(digests[miss.index], std::move(miss.payload));
         if (pin) stripe.cache.Pin(digests[miss.index], tenant);
       }
     });
@@ -669,34 +679,21 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
     merged_begin[k + 1] = misses.size();
   }
 
-  // Stage 2: decompress the misses in parallel. Codecs are stateless and
-  // each miss writes only its own result slot. With verification enabled
-  // each miss also re-hashes its decompressed payload (once per physical
-  // block — intra-batch duplicates alias, cache hits were verified when
-  // filled); a mismatch or broken compressed framing marks the slot corrupt
-  // instead of throwing here, so the error surfaces deterministically below.
-  std::vector<std::uint8_t> corrupt(misses.size(), 0);
+  // Stage 2: decompress the misses in parallel, each into a new shared
+  // buffer. Codecs are stateless and each miss writes only its own result
+  // slot. With verification enabled each miss also re-hashes its
+  // decompressed payload (once per physical block — intra-batch duplicates
+  // alias, cache hits were verified when filled); a mismatch or broken
+  // compressed framing leaves the slot null instead of throwing here, so
+  // the error surfaces deterministically below.
   ForEachRead(misses.size(), [&](std::size_t j) {
     const Miss& miss = misses[j];
-    if (!miss.entry->compressed) {
-      (*results)[miss.index] = miss.entry->payload;
-    } else {
-      try {
-        (*results)[miss.index] =
-            codec_->Decompress(miss.entry->payload, miss.entry->logical_size);
-      } catch (const std::runtime_error&) {
-        corrupt[j] = 1;  // corruption broke the compressed framing
-        return;
-      }
-    }
-    if (verify &&
-        ComputeDigest((*results)[miss.index]) != digests[miss.index]) {
-      corrupt[j] = 1;
-    }
+    (*results)[miss.index] = DecodeEntry(digests[miss.index], *miss.entry);
   });
 
-  // Stage 3: per-stripe ordered install — fill each stripe's cache and
-  // commit its read accounting. On corruption each stripe stops at its
+  // Stage 3: per-stripe ordered install — fill each stripe's cache (the
+  // ARC keeps a reference to the result's buffer) and commit its read
+  // accounting. On corruption each stripe stops at its
   // first corrupt block in input order (good payloads before it install,
   // admitted-but-unfilled entries after it drop out of the ARC), and the
   // batch throws for the corrupt block with the smallest *input* index —
@@ -710,7 +707,7 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
     std::lock_guard<std::mutex> lock(stripe.mutex);
     for (std::size_t j = merged_begin[k]; j < merged_begin[k + 1]; ++j) {
       const Miss& miss = misses[j];
-      if (corrupt[j]) {
+      if ((*results)[miss.index] == nullptr) {
         first_corrupt[k] = miss.index;
         break;
       }
@@ -768,9 +765,8 @@ std::uint64_t BlockStore::WarmCacheAs(TenantId tenant,
 std::uint64_t BlockStore::WarmRounds(TenantId tenant,
                                      std::span<const util::Digest> digests,
                                      bool pin) const {
-  std::vector<util::Bytes> scratch(digests.size());
   try {
-    GetBatchImpl(digests, &scratch, /*warm=*/true, tenant, pin);
+    GetBatchImpl(digests, /*results=*/nullptr, tenant, pin);
     return digests.size();
   } catch (const BlockCorruptionError&) {
     // A corrupt block poisons its round; retry one-by-one so the healthy
@@ -779,9 +775,8 @@ std::uint64_t BlockStore::WarmRounds(TenantId tenant,
     std::uint64_t warmed = 0;
     for (const util::Digest& digest : digests) {
       const util::Digest one[1] = {digest};
-      std::vector<util::Bytes> single(1);
       try {
-        GetBatchImpl(one, &single, /*warm=*/true, tenant, pin);
+        GetBatchImpl(one, /*results=*/nullptr, tenant, pin);
         ++warmed;
       } catch (const BlockCorruptionError&) {
       }
@@ -832,7 +827,10 @@ bool BlockStore::Verify(const util::Digest& digest) const {
   // run concurrently with ingest (a scrub must observe a coherent copy of
   // the stored bytes, never a cached one).
   try {
-    return DecodeStored(digest, GetStored(digest)).has_value();
+    const StoredBlock stored = GetStored(digest);
+    return DecodeStored(digest, stored.payload, stored.logical_size,
+                        stored.compressed)
+        .has_value();
   } catch (const NoSuchBlockError&) {
     return false;
   }

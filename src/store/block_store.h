@@ -25,15 +25,17 @@
 // enters the same pipeline with each block's digest and stored form already
 // known and skips the hash and compress stages.
 //
-// Read path (batch-first, mirroring ingest): GetBatch classifies every
+// Read path (batch-first, mirroring ingest): GetBatchShared classifies every
 // requested digest against the byte-budgeted ARC stripe of its shard in
 // per-stripe ordered passes, decompresses the misses in parallel on the
 // shared worker pool, then installs payloads and read accounting in
-// per-stripe ordered passes. Payloads, their order, and — because each
-// stripe replays the exact Lookup/Insert sequence a serial Get loop would
-// issue for its digests — the cache counters are all bit-identical to
-// serial Get at any thread count and any cache size, including
-// cache_bytes = 0. Duplicate digests within one batch decompress once
+// per-stripe ordered passes. Each decompressed block is one immutable
+// shared buffer that the ARC and every reader hold without copying; Get and
+// GetBatch copy it out for callers that want their own. Payloads, their
+// order, and — because each stripe replays the exact Lookup/Insert sequence
+// a serial Get loop would issue for its digests — the cache counters are
+// all bit-identical to serial Get at any thread count and any cache size,
+// including cache_bytes = 0. Duplicate digests within one batch decompress once
 // (aliased), so with the cache disabled GetBatch may do strictly less
 // decompression work than the serial loop; with it enabled the serial loop
 // gets the same saving as cache hits.
@@ -339,8 +341,10 @@ class BlockStore {
   /// NoSuchBlockError for unknown digests.
   void Unref(const util::Digest& digest);
 
-  /// Decompressed payload. Throws NoSuchBlockError for unknown digests.
-  /// Thin wrapper over GetBatch with a one-element batch.
+  /// Caller-owned copy of the decompressed payload (a caller that mutates
+  /// what it read, such as the Byzantine fault model, needs its own). Throws
+  /// NoSuchBlockError for unknown digests. Copy-out wrapper over
+  /// GetBatchShared with a one-element batch.
   util::Bytes Get(const util::Digest& digest) const;
 
   /// Decompressed payload, bypassing the ARC entirely — no cache probe, no
@@ -359,22 +363,31 @@ class BlockStore {
   StoredBlock GetStored(const util::Digest& digest) const;
 
   /// Batch-first read path: returns the decompressed payloads of `digests`
-  /// in input order, bit-identical to a serial loop of Get calls at any
-  /// thread count and cache size:
+  /// in input order as shared immutable buffers, with the cache interaction
+  /// charged to `tenant` (the multi-tenant boot path tags each VM's reads
+  /// with its own id so budgets and eviction pressure attribute correctly).
+  /// Payloads, ARC state and counters are bit-identical to a serial loop of
+  /// Get calls at any thread count and cache size:
   ///   1. classify every digest against its shard's ARC stripe in
   ///      per-stripe ordered passes (replaying the exact serial
   ///      Lookup/Insert sequence each stripe would see, so ARC state and
   ///      hit/miss counters match serial too),
   ///   2. decompress the misses in parallel on the worker pool,
   ///   3. install payloads and accounting in per-stripe ordered passes.
-  /// Throws NoSuchBlockError (before any cache mutation) if any digest is
-  /// unknown.
+  /// A cache hit returns the ARC's own buffer, a miss the buffer the ARC
+  /// then keeps, and duplicate digests in one batch share one buffer; none
+  /// of them is copied (DESIGN.md §24). Throws NoSuchBlockError (before any
+  /// cache mutation) if any digest is unknown.
+  std::vector<util::SharedBytes> GetBatchShared(
+      TenantId tenant, std::span<const util::Digest> digests) const;
+
+  /// Caller-owned copies of the payloads GetBatchShared returns for
+  /// kDefaultTenant.
   std::vector<util::Bytes> GetBatch(
       std::span<const util::Digest> digests) const;
 
-  /// GetBatch with the cache interaction charged to `tenant` instead of
-  /// kDefaultTenant — the multi-tenant boot path tags each VM's reads
-  /// with its own id so budgets and eviction pressure attribute correctly.
+  /// Caller-owned copies of the payloads GetBatchShared returns for
+  /// `tenant`.
   std::vector<util::Bytes> GetBatchAs(
       TenantId tenant, std::span<const util::Digest> digests) const;
 
@@ -610,18 +623,23 @@ class BlockStore {
   /// Decompresses a stored form and, with dedup on, re-hashes it against
   /// `digest`; nullopt when the framing is broken or the hash differs.
   std::optional<util::Bytes> DecodeStored(const util::Digest& digest,
-                                          StoredBlock stored) const;
-  /// Shared implementation of GetBatch/WarmCache. In warm mode, cache hits
-  /// skip the payload copy (counted as warm_skipped_resident) and aliases
-  /// are not materialized; misses still decompress and fill their stripe —
-  /// and each stripe's classify/decompress/install runs under ONE
-  /// continuous stripe-lock hold, so the residency judgement and the fill
-  /// commit in the same lock epoch (a concurrent ResizeCache can no longer
-  /// evict between them). `pin` (warm only) pins what the pass leaves
-  /// filled.
+                                          util::ByteSpan payload,
+                                          std::uint32_t logical_size,
+                                          bool compressed) const;
+  /// DecodeStored of a DDT entry as a new shared buffer; null when corrupt.
+  util::SharedBytes DecodeEntry(const util::Digest& digest,
+                                const Entry& entry) const;
+  /// Shared implementation of GetBatchShared/WarmCache, and the one place
+  /// decompressed buffers are made. In warm mode (`results` null), cache
+  /// hits are counted as warm_skipped_resident and aliases are not
+  /// materialized; misses still decompress and fill their stripe — and
+  /// each stripe's classify/decompress/install runs under ONE continuous
+  /// stripe-lock hold, so the residency judgement and the fill commit in
+  /// the same lock epoch (a concurrent ResizeCache can no longer evict
+  /// between them). `pin` (warm only) pins what the pass leaves filled.
   void GetBatchImpl(std::span<const util::Digest> digests,
-                    std::vector<util::Bytes>* results, bool warm,
-                    TenantId tenant, bool pin) const;
+                    std::vector<util::SharedBytes>* results, TenantId tenant,
+                    bool pin) const;
   /// One warm-mode round over `digests` (already deduped/filtered), used by
   /// WarmCacheAs via GetBatchImpl.
   std::uint64_t WarmRounds(TenantId tenant,

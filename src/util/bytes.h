@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,6 +14,10 @@ using Byte = std::uint8_t;
 using Bytes = std::vector<Byte>;
 using ByteSpan = std::span<const Byte>;
 using MutableByteSpan = std::span<Byte>;
+/// An immutable, reference-counted buffer: one decompressed block shared by
+/// the store's ARC, the batch read that produced it and any reader that
+/// keeps it, with no copy between them (DESIGN.md §24).
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 inline constexpr std::uint64_t kKiB = 1024;
 inline constexpr std::uint64_t kMiB = 1024 * kKiB;

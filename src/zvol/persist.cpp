@@ -102,12 +102,13 @@ util::Bytes Volume::Serialize() const {
       std::max<std::size_t>(1, config_.ingest.batch_blocks);
   for (std::size_t base = 0; base < ordered.size(); base += batch_blocks) {
     const std::size_t n = std::min(batch_blocks, ordered.size() - base);
-    const std::vector<util::Bytes> payloads =
-        store_.GetBatch(std::span<const util::Digest>(ordered.data() + base, n));
+    const std::vector<util::SharedBytes> payloads = store_.GetBatchShared(
+        store::kDefaultTenant,
+        std::span<const util::Digest>(ordered.data() + base, n));
     for (std::size_t i = 0; i < n; ++i) {
       const util::Digest& digest = ordered[base + i];
       w.Blob(util::ByteSpan(digest.bytes.data(), digest.bytes.size()));
-      w.Blob(payloads[i]);
+      w.Blob(*payloads[i]);
     }
   }
 

@@ -207,6 +207,26 @@ void Volume::RetainTable(const FileTable& table) {
   }
 }
 
+void ReadBlockBytes(util::ByteSpan payload, std::uint64_t within,
+                    util::MutableByteSpan out) {
+  const std::uint64_t copy =
+      within < payload.size()
+          ? std::min<std::uint64_t>(out.size(), payload.size() - within)
+          : 0;
+  if (copy > 0) std::memcpy(out.data(), payload.data() + within, copy);
+  std::memset(out.data() + copy, 0, out.size() - copy);
+}
+
+const FileMeta& Volume::RequireRange(const std::string& name,
+                                     std::uint64_t offset,
+                                     std::uint64_t length) const {
+  const FileMeta& meta = RequireFile(name);
+  if (offset + length > meta.logical_size) {
+    throw std::out_of_range("read past end of " + name);
+  }
+  return meta;
+}
+
 const FileMeta& Volume::RequireFile(const std::string& name) const {
   const auto it = files_.find(name);
   if (it == files_.end()) throw NoSuchFileError(name);
@@ -374,17 +394,16 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
       old_digests.push_back(ptr.digest);
       old_slots.push_back(j);
     }
-    const std::vector<util::Bytes> olds = store_.GetBatch(old_digests);
+    const std::vector<util::SharedBytes> olds =
+        store_.GetBatchShared(store::kDefaultTenant, old_digests);
     for (std::size_t k = 0; k < old_slots.size(); ++k) {
-      old_blocks[old_slots[k]] = &olds[k];
+      old_blocks[old_slots[k]] = olds[k].get();
     }
 
     // Stage 1: materialize the new content of every touched block
     // (read-modify-write) and zero-detect it, in parallel. This stage only
     // reads the fetched payloads; all store mutation happens in the ordered
-    // stage below. A stored block can be SHORTER than block_len: it was the
-    // partial tail block before a later write grew the file — its implicit
-    // tail is zeros.
+    // stage below.
     ForEachIngest(n, [&](std::size_t j) {
       const std::uint64_t block_index = base + j;
       const std::uint64_t block_start =
@@ -393,11 +412,10 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
       util::MutableByteSpan block(
           buffer.data() + j * static_cast<std::size_t>(config_.block_size),
           block_len);
-      std::memset(block.data(), 0, block.size());
       if (old_blocks[j] != nullptr) {
-        const util::Bytes& old = *old_blocks[j];
-        std::memcpy(block.data(), old.data(),
-                    std::min<std::uint64_t>(old.size(), block_len));
+        ReadBlockBytes(*old_blocks[j], 0, block);
+      } else {
+        std::memset(block.data(), 0, block.size());
       }
       const std::uint64_t from = std::max(offset, block_start);
       const std::uint64_t to = std::min(end, block_start + block_len);
@@ -438,16 +456,23 @@ util::Bytes Volume::ReadRange(const std::string& name, std::uint64_t offset,
 util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,
                                 std::uint64_t offset,
                                 std::uint64_t length) const {
-  const FileMeta& meta = RequireFile(name);
-  if (offset + length > meta.logical_size) {
-    throw std::out_of_range("read past end of " + name);
-  }
+  RequireRange(name, offset, length);  // before sizing the buffer
+  util::Bytes out(length);
+  ReadRangeInto(tenant, name, offset, out);
+  return out;
+}
 
-  util::Bytes out(length, 0);
-  if (length == 0) return out;
+void Volume::ReadRangeInto(store::TenantId tenant, const std::string& name,
+                           std::uint64_t offset, util::MutableByteSpan out,
+                           std::vector<util::SharedBytes>* blocks) const {
+  const FileMeta& meta = RequireRange(name, offset, out.size());
+  if (blocks != nullptr) blocks->clear();
+  if (out.empty()) return;
 
+  const std::uint64_t end = offset + out.size();
   const std::uint64_t first_block = offset / config_.block_size;
-  const std::uint64_t last_block = (offset + length - 1) / config_.block_size;
+  const std::uint64_t last_block = (end - 1) / config_.block_size;
+  if (blocks != nullptr) blocks->resize(last_block - first_block + 1);
   const std::size_t batch_blocks =
       std::max<std::size_t>(1, config_.ingest.batch_blocks);
   // Cluster readahead: when the decompressed-block ARC is on, each request
@@ -457,7 +482,6 @@ util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,
       config_.read.cache_bytes > 0 ? config_.read.readahead_blocks : 0;
 
   std::vector<util::Digest> digests;
-  std::vector<std::uint64_t> slots;  // block index of each digest
   for (std::uint64_t base = first_block; base <= last_block;
        base += batch_blocks) {
     const std::uint64_t round_last =
@@ -465,34 +489,31 @@ util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,
     const std::uint64_t fetch_last = std::min<std::uint64_t>(
         round_last + readahead, meta.blocks.size() - 1);
     digests.clear();
-    slots.clear();
     for (std::uint64_t i = base; i <= fetch_last; ++i) {
       const BlockPtr& ptr = meta.blocks[i];
-      if (ptr.hole) continue;
-      digests.push_back(ptr.digest);
-      slots.push_back(i);
+      if (!ptr.hole) digests.push_back(ptr.digest);
     }
-    const std::vector<util::Bytes> blocks = store_.GetBatchAs(tenant, digests);
+    std::vector<util::SharedBytes> fetched =
+        store_.GetBatchShared(tenant, digests);
 
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      const std::uint64_t block_index = slots[k];
-      if (block_index > round_last) break;  // readahead-only blocks
-      const std::uint64_t block_start = block_index * config_.block_size;
+    // The round's non-hole blocks are the leading entries of `fetched`, in
+    // block order; any after them are readahead only.
+    std::size_t k = 0;
+    for (std::uint64_t b = base; b <= round_last; ++b) {
+      const std::uint64_t block_start = b * config_.block_size;
       const std::uint64_t from = std::max(offset, block_start);
-      const std::uint64_t to = std::min<std::uint64_t>(
-          offset + length, block_start + config_.block_size);
-      const std::uint64_t within = from - block_start;
-      const util::Bytes& block = blocks[k];
-      // The stored block may be shorter than the in-file block length (a
-      // former tail block after the file grew); its logical tail is zeros.
-      if (within < block.size()) {
-        const std::uint64_t copy =
-            std::min<std::uint64_t>(to - from, block.size() - within);
-        std::memcpy(out.data() + (from - offset), block.data() + within, copy);
+      const std::uint64_t to =
+          std::min<std::uint64_t>(end, block_start + config_.block_size);
+      const util::MutableByteSpan dst = out.subspan(from - offset, to - from);
+      if (meta.blocks[b].hole) {
+        std::memset(dst.data(), 0, dst.size());
+        continue;
       }
+      ReadBlockBytes(*fetched[k], from - block_start, dst);
+      if (blocks != nullptr) (*blocks)[b - first_block] = std::move(fetched[k]);
+      ++k;
     }
   }
-  return out;
 }
 
 util::Bytes Volume::ReadFile(const std::string& name) const {
@@ -1075,10 +1096,23 @@ util::Bytes Volume::ReadRangeRepair(store::TenantId tenant,
                                     std::uint64_t offset, std::uint64_t length,
                                     RepairSession& session,
                                     std::uint64_t* fetched_bytes) {
+  RequireRange(name, offset, length);  // before sizing the buffer
+  util::Bytes out(length);
+  ReadRangeRepairInto(tenant, name, offset, out, session, fetched_bytes);
+  return out;
+}
+
+void Volume::ReadRangeRepairInto(store::TenantId tenant,
+                                 const std::string& name, std::uint64_t offset,
+                                 util::MutableByteSpan out,
+                                 RepairSession& session,
+                                 std::uint64_t* fetched_bytes,
+                                 std::vector<util::SharedBytes>* blocks) {
   DigestSet repaired;
   while (true) {
     try {
-      return ReadRangeAs(tenant, name, offset, length);
+      ReadRangeInto(tenant, name, offset, out, blocks);
+      return;
     } catch (const store::BlockCorruptionError& e) {
       // One corrupt block surfaces per attempt; heal it through the session
       // (lying peers strike out, the block re-sources from the next

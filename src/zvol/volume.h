@@ -93,6 +93,13 @@ struct FileMeta {
   bool operator==(const FileMeta&) const = default;
 };
 
+/// Copies the in-file bytes [within, within + out.size()) of a non-hole
+/// block whose decompressed payload is `payload` into `out`. A stored block
+/// can be shorter than its in-file length (a former tail block after a
+/// write grew the file); its bytes past the payload read as zeros.
+void ReadBlockBytes(util::ByteSpan payload, std::uint64_t within,
+                    util::MutableByteSpan out);
+
 using FileTable = std::map<std::string, FileMeta>;
 
 /// One replica a repair layer can fetch clean blocks from. Peer 0 is, by
@@ -251,10 +258,8 @@ class Volume {
   void WriteRange(const std::string& name, std::uint64_t offset,
                   util::ByteSpan data);
 
-  /// Reads [offset, offset+length); holes read as zeros. Fetches block
-  /// payloads through BlockStore::GetBatch in rounds of ingest.batch_blocks
-  /// blocks, each extended by read.readahead_blocks following pointers (the
-  /// QCOW2 cluster-prefetch effect) when the decompressed-block ARC is on.
+  /// Reads [offset, offset+length); holes read as zeros. Wraps
+  /// ReadRangeInto for store::kDefaultTenant.
   util::Bytes ReadRange(const std::string& name, std::uint64_t offset,
                         std::uint64_t length) const;
 
@@ -263,6 +268,22 @@ class Volume {
   /// multi-tenant boot path tags each VM's reads with its own id.
   util::Bytes ReadRangeAs(store::TenantId tenant, const std::string& name,
                           std::uint64_t offset, std::uint64_t length) const;
+
+  /// The one range read: reads [offset, offset + out.size()) into `out`,
+  /// charging the cache interaction to `tenant`. Fetches block payloads
+  /// through BlockStore::GetBatchShared in rounds of ingest.batch_blocks
+  /// blocks, each extended by read.readahead_blocks following pointers (the
+  /// QCOW2 cluster-prefetch effect) when the decompressed-block ARC is on,
+  /// and copies each block's bytes straight from its shared buffer. Only
+  /// holes and the zero tail of a stored block shorter than its in-file
+  /// length are zero-filled, so `out` need not be cleared; after a throw
+  /// its contents are unspecified. With `blocks` set, it is resized to one
+  /// slot per block the range touches, from offset / block_size on, and
+  /// each non-hole slot gets that block's shared payload (null for holes),
+  /// so a caller can keep a block without copying it.
+  void ReadRangeInto(store::TenantId tenant, const std::string& name,
+                     std::uint64_t offset, util::MutableByteSpan out,
+                     std::vector<util::SharedBytes>* blocks = nullptr) const;
 
   /// Whole-file convenience read over the same batched, cache-aware path.
   util::Bytes ReadFile(const std::string& name) const;
@@ -419,11 +440,20 @@ class Volume {
   /// throws BlockCorruptionError, heals the corrupt block through `session`
   /// on demand and retries. Bytes the session fetched — lies included —
   /// are added to `*fetched_bytes` (network charge for the caller).
-  /// Rethrows when no session peer can supply a clean copy.
+  /// Rethrows when no session peer can supply a clean copy. Wraps
+  /// ReadRangeRepairInto.
   util::Bytes ReadRangeRepair(store::TenantId tenant, const std::string& name,
                               std::uint64_t offset, std::uint64_t length,
                               RepairSession& session,
                               std::uint64_t* fetched_bytes = nullptr);
+
+  /// ReadRangeInto with ReadRangeRepair's on-demand healing: the span read
+  /// every cluster boot's volume device takes.
+  void ReadRangeRepairInto(store::TenantId tenant, const std::string& name,
+                           std::uint64_t offset, util::MutableByteSpan out,
+                           RepairSession& session,
+                           std::uint64_t* fetched_bytes = nullptr,
+                           std::vector<util::SharedBytes>* blocks = nullptr);
 
   /// Applies the injector's stored-payload fault schedule to every block in
   /// the store (order-independent, per-digest). Returns blocks corrupted.
@@ -500,6 +530,10 @@ class Volume {
       std::uint64_t* dangling_refs) const;
   const FileMeta& RequireFile(const std::string& name) const;
   FileMeta& RequireFile(const std::string& name);
+  /// RequireFile that also throws std::out_of_range unless [offset,
+  /// offset + length) lies inside the file.
+  const FileMeta& RequireRange(const std::string& name, std::uint64_t offset,
+                               std::uint64_t length) const;
   /// Runs fn(i) for i in [0, count) on the store's ingest pool (inline when
   /// serial).
   void ForEachIngest(std::size_t count,

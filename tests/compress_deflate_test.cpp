@@ -227,6 +227,27 @@ TEST(Deflate, CompressedPayloadHasNoSpareCapacity) {
   }
 }
 
+// Small compressible inputs have a code-length header that is a large share
+// of their payload; it must not be written into a buffer sized before the
+// payload is. The default build compiles Compress's capacity assert out, so
+// this checks the capacity directly, over every size from 1 to 600 bytes of
+// three contents (a run of one byte, text, random) at each level.
+TEST(Deflate, SmallPayloadsHaveNoSpareCapacity) {
+  for (int level : {1, 6, 9}) {
+    const DeflateCodec codec(level);
+    for (std::size_t size = 1; size <= 600; ++size) {
+      for (const Bytes& input :
+           {Bytes(size, 'x'), CompressibleText(size, size),
+            GoldenInput("random", size)}) {
+        const Bytes compressed = codec.Compress(input);
+        ASSERT_EQ(compressed.capacity(), compressed.size())
+            << "gzip" << level << ", " << size << " bytes";
+        ASSERT_EQ(codec.Decompress(compressed, input.size()), input);
+      }
+    }
+  }
+}
+
 // --- Huffman internals -------------------------------------------------------
 
 TEST(Huffman, CodeLengthsRespectLimit) {
@@ -305,6 +326,10 @@ TEST(Huffman, CodeLengthSerializationRoundTrip) {
   const Bytes wire = writer.Finish();
   BitReader reader(wire);
   EXPECT_EQ(ReadCodeLengths(reader, 300), lengths);
+  // Four lengths at 4 bits, and zero runs of 4, 64, 64, 64, 52 and 48 at
+  // 10 bits each.
+  EXPECT_EQ(CodeLengthsBits(lengths), 4u * 4 + 6u * 10);
+  EXPECT_EQ(wire.size(), util::CeilDiv(CodeLengthsBits(lengths), 8));
 }
 
 TEST(BitIo, RoundTripMixedWidths) {

@@ -69,14 +69,23 @@ TEST(QcowOverlay, WriteReadRoundTrip) {
 }
 
 TEST(QcowOverlay, UnwrittenPartsOfClusterReadZero) {
+  // A new cluster is not zero-filled where its first write lands; every
+  // other byte must still read zero, also when the cluster reuses memory
+  // an earlier overlay left dirty.
+  {
+    QcowOverlay dirty(1 << 20, kCluster);
+    for (std::uint64_t c = 0; c < 8; ++c) {
+      dirty.WriteAt(c * kCluster, Bytes(kCluster, 0xff));
+    }
+  }
   QcowOverlay overlay(1 << 20, kCluster);
   const Bytes one{0x42};
   overlay.WriteAt(5, one);
-  Bytes out(16);
+  Bytes out(kCluster);
   overlay.ReadAt(0, out);
-  EXPECT_EQ(out[5], 0x42);
-  EXPECT_EQ(out[0], 0);
-  EXPECT_EQ(out[15], 0);
+  Bytes want(kCluster, 0);
+  want[5] = 0x42;
+  EXPECT_EQ(out, want);
 }
 
 TEST(QcowOverlay, ReadingUnallocatedClusterThrows) {
@@ -198,6 +207,91 @@ TEST(Chain, TailClusterHandled) {
   EXPECT_TRUE(std::equal(out.begin(), out.end(),
                          base_content.begin() + kCluster * 3));
   EXPECT_THROW(chain.Read(kCluster * 3, 1001), std::out_of_range);
+}
+
+TEST(Chain, ReadIntoMatchesRead) {
+  // ReadInto fetches a whole cluster the lower layers serve straight into
+  // the caller's buffer and a partial one through the chain's scratch
+  // cluster. Into a buffer pre-filled with a non-zero pattern it must equal
+  // Read, with the same lower-layer events, for whole-cluster, partial and
+  // overlay-served reads and the short tail cluster.
+  const Bytes base_content = RandomBytes(kCluster * 6 + 1000, 21);
+  BufferSource source(base_content);
+  PlainDevice base(&source);
+  MemCache read_cache(base_content.size(), kCluster);
+  MemCache into_cache(base_content.size(), kCluster);
+  QcowOverlay read_cow(base_content.size(), kCluster);
+  QcowOverlay into_cow(base_content.size(), kCluster);
+  Chain read_chain(&read_cow, &read_cache, &base, /*copy_on_read=*/true);
+  Chain into_chain(&into_cow, &into_cache, &base, /*copy_on_read=*/true);
+  std::vector<ReadEvent> read_events;
+  std::vector<ReadEvent> into_events;
+  read_chain.set_observer([&](const ReadEvent& e) { read_events.push_back(e); });
+  into_chain.set_observer([&](const ReadEvent& e) { into_events.push_back(e); });
+  // The overlay serves clusters 1 (written from byte 100 on) and 4 (50
+  // bytes written, the rest copied up from below).
+  const Bytes first_write = RandomBytes(kCluster - 100, 22);
+  const Bytes second_write = RandomBytes(50, 23);
+  for (Chain* chain : {&read_chain, &into_chain}) {
+    chain->Write(kCluster + 100, first_write);
+    chain->Write(4 * kCluster + 5, second_write);
+  }
+  Bytes want = base_content;
+  std::copy(first_write.begin(), first_write.end(),
+            want.begin() + kCluster + 100);
+  std::copy(second_write.begin(), second_write.end(),
+            want.begin() + 4 * kCluster + 5);
+
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {0, kCluster},                    // one whole cluster
+      {2 * kCluster, 2 * kCluster},     // two whole clusters
+      {6 * kCluster, 1000},             // the whole short tail cluster
+      {100, 300},                       // inside one cluster
+      {kCluster - 10, kCluster + 20},   // crosses into the overlay
+      {4 * kCluster, kCluster},         // a whole overlay cluster
+      {3 * kCluster + 7, 3 * kCluster}, // partial, overlay, partial
+      {0, base_content.size()},         // everything, the cache warm now
+  };
+  for (const auto& [offset, length] : ranges) {
+    SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                 std::to_string(length));
+    Bytes got(length, 0xa5);
+    into_chain.ReadInto(offset, got);
+    EXPECT_EQ(got, read_chain.Read(offset, length));
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           want.begin() + static_cast<std::ptrdiff_t>(offset)));
+  }
+  ASSERT_EQ(into_events.size(), read_events.size());
+  for (std::size_t i = 0; i < read_events.size(); ++i) {
+    EXPECT_EQ(into_events[i].source, read_events[i].source) << i;
+    EXPECT_EQ(into_events[i].offset, read_events[i].offset) << i;
+    EXPECT_EQ(into_events[i].length, read_events[i].length) << i;
+    EXPECT_EQ(into_events[i].cor_fill, read_events[i].cor_fill) << i;
+  }
+  EXPECT_EQ(into_chain.base_bytes_read(), read_chain.base_bytes_read());
+  EXPECT_EQ(into_chain.cache_bytes_read(), read_chain.cache_bytes_read());
+  Bytes past_end(1001);
+  EXPECT_THROW(into_chain.ReadInto(6 * kCluster, past_end), std::out_of_range);
+}
+
+TEST(Chain, FailedCopyOnWriteFetchLeavesOverlayUnchanged) {
+  // The copy-on-write fetch fills the overlay's new cluster in place; a
+  // fetch that throws must not leave that cluster installed half-filled.
+  class FailingDevice final : public Device {
+   public:
+    std::uint64_t size() const override { return 4 * kCluster; }
+    bool Present(std::uint64_t) const override { return true; }
+    void ReadAt(std::uint64_t, util::MutableByteSpan) override {
+      throw std::runtime_error("backing read failed");
+    }
+  };
+  FailingDevice base;
+  QcowOverlay cow(base.size(), kCluster);
+  Chain chain(&cow, nullptr, &base, false);
+  EXPECT_THROW(chain.Write(kCluster + 10, RandomBytes(20, 24)),
+               std::runtime_error);
+  EXPECT_FALSE(cow.ClusterPresent(1));
+  EXPECT_EQ(cow.allocated_clusters(), 0u);
 }
 
 TEST(Chain, RequiresOverlayAndBase) {

@@ -303,6 +303,68 @@ TEST(VolumeFileDevice, HealedBlockServedFromPageCacheWithoutSecondRepair) {
   EXPECT_EQ(StoreRequests(local), requests);
 }
 
+/// First non-hole block of `file`.
+std::uint64_t FirstDataBlock(const zvol::Volume& volume, const std::string& file) {
+  std::uint64_t b = 0;
+  while (volume.FileBlock(file, b).hole) ++b;
+  return b;
+}
+
+TEST(VolumeFileDevice, HeldBlockOutlivesArcEviction) {
+  // The device holds the store's shared buffer, not a copy: when the ARC
+  // evicts the block while the device holds it, the buffer lives on, and
+  // the next page-cache hit serves the image's bytes without reaching the
+  // store.
+  zvol::Volume volume({.block_size = 4096,
+                       .codec = compress::CodecId::kGzip6,
+                       .read = {.cache_bytes = 2 * 4096},
+                       .shards = 1});  // one ARC stripe of two blocks
+  const Bytes content = CacheImageBytes(8 * 4096, 21);
+  const Bytes other = CacheImageBytes(8 * 4096, 22);
+  volume.WriteFile("f", BufferSource(content));
+  volume.WriteFile("g", BufferSource(other));
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  const std::uint64_t b = FirstDataBlock(volume, "f");
+  Bytes out(4096);
+  device.ReadAt(b * 4096, out);
+  const util::Digest digest = volume.FileBlock("f", b).digest;
+  ASSERT_TRUE(volume.block_store().CachedDecompressed(digest));
+
+  // Reading another file through the two-block ARC evicts it.
+  ASSERT_EQ(volume.ReadFile("g"), other);
+  ASSERT_FALSE(volume.block_store().CachedDecompressed(digest));
+
+  const std::uint64_t requests = StoreRequests(volume);
+  std::fill(out.begin(), out.end(), util::Byte{0xa5});
+  device.ReadAt(b * 4096, out);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), content.begin() + b * 4096));
+  EXPECT_EQ(StoreRequests(volume), requests);
+}
+
+TEST(VolumeFileDevice, HeldBlockIsTheArcBuffer) {
+  // With the ARC on, a held block and its ARC entry are one buffer.
+  zvol::Volume volume({.block_size = 4096,
+                       .codec = compress::CodecId::kGzip6,
+                       .read = {.cache_bytes = util::kMiB}});
+  volume.WriteFile("f", BufferSource(CacheImageBytes(8 * 4096, 23)));
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  const std::uint64_t b = FirstDataBlock(volume, "f");
+  Bytes out(4096);
+  device.ReadAt(b * 4096, out);
+
+  const util::Digest one[1] = {volume.FileBlock("f", b).digest};
+  const std::uint64_t hits = volume.block_store().read_stats().cache_hits;
+  const util::SharedBytes probe =
+      volume.block_store().GetBatchShared(store::kDefaultTenant, one)[0];
+  ASSERT_EQ(volume.block_store().read_stats().cache_hits, hits + 1);
+  // Three holders of the one buffer: the ARC entry, the device and this
+  // probe. A device holding a copy would leave two.
+  EXPECT_EQ(probe.use_count(), 3);
+  EXPECT_EQ(device.held_bytes(), probe->size());
+}
+
 TEST(RemoteImageDevice, CountsNetworkBytes) {
   const Bytes content = RandomBytes(1 << 20, 8);
   BufferSource source(content);

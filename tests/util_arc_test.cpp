@@ -200,7 +200,7 @@ TEST(ArcCache, BlockCacheResizeDropsPayloadsWithEntries) {
     payload[0] = static_cast<util::Byte>(i);
     const util::Digest digest = util::HashBlock(payload);
     cache.Admit(digest, payload.size());
-    cache.Fill(digest, payload);
+    cache.Fill(digest, std::make_shared<const util::Bytes>(payload));
     digests.push_back(digest);
   }
   EXPECT_EQ(cache.resident_bytes(), 4u * 4096u);
@@ -208,12 +208,12 @@ TEST(ArcCache, BlockCacheResizeDropsPayloadsWithEntries) {
   cache.Resize(4096);
   EXPECT_EQ(cache.capacity_bytes(), 4096u);
   EXPECT_LE(cache.resident_bytes(), 4096u);
-  util::Bytes out;
+  util::SharedBytes out;
   int hits = 0;
   for (const util::Digest& digest : digests) {
     if (cache.Lookup(digest, &out) == store::BlockCache::Outcome::kHit) {
       ++hits;
-      EXPECT_EQ(out.size(), 4096u);  // payload still intact for survivors
+      EXPECT_EQ(out->size(), 4096u);  // payload still intact for survivors
     }
   }
   EXPECT_LE(hits, 1);

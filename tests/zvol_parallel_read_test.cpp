@@ -262,6 +262,109 @@ TEST(ParallelRead, RawBlocksBypassTheCache) {
   EXPECT_FALSE(store.CachedDecompressed(digest));
 }
 
+TEST(ParallelRead, SharedPayloadsAreOneBufferPerBlock) {
+  // GetBatchShared makes each decompressed block one buffer: duplicates in
+  // a batch share it, and with the ARC on a later hit hands out the very
+  // buffer the miss made. Without the ARC every batch decodes afresh.
+  for (const std::uint64_t cache_bytes : {std::uint64_t{0}, util::kMiB}) {
+    SCOPED_TRACE("cache " + std::to_string(cache_bytes));
+    store::BlockStore store(StoreConfig(/*threads=*/2, cache_bytes));
+    Bytes text(kBlockSize);
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      text[i] = static_cast<util::Byte>('a' + i % 3);
+    }
+    const util::Digest digest = store.Put(text).digest;
+    const util::Digest batch[3] = {digest, digest, digest};
+    const std::vector<util::SharedBytes> first =
+        store.GetBatchShared(store::kDefaultTenant, batch);
+    ASSERT_EQ(*first[0], text);
+    EXPECT_EQ(first[1], first[0]);
+    EXPECT_EQ(first[2], first[0]);
+    const std::vector<util::SharedBytes> again =
+        store.GetBatchShared(store::kDefaultTenant, batch);
+    EXPECT_EQ(again[0] == first[0], cache_bytes > 0);
+    // The copy-out wrapper hands back the same bytes in a buffer of its own.
+    const Bytes copy = store.Get(digest);
+    EXPECT_EQ(copy, text);
+    EXPECT_NE(copy.data(), first[0]->data());
+  }
+}
+
+// ReadRangeInto writes only the bytes it serves: holes and the zero tail of
+// a stored block shorter than its in-file length are zero-filled, and the
+// rest is copied straight from the shared payloads. Into a destination
+// pre-filled with a non-zero pattern it must still equal ReadRange, with the
+// same store ReadStats, over ranges that cross blocks and ingest batches,
+// and hand back each touched block's payload (null for holes).
+TEST(ParallelRead, SpanReadMatchesReadRange) {
+  const Bytes content = MixedContent(/*blocks=*/40, 61);
+  // Growing the file past its partial tail block, without rewriting that
+  // block, leaves a stored block shorter than its in-file length.
+  const std::uint64_t grow_at = content.size() + 2 * kBlockSize;
+  const Bytes grown(100, 0x3c);
+  Bytes want = content;
+  want.resize(grow_at, 0);
+  want.insert(want.end(), grown.begin(), grown.end());
+  const std::uint64_t short_block = content.size() / kBlockSize;
+
+  for (const auto& [cache_bytes, readahead] :
+       {std::pair<std::uint64_t, std::size_t>{0, 0}, {util::kMiB, 4}}) {
+    SCOPED_TRACE("cache " + std::to_string(cache_bytes));
+    VolumeConfig config = VolConfig(/*threads=*/1, cache_bytes, readahead);
+    config.ingest.batch_blocks = 3;  // ranges cross ingest-sized rounds
+    Volume span_volume(config);
+    Volume range_volume(config);
+    for (Volume* volume : {&span_volume, &range_volume}) {
+      volume->WriteFile("f", BufferSource(content));
+      volume->WriteRange("f", grow_at, grown);
+    }
+    const BlockPtr& short_ptr = span_volume.FileBlock("f", short_block);
+    ASSERT_FALSE(short_ptr.hole);
+    ASSERT_LT(short_ptr.logical_size, kBlockSize);
+
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+        {0, want.size()},
+        {short_block * kBlockSize, kBlockSize},
+        {short_block * kBlockSize + 10, 2 * kBlockSize},
+        {kBlockSize - 1, 2},
+    };
+    util::Rng rng(62);
+    for (int i = 0; i < 24; ++i) {
+      const std::uint64_t offset =
+          rng.Below(static_cast<std::uint32_t>(want.size() - 1));
+      ranges.emplace_back(offset, std::min<std::uint64_t>(
+                                      1 + rng.Below(9 * kBlockSize),
+                                      want.size() - offset));
+    }
+    for (const auto& [offset, length] : ranges) {
+      SCOPED_TRACE("offset " + std::to_string(offset) + " length " +
+                   std::to_string(length));
+      Bytes got(length, 0xa5);
+      std::vector<util::SharedBytes> blocks;
+      span_volume.ReadRangeInto(store::kDefaultTenant, "f", offset, got,
+                                &blocks);
+      ASSERT_EQ(got, range_volume.ReadRange("f", offset, length));
+      ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                             want.begin() + static_cast<std::ptrdiff_t>(offset)));
+      ExpectSameReadStats(span_volume.block_store().read_stats(),
+                          range_volume.block_store().read_stats(),
+                          /*cache_enabled=*/true);
+      const std::uint64_t first = offset / kBlockSize;
+      ASSERT_EQ(blocks.size(), (offset + length - 1) / kBlockSize - first + 1);
+      for (std::size_t k = 0; k < blocks.size(); ++k) {
+        const BlockPtr& ptr = span_volume.FileBlock("f", first + k);
+        if (ptr.hole) {
+          EXPECT_EQ(blocks[k], nullptr) << "block " << first + k;
+        } else {
+          ASSERT_NE(blocks[k], nullptr) << "block " << first + k;
+          EXPECT_EQ(*blocks[k],
+                    span_volume.block_store().GetUncached(ptr.digest));
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelRead, GetBatchUnknownDigestThrowsBeforeCacheMutation) {
   store::BlockStore store(StoreConfig(/*threads=*/2, /*cache_bytes=*/util::kMiB));
   const std::vector<util::Digest> digests = Populate(store, 8, /*seed=*/3);
