@@ -13,39 +13,50 @@ Chain::Chain(QcowOverlay* cow, WritableDevice* cache, Device* base,
   if (cow_ == nullptr || base_ == nullptr) {
     throw std::invalid_argument("chain requires a CoW overlay and a base");
   }
-  cluster_buffer_ =
-      std::make_unique_for_overwrite<util::Byte[]>(cow_->cluster_size());
+  if (cache_ != nullptr && copy_on_read_) {
+    cluster_buffer_ =
+        std::make_unique_for_overwrite<util::Byte[]>(cow_->cluster_size());
+  }
 }
 
 ReadSource Chain::FetchClusterFromBelow(std::uint64_t cluster_index,
+                                        std::uint64_t skip,
                                         util::MutableByteSpan out) {
   const std::uint64_t cluster_start =
       cluster_index * cow_->cluster_size();
+  const std::uint64_t cluster_len = std::min<std::uint64_t>(
+      cow_->cluster_size(), size() - cluster_start);
   if (cache_ != nullptr && cache_->Present(cluster_start)) {
-    cache_->ReadAt(cluster_start, out);
-    cache_bytes_read_ += out.size();
+    cache_->ReadWindow(cluster_start, cluster_len, skip, out);
+    cache_bytes_read_ += cluster_len;
     if (observer_) {
       observer_(ReadEvent{ReadSource::kCache, cluster_start,
-                          static_cast<std::uint32_t>(out.size()), false});
+                          static_cast<std::uint32_t>(cluster_len), false});
     }
     return ReadSource::kCache;
   }
 
-  if (!base_->Allocated(cluster_start, out.size())) {
+  if (!base_->Allocated(cluster_start, cluster_len)) {
     // Unallocated backing range: zero-fill locally, no I/O (QCOW2 semantics).
     std::memset(out.data(), 0, out.size());
     return ReadSource::kBase;
   }
-  base_->ReadAt(cluster_start, out);
-  base_bytes_read_ += out.size();
-  bool filled = false;
-  if (cache_ != nullptr && copy_on_read_) {
-    cache_->WriteAt(cluster_start, util::ByteSpan(out.data(), out.size()));
-    filled = true;
+  const bool filled = cache_ != nullptr && copy_on_read_;
+  if (filled && out.size() < cluster_len) {
+    // The copy-on-read fill writes the whole cluster into the cache, so a
+    // partial window fetches it through the scratch cluster.
+    const util::MutableByteSpan cluster(cluster_buffer_.get(), cluster_len);
+    base_->ReadAt(cluster_start, cluster);
+    cache_->WriteAt(cluster_start, cluster);
+    std::memcpy(out.data(), cluster.data() + skip, out.size());
+  } else {
+    base_->ReadWindow(cluster_start, cluster_len, skip, out);
+    if (filled) cache_->WriteAt(cluster_start, out);
   }
+  base_bytes_read_ += cluster_len;
   if (observer_) {
     observer_(ReadEvent{ReadSource::kBase, cluster_start,
-                        static_cast<std::uint32_t>(out.size()), filled});
+                        static_cast<std::uint32_t>(cluster_len), filled});
   }
   return ReadSource::kBase;
 }
@@ -72,18 +83,9 @@ void Chain::ReadInto(std::uint64_t offset, util::MutableByteSpan out) {
                             static_cast<std::uint32_t>(take), false});
       }
     } else {
-      // Lower layers serve whole clusters (QCOW2 request shaping).
-      const std::uint64_t cluster_start = index * cluster_size;
-      const std::uint64_t cluster_len = std::min<std::uint64_t>(
-          cluster_size, size() - cluster_start);
-      if (within == 0 && take == cluster_len) {
-        FetchClusterFromBelow(index, dst);
-      } else {
-        const util::MutableByteSpan cluster(cluster_buffer_.get(),
-                                            cluster_len);
-        FetchClusterFromBelow(index, cluster);
-        std::memcpy(dst.data(), cluster.data() + within, take);
-      }
+      // Lower layers serve whole clusters (QCOW2 request shaping); only the
+      // guest's part of the cluster lands in `out`.
+      FetchClusterFromBelow(index, within, dst);
     }
     pos += take;
   }
@@ -117,7 +119,7 @@ void Chain::Write(std::uint64_t offset, util::ByteSpan data) {
           cluster_size, size() - index * cluster_size);
       cow_->InstallCluster(index, cluster_len,
                            [&](util::MutableByteSpan cluster) {
-                             FetchClusterFromBelow(index, cluster);
+                             FetchClusterFromBelow(index, 0, cluster);
                            });
     }
     cow_->WriteAt(abs, data.subspan(pos, take));

@@ -9,7 +9,10 @@
 // Lower-layer reads are issued in whole QCOW2 clusters, as real QCOW2 does —
 // the request from the guest may be smaller, but the overlay's backing reads
 // are (offset, cluster) shaped. This read amplification is what feeds the
-// host page cache with soon-to-be-needed boot data (Section 4.2.3).
+// host page cache with soon-to-be-needed boot data (Section 4.2.3). Each
+// lower-layer read is a cow::Device request for the whole cluster, which
+// the layer charges, caches and counts in full, with the guest's part of
+// the cluster as its window: only those bytes are copied (cow/device.h).
 #pragma once
 
 #include <cstdint>
@@ -45,9 +48,11 @@ class Chain {
 
   /// Guest read of [offset, offset + out.size()) into `out`. Each touched
   /// cluster is served by the topmost layer that holds it; base reads
-  /// optionally populate the cache (CoR). A read that covers a whole
-  /// cluster the lower layers serve fetches it straight into `out`; a
-  /// partial one goes through one cluster of scratch.
+  /// optionally populate the cache (CoR). The lower layers get the whole
+  /// cluster as the request and the guest's part of it as the window, which
+  /// they write straight into `out`; only a copy-on-read fill of a partial
+  /// cluster goes through the scratch cluster, since the cache needs all of
+  /// it. Byte counters and observer events count whole clusters.
   void ReadInto(std::uint64_t offset, util::MutableByteSpan out);
 
   /// ReadInto a new buffer of `length` bytes.
@@ -63,9 +68,11 @@ class Chain {
   std::uint64_t cache_bytes_read() const { return cache_bytes_read_; }
 
  private:
-  /// Reads one whole cluster from cache/base into `out` (cluster_size bytes,
-  /// or less for the image tail). Returns the serving source.
+  /// Serves cluster `cluster_index` whole from cache/base (cluster_size
+  /// bytes, or less for the image tail) and writes its bytes [skip, skip +
+  /// out.size()) into `out`. Returns the serving source.
   ReadSource FetchClusterFromBelow(std::uint64_t cluster_index,
+                                   std::uint64_t skip,
                                    util::MutableByteSpan out);
 
   QcowOverlay* cow_;
@@ -73,9 +80,9 @@ class Chain {
   Device* base_;
   bool copy_on_read_;
   ReadObserver observer_;
-  // One cluster of scratch for partial-cluster reads from the lower layers,
-  // reused by every read and never zero-filled: FetchClusterFromBelow
-  // overwrites every byte it hands back.
+  // One cluster of scratch for copy-on-read fills of partial clusters, made
+  // only for a copy-on-read chain with a cache, reused by every such read
+  // and never zero-filled: the base read overwrites every byte used.
   std::unique_ptr<util::Byte[]> cluster_buffer_;
   std::uint64_t base_bytes_read_ = 0;
   std::uint64_t cache_bytes_read_ = 0;

@@ -16,8 +16,11 @@ bool QcowOverlay::Present(std::uint64_t offset) const {
   return clusters_.contains(offset / cluster_size_);
 }
 
-void QcowOverlay::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
-  assert(offset + out.size() <= logical_size_);
+void QcowOverlay::ReadWindow(std::uint64_t offset,
+                             [[maybe_unused]] std::uint64_t length,
+                             std::uint64_t skip, util::MutableByteSpan out) {
+  assert(skip + out.size() <= length && offset + length <= logical_size_);
+  offset += skip;
   std::uint64_t pos = 0;
   while (pos < out.size()) {
     const std::uint64_t abs = offset + pos;

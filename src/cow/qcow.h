@@ -26,7 +26,10 @@ class QcowOverlay final : public WritableDevice {
 
   std::uint64_t size() const override { return logical_size_; }
   bool Present(std::uint64_t offset) const override;
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  /// The overlay charges nothing, so only the window is read; every cluster
+  /// it touches must be allocated.
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   void WriteAt(std::uint64_t offset, util::ByteSpan data) override;
 
   std::uint32_t cluster_size() const { return cluster_size_; }

@@ -41,10 +41,9 @@ std::uint64_t StripedFileDevice::size() const {
 bool StripedFileDevice::Present(std::uint64_t offset) const {
   // The set collectively holds every materialized block, so presence is a
   // metadata question: is there a non-hole block under this offset?
-  const std::uint32_t block_size = metadata_->config().block_size;
-  const std::uint64_t b = offset / block_size;
-  if (b >= metadata_->FileBlockCount(file_)) return false;
-  return !metadata_->FileBlock(file_, b).hole;
+  const zvol::FileMeta& meta = metadata_->File(file_);
+  const std::uint64_t b = offset / metadata_->config().block_size;
+  return b < meta.blocks.size() && !meta.blocks[b].hole;
 }
 
 const util::Bytes& StripedFileDevice::AssembleBlock(const zvol::BlockPtr& ptr) {
@@ -93,32 +92,38 @@ const util::Bytes& StripedFileDevice::AssembleBlock(const zvol::BlockPtr& ptr) {
   return assembled_.emplace(ptr.digest, std::move(raw)).first->second;
 }
 
-void StripedFileDevice::ReadAt(std::uint64_t offset,
-                               util::MutableByteSpan out) {
-  if (out.empty()) return;
+void StripedFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
+                                   std::uint64_t skip,
+                                   util::MutableByteSpan out) {
+  if (length == 0) return;
+  const zvol::FileMeta& meta = metadata_->File(file_);
   const std::uint32_t block_size = metadata_->config().block_size;
-  const std::uint64_t file_size = metadata_->FileSize(file_);
-  const std::uint64_t block_count = metadata_->FileBlockCount(file_);
-  std::memset(out.data(), 0, out.size());
+  const std::uint64_t window = offset + skip;
+  const std::uint64_t window_end =
+      std::min<std::uint64_t>(window + out.size(), meta.logical_size);
+  std::fill(out.begin(), out.end(), util::Byte{0});
 
+  // Every block of the request is resolved and assembled; only the window
+  // is copied.
   const std::uint64_t first = offset / block_size;
-  const std::uint64_t end = std::min<std::uint64_t>(offset + out.size(),
-                                                    file_size);
-  for (std::uint64_t b = first; b < block_count && b * block_size < end; ++b) {
-    const zvol::BlockPtr& ptr = metadata_->FileBlock(file_, b);
+  const std::uint64_t end = std::min<std::uint64_t>(offset + length,
+                                                    meta.logical_size);
+  for (std::uint64_t b = first; b < meta.blocks.size() && b * block_size < end;
+       ++b) {
+    const zvol::BlockPtr& ptr = meta.blocks[b];
     if (ptr.hole) continue;  // holes read as zeros, free
     // Every block access resolves the shard map — charged like the DDT
     // walk the full-replica path pays.
     if (io_ != nullptr) {
-      io_->ChargeDdtLookup(metadata_->block_store().stats().unique_blocks);
+      io_->ChargeDdtLookup(metadata_->block_store().unique_blocks());
     }
     const util::Bytes& payload = AssembleBlock(ptr);
     const std::uint64_t block_start = b * block_size;
-    const std::uint64_t copy_from = std::max(offset, block_start);
+    const std::uint64_t copy_from = std::max(window, block_start);
     const std::uint64_t copy_end =
-        std::min<std::uint64_t>(end, block_start + payload.size());
+        std::min<std::uint64_t>(window_end, block_start + payload.size());
     if (copy_end <= copy_from) continue;
-    std::memcpy(out.data() + (copy_from - offset),
+    std::memcpy(out.data() + (copy_from - window),
                 payload.data() + (copy_from - block_start),
                 copy_end - copy_from);
   }

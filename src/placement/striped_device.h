@@ -58,7 +58,10 @@ class StripedFileDevice final : public cow::WritableDevice {
 
   std::uint64_t size() const override;
   bool Present(std::uint64_t offset) const override;
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  /// Charges and assembles every block of the request; copies only the
+  /// window (holes and bytes past a block's payload read as zeros).
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   /// The striped cache is read-only: boots run the chain with
   /// copy_on_read off, so the overlay absorbs all writes. Throws.
   void WriteAt(std::uint64_t offset, util::ByteSpan data) override;

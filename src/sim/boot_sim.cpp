@@ -42,13 +42,24 @@ BootResult SimulateBoot(cow::Chain& chain,
   }
 
   if (writes != nullptr) {
-    util::Rng rng(0xb007);  // log content; bytes are irrelevant, size is not
-    util::Bytes buffer;
+    const auto fits = [&](const vmi::BootRead& write) {
+      return write.offset + write.length <= chain.size();
+    };
+    // Log content: the bytes are irrelevant, the size is not. One payload,
+    // filled once per boot and sized for the largest write, gives each
+    // write its prefix.
+    std::uint64_t largest_write = 0;
     for (const vmi::BootRead& write : *writes) {
-      if (write.offset + write.length > chain.size()) continue;
-      buffer.resize(write.length);
-      rng.Fill(buffer);
-      chain.Write(write.offset, buffer);
+      if (fits(write)) {
+        largest_write = std::max<std::uint64_t>(largest_write, write.length);
+      }
+    }
+    const auto payload =
+        std::make_unique_for_overwrite<util::Byte[]>(largest_write);
+    util::Rng(0xb007).Fill(util::MutableByteSpan(payload.get(), largest_write));
+    for (const vmi::BootRead& write : *writes) {
+      if (!fits(write)) continue;
+      chain.Write(write.offset, util::ByteSpan(payload.get(), write.length));
       // Writes are absorbed by the overlay and flushed in the background;
       // charge only the guest-side CPU.
       io.ChargeNs(config.guest_ns_per_byte * static_cast<double>(write.length));

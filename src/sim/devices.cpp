@@ -54,9 +54,11 @@ void LocalFileDevice::SetProfileRecorder(vmi::BootProfile* profile,
   profile_name_ = std::move(name);
 }
 
-void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
-  content_->Read(offset, out);
-  if (io_ == nullptr || out.empty()) return;
+void LocalFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
+                                 std::uint64_t skip,
+                                 util::MutableByteSpan out) {
+  content_->Read(offset + skip, out);
+  if (io_ == nullptr || length == 0) return;
   // Charge page-cache-aware block I/O.
   const std::uint64_t total_blocks =
       (content_->size() + io_block_ - 1) / io_block_;
@@ -66,7 +68,7 @@ void LocalFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
   // Clamp the charged window to the final (possibly partial) block: a read
   // grazing EOF must never charge blocks past the end of the file.
   const std::uint64_t last = std::min<std::uint64_t>(
-      (offset + out.size() - 1) / io_block_, total_blocks - 1);
+      (offset + length - 1) / io_block_, total_blocks - 1);
   std::vector<IoContext::AsyncRead> batch;
   for (std::uint64_t b = first; b <= last; ++b) {
     const bool hit = io_->page_cache().Lookup(device_id_, b);
@@ -138,19 +140,29 @@ bool LocalCacheDevice::Present(std::uint64_t offset) const {
   return clusters_.contains(offset / cluster_size_);
 }
 
-void LocalCacheDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
-  std::uint64_t pos = 0;
-  while (pos < out.size()) {
-    const std::uint64_t abs = offset + pos;
-    const std::uint64_t index = abs / cluster_size_;
-    const std::uint64_t within = abs % cluster_size_;
-    const std::uint64_t take =
-        std::min<std::uint64_t>(cluster_size_ - within, out.size() - pos);
+void LocalCacheDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
+                                  std::uint64_t skip,
+                                  util::MutableByteSpan out) {
+  const std::uint64_t window = offset + skip;
+  const std::uint64_t window_end = window + out.size();
+  const std::uint64_t end = offset + length;
+  std::uint64_t pos = offset;
+  while (pos < end) {
+    const std::uint64_t index = pos / cluster_size_;
+    const std::uint64_t next =
+        std::min<std::uint64_t>((index + 1) * cluster_size_, end);
     const auto it = clusters_.find(index);
     if (it == clusters_.end()) {
       throw std::logic_error("reading unpopulated cache cluster");
     }
-    std::memcpy(out.data() + pos, it->second.data() + within, take);
+    // This cluster's part of the window, possibly empty.
+    const std::uint64_t from = std::max(pos, window);
+    const std::uint64_t to = std::min(next, window_end);
+    if (from < to) {
+      std::memcpy(out.data() + (from - window),
+                  it->second.data() + (from - index * cluster_size_),
+                  to - from);
+    }
     if (io_ != nullptr) {
       if (!io_->page_cache().Lookup(device_id_, index)) {
         io_->ChargeDiskRead(disk_base_ + physical_.at(index), it->second.size());
@@ -158,7 +170,7 @@ void LocalCacheDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
                                  static_cast<std::uint32_t>(it->second.size()));
       }
     }
-    pos += take;
+    pos = next;
   }
 }
 
@@ -227,17 +239,16 @@ std::uint64_t VolumeFileDevice::size() const {
 }
 
 bool VolumeFileDevice::Present(std::uint64_t offset) const {
+  const zvol::FileMeta& meta = volume_->File(file_);
   const std::uint32_t block_size = volume_->config().block_size;
   const std::uint64_t window_start =
       offset / presence_window_ * presence_window_;
-  const std::uint64_t window_end =
-      std::min<std::uint64_t>(window_start + presence_window_,
-                              volume_->FileSize(file_));
-  const std::uint64_t block_count = volume_->FileBlockCount(file_);
+  const std::uint64_t window_end = std::min<std::uint64_t>(
+      window_start + presence_window_, meta.logical_size);
   for (std::uint64_t pos = window_start; pos < window_end; pos += block_size) {
     const std::uint64_t block = pos / block_size;
-    if (block >= block_count) break;
-    if (!volume_->FileBlock(file_, block).hole) return true;
+    if (block >= meta.blocks.size()) break;
+    if (!meta.blocks[block].hole) return true;
   }
   return false;
 }
@@ -258,9 +269,9 @@ VolumeFileDevice::PreHealStats VolumeFileDevice::PreHealBlocks(
     throw std::logic_error("PreHealBlocks requires repair sources");
   }
   PreHealStats stats;
+  const zvol::FileMeta& meta = volume_->File(file_);
   const std::uint32_t block_size = volume_->config().block_size;
-  const std::uint64_t block_count = volume_->FileBlockCount(file_);
-  const std::uint64_t file_size = volume_->FileSize(file_);
+  const std::uint64_t block_count = meta.blocks.size();
   std::size_t i = 0;
   while (i < blocks.size()) {
     std::size_t j = i + 1;
@@ -270,10 +281,13 @@ VolumeFileDevice::PreHealStats VolumeFileDevice::PreHealBlocks(
       const std::uint64_t end_block =
           std::min<std::uint64_t>(blocks[j - 1] + 1, block_count);
       const std::uint64_t length =
-          std::min<std::uint64_t>(end_block * block_size, file_size) - offset;
+          std::min<std::uint64_t>(end_block * block_size, meta.logical_size) -
+          offset;
+      // The run is read for its side effects (heal, ARC fill): an empty
+      // window copies none of its bytes.
       std::uint64_t fetched = 0;
-      volume_->ReadRangeRepair(tenant_, file_, offset, length,
-                               *repair_session_, &fetched);
+      volume_->ReadRangeRepairInto(tenant_, file_, offset, length, 0, {},
+                                   *repair_session_, &fetched);
       if (fetched > 0) {
         ++stats.repair_fetches;
         stats.repaired_bytes += fetched;
@@ -291,21 +305,22 @@ void VolumeFileDevice::SetProfileRecorder(vmi::BootProfile* profile) {
   profile_ = profile;
 }
 
-std::uint64_t VolumeFileDevice::BlockLength(std::uint64_t b) const {
+std::uint64_t VolumeFileDevice::BlockLength(const zvol::FileMeta& meta,
+                                            std::uint64_t b) const {
   const std::uint32_t block_size = volume_->config().block_size;
-  const std::uint64_t file_size = volume_->FileSize(file_);
   const std::uint64_t block_start = b * block_size;
   // Saturate at EOF — see LocalFileDevice::BlockLength.
-  if (block_start >= file_size) return 0;
-  return std::min<std::uint64_t>(block_size, file_size - block_start);
+  if (block_start >= meta.logical_size) return 0;
+  return std::min<std::uint64_t>(block_size, meta.logical_size - block_start);
 }
 
 PrefetchOutcome VolumeFileDevice::PrefetchBlock(std::uint64_t block) {
   if (io_ == nullptr) return PrefetchOutcome::kSkipped;
-  if (block >= volume_->FileBlockCount(file_) || BlockLength(block) == 0) {
+  const zvol::FileMeta& meta = volume_->File(file_);
+  if (block >= meta.blocks.size() || BlockLength(meta, block) == 0) {
     return PrefetchOutcome::kSkipped;
   }
-  const zvol::BlockPtr& ptr = volume_->FileBlock(file_, block);
+  const zvol::BlockPtr& ptr = meta.blocks[block];
   if (ptr.hole) return PrefetchOutcome::kSkipped;
   if (io_->page_cache().Resident(device_id_, block)) {
     return PrefetchOutcome::kSkipped;
@@ -320,32 +335,40 @@ PrefetchOutcome VolumeFileDevice::PrefetchBlock(std::uint64_t block) {
 
 std::uint64_t VolumeFileDevice::WarmCacheFromBlocks(
     std::span<const std::uint64_t> blocks) {
-  const std::uint64_t count = volume_->FileBlockCount(file_);
+  const zvol::FileMeta& meta = volume_->File(file_);
   std::vector<util::Digest> digests;
   digests.reserve(blocks.size());
   for (const std::uint64_t b : blocks) {
-    if (b >= count) continue;
-    const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+    if (b >= meta.blocks.size()) continue;
+    const zvol::BlockPtr& ptr = meta.blocks[b];
     if (ptr.hole) continue;
     digests.push_back(ptr.digest);
   }
   return volume_->block_store().WarmCacheAs(tenant_, digests);
 }
 
-void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
-  // Accounting runs before the read executes so cache residency reflects the
-  // state this request found (the read itself warms the store's ARC).
-  bool page_cache_hit = false;  // every non-hole block touched hit
-  const std::uint64_t block_count = volume_->FileBlockCount(file_);
-  if (io_ != nullptr && !out.empty() && block_count > 0 &&
-      offset / volume_->config().block_size < block_count) {
-    const std::uint32_t block_size = volume_->config().block_size;
+void VolumeFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
+                                  std::uint64_t skip,
+                                  util::MutableByteSpan out) {
+  // One file-table lookup per call; nothing below changes the table.
+  const zvol::FileMeta& meta = volume_->File(file_);
+  const std::uint32_t block_size = volume_->config().block_size;
+  // Accounting covers the whole request and runs before the read executes,
+  // so cache residency reflects the state this request found (the read
+  // itself warms the store's ARC).
+  bool page_cache_hit = false;  // every non-hole block requested hit
+  const std::uint64_t block_count = meta.blocks.size();
+  if (io_ != nullptr && length > 0 && block_count > 0 &&
+      offset / block_size < block_count) {
     const store::BlockStore& store = volume_->block_store();
     const std::uint64_t first = offset / block_size;
     // Clamp the charged window to the file's final block: a read grazing
     // EOF must never walk (or prefetch past) blocks the file doesn't have.
     const std::uint64_t last = std::min<std::uint64_t>(
-        (offset + out.size() - 1) / block_size, block_count - 1);
+        (offset + length - 1) / block_size, block_count - 1);
+    // Every block access walks the dedup table, whose size no step of this
+    // pass changes.
+    const std::uint64_t ddt_entries = store.unique_blocks();
 
     // Collect the blocks that miss the page cache, then probe the store's
     // ARC for all of them in one batched call (one lock acquisition instead
@@ -354,10 +377,9 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     std::vector<std::uint8_t> in_flight;  // parallel to pending
     std::vector<util::Digest> digests;
     for (std::uint64_t b = first; b <= last; ++b) {
-      const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+      const zvol::BlockPtr& ptr = meta.blocks[b];
       if (ptr.hole) continue;  // holes are free
-      // Every block access walks the dedup table.
-      io_->ChargeDdtLookup(store.stats().unique_blocks);
+      io_->ChargeDdtLookup(ddt_entries);
       const bool hit = io_->page_cache().Lookup(device_id_, b);
       if (profile_ != nullptr) profile_->Record(file_, b, hit);
       if (hit) continue;
@@ -379,7 +401,7 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     for (std::size_t k = 0; k < pending.size(); ++k) {
       if (!in_flight[k]) continue;
       const std::uint64_t b = pending[k];
-      const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+      const zvol::BlockPtr& ptr = meta.blocks[b];
       io_->JoinInFlight(device_id_, b);
       if (!resident[k]) {
         io_->ChargeNs(decompress_per_byte *
@@ -394,7 +416,7 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     std::vector<IoContext::AsyncRead> batch;
     for (std::size_t k = 0; k < pending.size(); ++k) {
       if (in_flight[k]) continue;
-      const zvol::BlockPtr& ptr = volume_->FileBlock(file_, pending[k]);
+      const zvol::BlockPtr& ptr = meta.blocks[pending[k]];
       batch.push_back(IoContext::AsyncRead{
           store.DiskOffset(ptr.digest), store.PhysicalSize(ptr.digest),
           resident[k] ? 0.0
@@ -404,8 +426,7 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
     if (!batch.empty()) {
       io_->ChargeAsyncReadBatch(batch, [&](std::uint64_t b) {
-        io_->page_cache().Insert(device_id_, b,
-                                 volume_->FileBlock(file_, b).logical_size);
+        io_->page_cache().Insert(device_id_, b, meta.blocks[b].logical_size);
       });
     }
     // Sequential readahead: prefetch the blocks past this read without
@@ -415,7 +436,7 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
       const std::uint64_t until =
           std::min<std::uint64_t>(block_count, last + 1 + readahead);
       for (std::uint64_t b = last + 1; b < until; ++b) {
-        const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+        const zvol::BlockPtr& ptr = meta.blocks[b];
         if (ptr.hole) continue;
         if (io_->page_cache().Resident(device_id_, b)) continue;
         if (io_->InFlight(device_id_, b)) continue;
@@ -425,26 +446,28 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
   }
 
-  // The page cache already served this read in the model: copy the bytes
-  // an earlier read returned instead of fetching and decoding them again.
-  if (page_cache_hit && ServeHeld(offset, out)) {
+  // The page cache already served this request in the model: copy the
+  // window from the bytes earlier reads returned instead of fetching and
+  // decoding them again.
+  if (page_cache_hit && ServeHeld(meta, offset, length, skip, out)) {
     ReleaseEvicted();
     return;
   }
 
-  // The volume reads straight into `out`; with an IoContext it also hands
-  // back the blocks' shared payloads for Hold.
+  // The volume fetches every block of the request and copies the window
+  // straight into `out`; with an IoContext it also hands back the blocks'
+  // shared payloads for Hold.
   std::vector<util::SharedBytes>* blocks = io_ != nullptr ? &fetched_ : nullptr;
   if (repair_session_ == nullptr) {
-    volume_->ReadRangeInto(tenant_, file_, offset, out, blocks);
+    volume_->ReadRangeInto(tenant_, file_, offset, length, skip, out, blocks);
   } else {
     // Degraded mode: a corrupt local block is healed on demand from the
     // first honest replica that has it (the storage node in a one-peer
     // session); the re-fetched bytes are charged as network traffic (the
     // cost curve BENCH_faults measures).
     std::uint64_t fetched = 0;
-    volume_->ReadRangeRepairInto(tenant_, file_, offset, out, *repair_session_,
-                                 &fetched, blocks);
+    volume_->ReadRangeRepairInto(tenant_, file_, offset, length, skip, out,
+                                 *repair_session_, &fetched, blocks);
     degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
     degraded_.resourced_blocks = repair_session_->resourced_blocks();
     degraded_.byzantine_rejected = repair_session_->byzantine_rejected();
@@ -459,36 +482,43 @@ void VolumeFileDevice::ReadAt(std::uint64_t offset, util::MutableByteSpan out) {
     }
   }
   if (io_ != nullptr) {
-    Hold(offset, out.size());
+    Hold(meta, offset, length);
     ReleaseEvicted();
   }
 }
 
-bool VolumeFileDevice::ServeHeld(std::uint64_t offset,
+bool VolumeFileDevice::ServeHeld(const zvol::FileMeta& meta,
+                                 std::uint64_t offset, std::uint64_t length,
+                                 std::uint64_t skip,
                                  util::MutableByteSpan out) const {
-  if (offset + out.size() > volume_->FileSize(file_)) return false;
+  if (offset + length > meta.logical_size) return false;
   const std::uint32_t block_size = volume_->config().block_size;
   const std::uint64_t first = offset / block_size;
-  const std::uint64_t last = (offset + out.size() - 1) / block_size;
-  // Check every block before copying, so a refused read leaves `out` alone.
+  const std::uint64_t last = (offset + length - 1) / block_size;
+  // Check every block of the request, not only the window's, before
+  // copying: the request is what a volume read would serve, and a refused
+  // read leaves `out` alone.
   for (std::uint64_t b = first; b <= last; ++b) {
-    const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+    const zvol::BlockPtr& ptr = meta.blocks[b];
     if (ptr.hole) continue;
     const auto it = held_.find(b);
     // The digest guard: a block rewritten behind the device (or a file
     // grown past it) reads through the volume again.
     if (it == held_.end() || it->second.digest != ptr.digest ||
-        it->second.length != BlockLength(b)) {
+        it->second.length != BlockLength(meta, b)) {
       return false;
     }
   }
+  const std::uint64_t window = offset + skip;
+  const std::uint64_t window_end = window + out.size();
   for (std::uint64_t b = first; b <= last; ++b) {
     const std::uint64_t block_start = b * block_size;
-    const std::uint64_t from = std::max(offset, block_start);
+    const std::uint64_t from = std::max(window, block_start);
     const std::uint64_t to =
-        std::min<std::uint64_t>(offset + out.size(), block_start + block_size);
-    const util::MutableByteSpan dst = out.subspan(from - offset, to - from);
-    if (volume_->FileBlock(file_, b).hole) {
+        std::min<std::uint64_t>(window_end, block_start + block_size);
+    if (from >= to) continue;  // outside the window
+    const util::MutableByteSpan dst = out.subspan(from - window, to - from);
+    if (meta.blocks[b].hole) {
       std::memset(dst.data(), 0, dst.size());
     } else {
       zvol::ReadBlockBytes(*held_.at(b).payload, from - block_start, dst);
@@ -497,15 +527,16 @@ bool VolumeFileDevice::ServeHeld(std::uint64_t offset,
   return true;
 }
 
-void VolumeFileDevice::Hold(std::uint64_t offset, std::uint64_t length) {
+void VolumeFileDevice::Hold(const zvol::FileMeta& meta, std::uint64_t offset,
+                            std::uint64_t length) {
   const std::uint32_t block_size = volume_->config().block_size;
   const std::uint64_t first = offset / block_size;
   const std::uint64_t end = offset + length;
   for (std::uint64_t b = (offset + block_size - 1) / block_size;; ++b) {
     const std::uint64_t block_start = b * block_size;
-    const std::uint64_t block_length = BlockLength(b);
+    const std::uint64_t block_length = BlockLength(meta, b);
     if (block_length == 0 || block_start + block_length > end) break;
-    const zvol::BlockPtr& ptr = volume_->FileBlock(file_, b);
+    const zvol::BlockPtr& ptr = meta.blocks[b];
     // A block the page cache did not keep (no capacity, or evicted by a
     // later block of this read) would never be served.
     if (ptr.hole || !io_->page_cache().Resident(device_id_, b)) continue;
@@ -550,19 +581,20 @@ RemoteImageDevice::RemoteImageDevice(const util::DataSource* content,
       node_id_(node_id),
       allocation_(std::move(allocation)) {}
 
-void RemoteImageDevice::ReadAt(std::uint64_t offset,
-                               util::MutableByteSpan out) {
-  content_->Read(offset, out);
-  bytes_fetched_ += out.size();
+void RemoteImageDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
+                                   std::uint64_t skip,
+                                   util::MutableByteSpan out) {
+  content_->Read(offset + skip, out);
+  bytes_fetched_ += length;
   if (network_ != nullptr) {
     // Served by the parallel file system; the caller decided which storage
     // node backs this image when it created the accountant mapping. Node 0
     // of the accountant range is used when no finer mapping is configured.
-    const double ns = network_->Transfer(/*from=*/0, node_id_, out.size());
+    const double ns = network_->Transfer(/*from=*/0, node_id_, length);
     if (io_ != nullptr) io_->ChargeNs(ns);
   } else if (io_ != nullptr) {
     // No network model: charge a nominal remote latency.
-    io_->ChargeNs(200e3 + static_cast<double>(out.size()) / 0.125);
+    io_->ChargeNs(200e3 + static_cast<double>(length) / 0.125);
   }
 }
 

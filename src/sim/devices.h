@@ -45,7 +45,10 @@ class LocalFileDevice final : public cow::WritableDevice,
 
   std::uint64_t size() const override { return content_->size(); }
   bool Present(std::uint64_t) const override { return true; }
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  /// Charges, page-caches and records every block of the request, reads
+  /// only the window from the content source.
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   void WriteAt(std::uint64_t offset, util::ByteSpan data) override;
 
   /// Records every charged block touch into `profile` under `name`
@@ -84,7 +87,9 @@ class LocalCacheDevice final : public cow::WritableDevice {
 
   std::uint64_t size() const override { return logical_size_; }
   bool Present(std::uint64_t offset) const override;
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  /// Charges every cluster of the request; copies only the window.
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   void WriteAt(std::uint64_t offset, util::ByteSpan data) override;
 
   std::uint64_t populated_bytes() const { return populated_bytes_; }
@@ -121,12 +126,14 @@ class LocalCacheDevice final : public cow::WritableDevice {
 /// shared decompressed buffer of every block a read returned in full, with
 /// the block's digest and in-file length, while the page cache holds that
 /// block; with the ARC on, that is the ARC's own buffer, not a copy
-/// (DESIGN.md §24). A ReadAt whose non-hole blocks all hit the page cache
-/// in its own accounting pass, and are all held under the digest their
-/// BlockPtr carries now and at their current in-file length, copies the
-/// held bytes (zeros for holes and short-block tails) and never reaches the
-/// volume; any other read goes through the volume straight into the
-/// caller's buffer and holds the buffers that came back. Every ReadAt ends
+/// (DESIGN.md §24). Everything but the copy covers the whole request
+/// (cow/device.h): a ReadWindow whose request's non-hole blocks all hit the
+/// page cache in its own accounting pass, and are all held under the digest
+/// their BlockPtr carries now and at their current in-file length, copies
+/// the window from the held bytes (zeros for holes and short-block tails)
+/// and never reaches the volume; any other read fetches every block of the
+/// request through the volume, which copies the window straight into the
+/// caller's buffer, and holds the buffers that came back. Every read ends
 /// by releasing the blocks the page cache no longer holds, so a device
 /// never holds more than the blocks it had resident after its last read.
 /// The simulated clock, caches and counters are the same either way; the
@@ -140,7 +147,8 @@ class VolumeFileDevice final : public cow::WritableDevice,
 
   std::uint64_t size() const override;
   bool Present(std::uint64_t offset) const override;
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   void WriteAt(std::uint64_t offset, util::ByteSpan data) override;
 
   /// Records every charged (non-hole) block touch into `profile` under this
@@ -173,7 +181,7 @@ class VolumeFileDevice final : public cow::WritableDevice,
   /// bytes re-fetched from the repair peers to heal them, and the repair
   /// session's Byzantine counters, refreshed after every heal.
   struct DegradedReadStats {
-    std::uint64_t repair_reads = 0;    // ReadAt calls that needed healing
+    std::uint64_t repair_reads = 0;    // reads that needed healing
     std::uint64_t repaired_bytes = 0;  // logical bytes fetched from peers
     std::uint64_t peers_blacklisted = 0;   // peers struck out for lying
     std::uint64_t resourced_blocks = 0;    // blocks healed from another peer
@@ -225,17 +233,21 @@ class VolumeFileDevice final : public cow::WritableDevice,
     util::SharedBytes payload;
   };
 
-  /// Charged bytes of volume block `b`: block size, clamped at the final
-  /// partial block; 0 at or past EOF.
-  std::uint64_t BlockLength(std::uint64_t b) const;
-  /// Copies [offset, offset + out.size()) from held bytes if every non-hole
-  /// block in it is held under its current digest and length; otherwise
-  /// leaves `out` alone and returns false.
-  bool ServeHeld(std::uint64_t offset, util::MutableByteSpan out) const;
+  /// Charged bytes of volume block `b` of `meta`: block size, clamped at
+  /// the final partial block; 0 at or past EOF.
+  std::uint64_t BlockLength(const zvol::FileMeta& meta, std::uint64_t b) const;
+  /// If every non-hole block of the request [offset, offset + length) is
+  /// held under its current digest and length, copies the window [offset +
+  /// skip, offset + skip + out.size()) from held bytes and returns true;
+  /// otherwise leaves `out` alone and returns false.
+  bool ServeHeld(const zvol::FileMeta& meta, std::uint64_t offset,
+                 std::uint64_t length, std::uint64_t skip,
+                 util::MutableByteSpan out) const;
   /// Holds each page-cache-resident, non-hole block that the volume read of
   /// [offset, offset + length) covered in full, taking its payload from
   /// `fetched_`, which it then clears.
-  void Hold(std::uint64_t offset, std::uint64_t length);
+  void Hold(const zvol::FileMeta& meta, std::uint64_t offset,
+            std::uint64_t length);
   /// Drops held blocks the page cache no longer holds.
   void ReleaseEvicted();
 
@@ -251,8 +263,8 @@ class VolumeFileDevice final : public cow::WritableDevice,
   DegradedReadStats degraded_;
   store::TenantId tenant_ = store::kDefaultTenant;
   std::unordered_map<std::uint64_t, HeldBlock> held_;  // by volume block
-  // The shared payloads of the last volume read, one slot per block it
-  // touched (ReadRangeInto's `blocks`); reused across reads.
+  // The shared payloads of the last volume read, one slot per block of its
+  // request (ReadRangeInto's `blocks`); reused across reads.
   std::vector<util::SharedBytes> fetched_;
 };
 
@@ -271,7 +283,9 @@ class RemoteImageDevice final : public cow::Device {
 
   std::uint64_t size() const override { return content_->size(); }
   bool Present(std::uint64_t) const override { return true; }
-  void ReadAt(std::uint64_t offset, util::MutableByteSpan out) override;
+  /// Transfers and counts the whole request; reads only the window.
+  void ReadWindow(std::uint64_t offset, std::uint64_t length,
+                  std::uint64_t skip, util::MutableByteSpan out) override;
   bool Allocated(std::uint64_t offset, std::uint64_t length) const override {
     return !allocation_ || allocation_(offset, length);
   }

@@ -319,6 +319,7 @@ std::vector<PutResult> BlockStore::PutBatchImpl(
           ++next_miss;
 
           shard.stats.unique_blocks += 1;
+          ++unique_blocks_;
           shard.stats.total_refs += 1;
           shard.stats.logical_unique_bytes += entry.logical_size;
           shard.stats.logical_referenced_bytes += entry.logical_size;
@@ -372,6 +373,7 @@ std::vector<PutResult> BlockStore::PutBatchImpl(
         if (entry.refcount == 0) {
           shard.space_map.Free(entry.disk_offset, entry.physical_size);
           shard.stats.unique_blocks -= 1;
+          --unique_blocks_;
           shard.stats.logical_unique_bytes -= entry.logical_size;
           shard.stats.physical_data_bytes -= entry.physical_size;
           if (config_.dedup) {
@@ -413,6 +415,7 @@ void BlockStore::Unref(const util::Digest& digest) {
   if (entry.refcount == 0) {
     shard.space_map.Free(entry.disk_offset, entry.physical_size);
     shard.stats.unique_blocks -= 1;
+    --unique_blocks_;
     shard.stats.logical_unique_bytes -= entry.logical_size;
     shard.stats.physical_data_bytes -= entry.physical_size;
     if (config_.dedup) {
@@ -1054,10 +1057,12 @@ InvariantReport BlockStore::CheckInvariants() const {
     if (!report.detail.empty()) report.detail += "; ";
     report.detail += what;
   };
+  std::uint64_t shard_unique_blocks = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
     const std::string tag = "shard " + std::to_string(s);
+    shard_unique_blocks += shard.stats.unique_blocks;
 
     StoreStats recount;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
@@ -1124,6 +1129,10 @@ InvariantReport BlockStore::CheckInvariants() const {
              std::to_string(extents[i].first));
       }
     }
+  }
+  if (unique_blocks() != shard_unique_blocks) {
+    fail("store unique_blocks " + std::to_string(unique_blocks()) +
+         " but the shards sum to " + std::to_string(shard_unique_blocks));
   }
   return report;
 }

@@ -551,6 +551,13 @@ class BlockStore {
   /// its own lock; when called concurrently with writers the result is a
   /// consistent per-shard (not cross-shard-atomic) snapshot.
   StoreStats stats() const;
+  /// stats().unique_blocks without the shard locks: a store-wide count
+  /// updated beside each shard's own, which CheckInvariants holds equal to
+  /// their sum. The DDT-lookup charge of every simulated block read sizes
+  /// the table by it.
+  std::uint64_t unique_blocks() const {
+    return unique_blocks_.load();
+  }
   ReadStats read_stats() const;
   SpaceMapStats space_map_stats() const;
   const compress::Codec& codec() const { return *codec_; }
@@ -652,6 +659,7 @@ class BlockStore {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<CacheStripe>> stripes_;
   std::atomic<std::uint64_t> fake_digest_counter_{0};  // for dedup=off mode
+  std::atomic<std::uint64_t> unique_blocks_{0};  // sum of the shards' counts
   std::unique_ptr<util::ThreadPool> pool_;  // null when both sides serial
   util::FaultInjector* faults_ = nullptr;   // crash/disk-full sites; not owned
 };

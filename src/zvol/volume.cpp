@@ -220,14 +220,14 @@ void ReadBlockBytes(util::ByteSpan payload, std::uint64_t within,
 const FileMeta& Volume::RequireRange(const std::string& name,
                                      std::uint64_t offset,
                                      std::uint64_t length) const {
-  const FileMeta& meta = RequireFile(name);
+  const FileMeta& meta = File(name);
   if (offset + length > meta.logical_size) {
     throw std::out_of_range("read past end of " + name);
   }
   return meta;
 }
 
-const FileMeta& Volume::RequireFile(const std::string& name) const {
+const FileMeta& Volume::File(const std::string& name) const {
   const auto it = files_.find(name);
   if (it == files_.end()) throw NoSuchFileError(name);
   return it->second;
@@ -458,20 +458,25 @@ util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,
                                 std::uint64_t length) const {
   RequireRange(name, offset, length);  // before sizing the buffer
   util::Bytes out(length);
-  ReadRangeInto(tenant, name, offset, out);
+  ReadRangeInto(tenant, name, offset, length, 0, out);
   return out;
 }
 
 void Volume::ReadRangeInto(store::TenantId tenant, const std::string& name,
-                           std::uint64_t offset, util::MutableByteSpan out,
+                           std::uint64_t offset, std::uint64_t length,
+                           std::uint64_t skip, util::MutableByteSpan out,
                            std::vector<util::SharedBytes>* blocks) const {
-  const FileMeta& meta = RequireRange(name, offset, out.size());
+  const FileMeta& meta = RequireRange(name, offset, length);
+  if (skip > length || out.size() > length - skip) {
+    throw std::out_of_range("read window outside the request on " + name);
+  }
   if (blocks != nullptr) blocks->clear();
-  if (out.empty()) return;
+  if (length == 0) return;
 
-  const std::uint64_t end = offset + out.size();
   const std::uint64_t first_block = offset / config_.block_size;
-  const std::uint64_t last_block = (end - 1) / config_.block_size;
+  const std::uint64_t last_block = (offset + length - 1) / config_.block_size;
+  const std::uint64_t window = offset + skip;
+  const std::uint64_t window_end = window + out.size();
   if (blocks != nullptr) blocks->resize(last_block - first_block + 1);
   const std::size_t batch_blocks =
       std::max<std::size_t>(1, config_.ingest.batch_blocks);
@@ -497,19 +502,22 @@ void Volume::ReadRangeInto(store::TenantId tenant, const std::string& name,
         store_.GetBatchShared(tenant, digests);
 
     // The round's non-hole blocks are the leading entries of `fetched`, in
-    // block order; any after them are readahead only.
+    // block order; any after them are readahead only. Each block copies
+    // its part of the window, which may be empty.
     std::size_t k = 0;
     for (std::uint64_t b = base; b <= round_last; ++b) {
       const std::uint64_t block_start = b * config_.block_size;
-      const std::uint64_t from = std::max(offset, block_start);
+      const std::uint64_t from = std::max(window, block_start);
       const std::uint64_t to =
-          std::min<std::uint64_t>(end, block_start + config_.block_size);
-      const util::MutableByteSpan dst = out.subspan(from - offset, to - from);
+          std::min<std::uint64_t>(window_end, block_start + config_.block_size);
       if (meta.blocks[b].hole) {
-        std::memset(dst.data(), 0, dst.size());
+        if (from < to) std::memset(out.data() + (from - window), 0, to - from);
         continue;
       }
-      ReadBlockBytes(*fetched[k], from - block_start, dst);
+      if (from < to) {
+        ReadBlockBytes(*fetched[k], from - block_start,
+                       out.subspan(from - window, to - from));
+      }
       if (blocks != nullptr) (*blocks)[b - first_block] = std::move(fetched[k]);
       ++k;
     }
@@ -525,7 +533,7 @@ bool Volume::HasFile(const std::string& name) const {
 }
 
 std::uint64_t Volume::FileSize(const std::string& name) const {
-  return RequireFile(name).logical_size;
+  return File(name).logical_size;
 }
 
 std::vector<std::string> Volume::FileNames() const {
@@ -546,15 +554,15 @@ void Volume::DeleteFile(const std::string& name) {
 
 const BlockPtr& Volume::FileBlock(const std::string& name,
                                   std::uint64_t index) const {
-  return RequireFile(name).blocks.at(index);
+  return File(name).blocks.at(index);
 }
 
 std::uint64_t Volume::FileBlockCount(const std::string& name) const {
-  return RequireFile(name).blocks.size();
+  return File(name).blocks.size();
 }
 
 Volume::FileStats Volume::StatFile(const std::string& name) const {
-  const FileMeta& meta = RequireFile(name);
+  const FileMeta& meta = File(name);
   FileStats stats;
   stats.logical_size = meta.logical_size;
   std::uint64_t logical_nonzero = 0;
@@ -1098,12 +1106,14 @@ util::Bytes Volume::ReadRangeRepair(store::TenantId tenant,
                                     std::uint64_t* fetched_bytes) {
   RequireRange(name, offset, length);  // before sizing the buffer
   util::Bytes out(length);
-  ReadRangeRepairInto(tenant, name, offset, out, session, fetched_bytes);
+  ReadRangeRepairInto(tenant, name, offset, length, 0, out, session,
+                      fetched_bytes);
   return out;
 }
 
 void Volume::ReadRangeRepairInto(store::TenantId tenant,
                                  const std::string& name, std::uint64_t offset,
+                                 std::uint64_t length, std::uint64_t skip,
                                  util::MutableByteSpan out,
                                  RepairSession& session,
                                  std::uint64_t* fetched_bytes,
@@ -1111,7 +1121,7 @@ void Volume::ReadRangeRepairInto(store::TenantId tenant,
   DigestSet repaired;
   while (true) {
     try {
-      ReadRangeInto(tenant, name, offset, out, blocks);
+      ReadRangeInto(tenant, name, offset, length, skip, out, blocks);
       return;
     } catch (const store::BlockCorruptionError& e) {
       // One corrupt block surfaces per attempt; heal it through the session

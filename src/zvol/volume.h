@@ -269,26 +269,36 @@ class Volume {
   util::Bytes ReadRangeAs(store::TenantId tenant, const std::string& name,
                           std::uint64_t offset, std::uint64_t length) const;
 
-  /// The one range read: reads [offset, offset + out.size()) into `out`,
-  /// charging the cache interaction to `tenant`. Fetches block payloads
-  /// through BlockStore::GetBatchShared in rounds of ingest.batch_blocks
-  /// blocks, each extended by read.readahead_blocks following pointers (the
-  /// QCOW2 cluster-prefetch effect) when the decompressed-block ARC is on,
-  /// and copies each block's bytes straight from its shared buffer. Only
-  /// holes and the zero tail of a stored block shorter than its in-file
-  /// length are zero-filled, so `out` need not be cleared; after a throw
-  /// its contents are unspecified. With `blocks` set, it is resized to one
-  /// slot per block the range touches, from offset / block_size on, and
-  /// each non-hole slot gets that block's shared payload (null for holes),
-  /// so a caller can keep a block without copying it.
+  /// The one range read. Serves the request [offset, offset + length) and
+  /// copies its window [offset + skip, offset + skip + out.size()) into
+  /// `out` (std::out_of_range unless the request lies inside the file and
+  /// the window inside the request), charging the cache interaction to
+  /// `tenant`. Fetches the payloads of every block of the request through
+  /// BlockStore::GetBatchShared in rounds of ingest.batch_blocks blocks,
+  /// each extended by read.readahead_blocks following pointers (the QCOW2
+  /// cluster-prefetch effect) when the decompressed-block ARC is on, and
+  /// copies each round's part of the window straight from the shared
+  /// buffers before fetching the next round. Only holes and the zero tail
+  /// of a stored block shorter than its in-file length are zero-filled, so
+  /// `out` need not be cleared; after a throw its contents are unspecified.
+  /// With `blocks` set, it is resized to one slot per block the request
+  /// touches, from offset / block_size on, and each non-hole slot gets that
+  /// block's shared payload (null for holes), so a caller can keep a block
+  /// without copying it.
   void ReadRangeInto(store::TenantId tenant, const std::string& name,
-                     std::uint64_t offset, util::MutableByteSpan out,
+                     std::uint64_t offset, std::uint64_t length,
+                     std::uint64_t skip, util::MutableByteSpan out,
                      std::vector<util::SharedBytes>* blocks = nullptr) const;
 
   /// Whole-file convenience read over the same batched, cache-aware path.
   util::Bytes ReadFile(const std::string& name) const;
 
   bool HasFile(const std::string& name) const;
+  /// The live file's size and block pointers, found once (NoSuchFileError
+  /// otherwise). The reference stays valid until the next call that changes
+  /// the live file table: WriteFile, CreateFile, WriteRange, DeleteFile,
+  /// Receive or ReceiveFull.
+  const FileMeta& File(const std::string& name) const;
   std::uint64_t FileSize(const std::string& name) const;
   std::vector<std::string> FileNames() const;
   void DeleteFile(const std::string& name);
@@ -450,7 +460,8 @@ class Volume {
   /// ReadRangeInto with ReadRangeRepair's on-demand healing: the span read
   /// every cluster boot's volume device takes.
   void ReadRangeRepairInto(store::TenantId tenant, const std::string& name,
-                           std::uint64_t offset, util::MutableByteSpan out,
+                           std::uint64_t offset, std::uint64_t length,
+                           std::uint64_t skip, util::MutableByteSpan out,
                            RepairSession& session,
                            std::uint64_t* fetched_bytes = nullptr,
                            std::vector<util::SharedBytes>* blocks = nullptr);
@@ -528,9 +539,9 @@ class Volume {
   /// snapshots; dangling references are counted into *dangling_refs.
   std::vector<util::Digest> CollectScrubDigests(
       std::uint64_t* dangling_refs) const;
-  const FileMeta& RequireFile(const std::string& name) const;
+  /// File, mutable, for the writers of the live table.
   FileMeta& RequireFile(const std::string& name);
-  /// RequireFile that also throws std::out_of_range unless [offset,
+  /// File that also throws std::out_of_range unless [offset,
   /// offset + length) lies inside the file.
   const FileMeta& RequireRange(const std::string& name, std::uint64_t offset,
                                std::uint64_t length) const;

@@ -16,10 +16,12 @@
 #include "placement/reconstruct.h"
 #include "placement/reed_solomon.h"
 #include "placement/shard_store.h"
+#include "placement/striped_device.h"
 #include "store_invariants.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
 #include "vmi/bootset.h"
+#include "window_read.h"
 
 namespace squirrel::core {
 namespace {
@@ -377,6 +379,48 @@ TEST(PlacementRepair, GatherDecodesThroughParityWhenDataShardMissing) {
   std::uint64_t sum = 0;
   for (const auto& [node, bytes] : gathered->remote_reads) sum += bytes;
   EXPECT_EQ(sum, gathered->remote_bytes);
+}
+
+TEST(PlacementWindowRead, StripedDeviceChargesTheWholeRequest) {
+  // One striped device reads each request whole, its twin reads it
+  // windowed: every block of the request is resolved, gathered and charged
+  // on both, so the io clock, the stripe counters and the set-local network
+  // bytes agree read by read, while only the window is copied. The file
+  // has holes and a short tail block.
+  const zvol::VolumeConfig config{.block_size = kBlock,
+                                  .codec = compress::CodecId::kNull,
+                                  .dedup = true};
+  Bytes content(37 * kBlock + 500);
+  util::Rng(31).Fill(content);
+  std::fill_n(content.begin() + 10 * kBlock, 4 * kBlock, util::Byte{0});
+  zvol::Volume metadata(config);
+  metadata.WriteFile("f", BufferSource(content));
+  const placement::ReedSolomon codec(4, 2);
+  const std::vector<placement::ShardStore> stores =
+      ShardContent(metadata, "f", content, codec);
+  placement::ReconstructionSource source(&codec, PeersOver(stores));
+  sim::IoContext whole_io;
+  sim::IoContext window_io;
+  sim::NetworkAccountant whole_network(8);
+  sim::NetworkAccountant window_network(8);
+  placement::StripedFileDevice whole(&metadata, "f", &source,
+                                     &metadata.block_store(), &whole_io,
+                                     &whole_network, 1);
+  placement::StripedFileDevice windowed(&metadata, "f", &source,
+                                        &metadata.block_store(), &window_io,
+                                        &window_network, 1);
+  for (const test::WindowCase& c : test::Cases(content.size(), 32)) {
+    SCOPED_TRACE(test::Describe(c));
+    test::ReadBoth(whole, windowed, c, content);
+    EXPECT_EQ(test::HexClock(window_io), test::HexClock(whole_io));
+    EXPECT_EQ(windowed.stats().blocks_served, whole.stats().blocks_served);
+    EXPECT_EQ(windowed.stats().local_shard_bytes,
+              whole.stats().local_shard_bytes);
+    EXPECT_EQ(windowed.stats().remote_shard_bytes,
+              whole.stats().remote_shard_bytes);
+    EXPECT_EQ(window_network.bytes_in(1), whole_network.bytes_in(1));
+  }
+  EXPECT_GT(windowed.stats().remote_shard_bytes, 0u);
 }
 
 }  // namespace

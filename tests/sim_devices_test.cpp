@@ -303,6 +303,33 @@ TEST(VolumeFileDevice, HealedBlockServedFromPageCacheWithoutSecondRepair) {
   EXPECT_EQ(StoreRequests(local), requests);
 }
 
+TEST(VolumeFileDevice, FileReplacedBehindDeviceReadsNewBytes) {
+  // A device looks its file up once per call, never across calls: a file
+  // replaced between two reads, with a new size and new blocks, reads back
+  // the new bytes, including past the old end.
+  zvol::Volume volume({.block_size = 4096, .codec = compress::CodecId::kGzip6});
+  const Bytes before = CacheImageBytes(6 * 4096, 24);
+  volume.WriteFile("f", BufferSource(before));
+  IoContext io;
+  VolumeFileDevice device(&volume, "f", &io, 1);
+  Bytes out(2 * 4096);
+  device.ReadAt(0, out);
+  ASSERT_TRUE(std::equal(out.begin(), out.end(), before.begin()));
+  ASSERT_GT(device.held_bytes(), 0u);
+
+  Bytes after = RandomBytes(10 * 4096 + 100, 25);
+  std::fill_n(after.begin() + 4096, 4096, util::Byte{0});  // now a hole
+  volume.WriteFile("f", BufferSource(after));
+  EXPECT_EQ(device.size(), after.size());
+  EXPECT_TRUE(device.Present(0));
+  device.ReadAt(0, out);
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), after.begin()));
+  Bytes tail(4096 + 100);
+  device.ReadAt(9 * 4096, tail);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), after.begin() + 9 * 4096));
+  EXPECT_EQ(volume.ReadFile("f"), after);
+}
+
 /// First non-hole block of `file`.
 std::uint64_t FirstDataBlock(const zvol::Volume& volume, const std::string& file) {
   std::uint64_t b = 0;

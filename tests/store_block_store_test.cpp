@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "buffer_source.h"
 #include "util/rng.h"
+#include "zvol/volume.h"
 
 namespace squirrel::store {
 namespace {
@@ -196,6 +198,91 @@ TEST(BlockStore, GetStoredCopiesTheStoredFormWithoutReading) {
   StoredBlock damaged;
   ASSERT_NO_THROW(damaged = store.GetStored(random.digest));
   EXPECT_NE(damaged.payload, random_block);
+}
+
+/// The lock-free unique_blocks() count must equal the shards' own counts
+/// (stats(), whose sum CheckInvariants also checks against it).
+void ExpectUniqueBlocksCounted(const BlockStore& store,
+                               std::uint64_t expected) {
+  EXPECT_EQ(store.unique_blocks(), expected);
+  EXPECT_EQ(store.stats().unique_blocks, expected);
+  const InvariantReport report = store.CheckInvariants();
+  EXPECT_TRUE(report.ok) << report.detail;
+}
+
+TEST(BlockStore, UniqueBlocksCounterTracksEveryShardUpdate) {
+  // Raw PutBatch, with a duplicate inside the batch and one already stored.
+  BlockStore store({.codec = compress::CodecId::kGzip6, .dedup = true});
+  ExpectUniqueBlocksCounted(store, 0);
+  std::vector<Bytes> blocks;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    blocks.push_back(TextBlock(4096, seed));
+  }
+  blocks.push_back(blocks[3]);
+  std::vector<util::ByteSpan> raw(blocks.begin(), blocks.end());
+  const std::vector<PutResult> puts = store.PutBatch(raw);
+  ExpectUniqueBlocksCounted(store, 40);
+  store.PutBatch(std::span<const util::ByteSpan>(raw.data(), 5));
+  ExpectUniqueBlocksCounted(store, 40);
+
+  // Supplied-form PutBatch: three new blocks and one the store holds.
+  BlockStore donor({.codec = compress::CodecId::kGzip6, .dedup = true});
+  std::vector<Bytes> fresh;
+  for (std::uint64_t seed = 41; seed <= 43; ++seed) {
+    fresh.push_back(TextBlock(4096, seed));
+  }
+  fresh.push_back(blocks[0]);
+  std::vector<StoredBlock> stored;
+  std::vector<SuppliedBlock> supplied;
+  for (const Bytes& block : fresh) {
+    const PutResult put = donor.Put(block);
+    stored.push_back(donor.GetStored(put.digest));
+    supplied.push_back({put.digest, stored.back().payload,
+                        stored.back().logical_size, stored.back().compressed});
+  }
+  const std::vector<PutResult> supplied_puts = store.PutBatch(supplied);
+  ExpectUniqueBlocksCounted(store, 43);
+
+  // Unref to zero drops a block; a shared one stays until its last ref.
+  store.Unref(supplied_puts[0].digest);
+  ExpectUniqueBlocksCounted(store, 42);
+  store.Unref(puts[3].digest);  // referenced three times
+  ExpectUniqueBlocksCounted(store, 42);
+
+  // A refused allocation unwinds every block its batch committed.
+  BlockStore full({.codec = compress::CodecId::kNull,
+                   .dedup = true,
+                   .shards = 1,
+                   .capacity_bytes = 3 * 4096});
+  const Bytes kept = RandomBlock(4096, 50);
+  full.Put(kept);
+  const Bytes first = RandomBlock(4096, 51);
+  const Bytes second = RandomBlock(4096, 52);
+  const Bytes third = RandomBlock(4096, 53);
+  const util::ByteSpan overflow[] = {first, second, third};
+  EXPECT_THROW(full.PutBatch(overflow), NoSpaceError);
+  ExpectUniqueBlocksCounted(full, 1);
+}
+
+TEST(BlockStore, UniqueBlocksCounterSurvivesRolledBackReceive) {
+  zvol::VolumeConfig config{.block_size = 4096,
+                            .codec = compress::CodecId::kNull,
+                            .dedup = true};
+  config.shards = 1;
+  zvol::Volume donor(config);
+  donor.WriteFile("a", test::BufferSource(RandomBlock(2 * 4096, 60)));
+  donor.CreateSnapshot("s1", 10);
+  donor.WriteFile("huge", test::BufferSource(RandomBlock(6 * 4096, 61)));
+  donor.CreateSnapshot("s2", 20);
+
+  // The pool fits s1 exactly, so the incremental apply runs out of space
+  // part-way and rolls back the blocks it had already put.
+  config.capacity_bytes = 2 * 4096;
+  zvol::Volume replica(config);
+  replica.Receive(donor.Send("", "s1"));
+  ExpectUniqueBlocksCounted(replica.block_store(), 2);
+  EXPECT_THROW(replica.Receive(donor.Send("s1", "s2")), NoSpaceError);
+  ExpectUniqueBlocksCounted(replica.block_store(), 2);
 }
 
 }  // namespace

@@ -295,7 +295,8 @@ TEST(ParallelRead, SharedPayloadsAreOneBufferPerBlock) {
 // rest is copied straight from the shared payloads. Into a destination
 // pre-filled with a non-zero pattern it must still equal ReadRange, with the
 // same store ReadStats, over ranges that cross blocks and ingest batches,
-// and hand back each touched block's payload (null for holes).
+// and hand back each touched block's payload (null for holes). A window
+// inside the request copies only its own bytes, with the same ReadStats.
 TEST(ParallelRead, SpanReadMatchesReadRange) {
   const Bytes content = MixedContent(/*blocks=*/40, 61);
   // Growing the file past its partial tail block, without rewriting that
@@ -341,8 +342,8 @@ TEST(ParallelRead, SpanReadMatchesReadRange) {
                    std::to_string(length));
       Bytes got(length, 0xa5);
       std::vector<util::SharedBytes> blocks;
-      span_volume.ReadRangeInto(store::kDefaultTenant, "f", offset, got,
-                                &blocks);
+      span_volume.ReadRangeInto(store::kDefaultTenant, "f", offset, length, 0,
+                                got, &blocks);
       ASSERT_EQ(got, range_volume.ReadRange("f", offset, length));
       ASSERT_TRUE(std::equal(got.begin(), got.end(),
                              want.begin() + static_cast<std::ptrdiff_t>(offset)));
@@ -361,7 +362,29 @@ TEST(ParallelRead, SpanReadMatchesReadRange) {
                     span_volume.block_store().GetUncached(ptr.digest));
         }
       }
+
+      // The same request with its middle third as the window fetches the
+      // same blocks and copies only the window, leaving the bytes around
+      // it alone.
+      const std::uint64_t skip = length / 3;
+      Bytes guarded(length / 3 + 2, 0xa5);
+      span_volume.ReadRangeInto(
+          store::kDefaultTenant, "f", offset, length, skip,
+          util::MutableByteSpan(guarded.data() + 1, length / 3));
+      range_volume.ReadRange("f", offset, length);
+      EXPECT_TRUE(std::equal(
+          guarded.begin() + 1, guarded.end() - 1,
+          want.begin() + static_cast<std::ptrdiff_t>(offset + skip)));
+      EXPECT_EQ(guarded.front(), 0xa5);
+      EXPECT_EQ(guarded.back(), 0xa5);
+      ExpectSameReadStats(span_volume.block_store().read_stats(),
+                          range_volume.block_store().read_stats(),
+                          /*cache_enabled=*/true);
     }
+    Bytes too_long(6);
+    EXPECT_THROW(span_volume.ReadRangeInto(store::kDefaultTenant, "f", 0, 10,
+                                           5, too_long),
+                 std::out_of_range);
   }
 }
 
