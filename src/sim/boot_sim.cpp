@@ -45,21 +45,24 @@ BootResult SimulateBoot(cow::Chain& chain,
     const auto fits = [&](const vmi::BootRead& write) {
       return write.offset + write.length <= chain.size();
     };
-    // Log content: the bytes are irrelevant, the size is not. One payload,
-    // filled once per boot and sized for the largest write, gives each
-    // write its prefix.
+    // Log content: the bytes are irrelevant, the size is not. One payload
+    // per thread, filled from one seed and refilled only to grow, gives
+    // each write its prefix. Rng::Fill is prefix-stable, so every boot
+    // writes the bytes a fill of its own would.
     std::uint64_t largest_write = 0;
     for (const vmi::BootRead& write : *writes) {
       if (fits(write)) {
         largest_write = std::max<std::uint64_t>(largest_write, write.length);
       }
     }
-    const auto payload =
-        std::make_unique_for_overwrite<util::Byte[]>(largest_write);
-    util::Rng(0xb007).Fill(util::MutableByteSpan(payload.get(), largest_write));
+    thread_local util::Bytes payload;
+    if (payload.size() < largest_write) {
+      payload.resize(largest_write);
+      util::Rng(0xb007).Fill(payload);
+    }
     for (const vmi::BootRead& write : *writes) {
       if (!fits(write)) continue;
-      chain.Write(write.offset, util::ByteSpan(payload.get(), write.length));
+      chain.Write(write.offset, util::ByteSpan(payload.data(), write.length));
       // Writes are absorbed by the overlay and flushed in the background;
       // charge only the guest-side CPU.
       io.ChargeNs(config.guest_ns_per_byte * static_cast<double>(write.length));

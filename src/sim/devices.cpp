@@ -390,9 +390,11 @@ void VolumeFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
     page_cache_hit = pending.empty();
     // Decompression CPU is charged per block unless the decompressed payload
     // is already resident in the store's ARC (ReadConfig::cache_bytes > 0),
-    // where a hit serves the plain bytes straight from memory.
+    // where a hit serves the plain bytes straight from memory. A request
+    // the page cache served whole has nothing to probe.
     const std::vector<std::uint8_t> resident =
-        store.CachedDecompressedBatch(digests);
+        page_cache_hit ? std::vector<std::uint8_t>()
+                       : store.CachedDecompressedBatch(digests);
     const double decompress_per_byte =
         store.codec().cost().decompress_ns_per_byte;
     // Blocks already on the wire from readahead: barrier to their

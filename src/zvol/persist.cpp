@@ -45,19 +45,19 @@ FileTable ReadTable(util::wire::Reader<VolumeImageError>& r) {
     const std::string name = r.Str();
     FileMeta meta;
     meta.logical_size = r.U64();
-    const std::uint64_t blocks = r.U64();
-    meta.blocks.resize(blocks);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
+    const std::uint64_t count = r.U64();
+    std::vector<BlockPtr>& blocks = meta.blocks.Mutable();
+    blocks.resize(count);
+    for (BlockPtr& ptr : blocks) {
       const bool hole = r.U8() != 0;
       if (!hole) {
         const util::Bytes digest = r.Blob();
-        if (digest.size() != meta.blocks[b].digest.bytes.size()) {
+        if (digest.size() != ptr.digest.bytes.size()) {
           throw VolumeImageError("volume image: bad digest size");
         }
-        meta.blocks[b].hole = false;
-        std::memcpy(meta.blocks[b].digest.bytes.data(), digest.data(),
-                    digest.size());
-        meta.blocks[b].logical_size = r.U32();
+        ptr.hole = false;
+        std::memcpy(ptr.digest.bytes.data(), digest.data(), digest.size());
+        ptr.logical_size = r.U32();
       }
     }
     table.emplace(name, std::move(meta));
@@ -194,24 +194,41 @@ std::unique_ptr<Volume> Volume::Deserialize(util::ByteSpan image) {
   }
   flush();
 
-  auto retain = [&](FileTable& table) {
+  // Rewrites a freshly read table's pointers to the store's ids and
+  // restores the sharing the volume had (DESIGN.md §25): a file whose list
+  // equals the same-named file's in the snapshot read just before, or else
+  // in the live table, takes that list's handle. Each table then takes one
+  // reference per non-hole pointer, as RetainTable does.
+  const FileTable* const live = &volume->files_;
+  auto retain = [&](FileTable& table, const FileTable* previous) {
     for (auto& [name, meta] : table) {
-      for (BlockPtr& ptr : meta.blocks) {
-        if (ptr.hole) continue;
-        if (!config.dedup) {
+      if (!config.dedup) {
+        for (BlockPtr& ptr : meta.blocks.Mutable()) {
+          if (ptr.hole) continue;
           const auto it = remap.find(ptr.digest);
           if (it == remap.end()) {
             throw VolumeImageError("volume image: unmapped block reference");
           }
           ptr.digest = it->second;
         }
-        volume->store_.Ref(ptr.digest);
+      }
+      for (const FileTable* from : {previous, live}) {
+        if (from == nullptr || from == &table) continue;
+        const auto it = from->find(name);
+        if (it != from->end() && it->second.blocks == meta.blocks) {
+          meta.blocks = it->second.blocks;
+          break;
+        }
+      }
+      for (const BlockPtr& ptr : meta.blocks) {
+        if (!ptr.hole) volume->store_.Ref(ptr.digest);
       }
     }
   };
 
   volume->files_ = ReadTable(r);
-  retain(volume->files_);
+  retain(volume->files_, nullptr);
+  const FileTable* previous = nullptr;
   const std::uint32_t snapshot_count = r.U32();
   for (std::uint32_t s = 0; s < snapshot_count; ++s) {
     auto snap = std::make_unique<Snapshot>();
@@ -219,7 +236,8 @@ std::unique_ptr<Volume> Volume::Deserialize(util::ByteSpan image) {
     snap->name = r.Str();
     snap->created_at = r.U64();
     snap->files = ReadTable(r);
-    retain(snap->files);
+    retain(snap->files, previous);
+    previous = &snap->files;
     volume->snapshots_.push_back(std::move(snap));
   }
 

@@ -191,6 +191,17 @@ bool RepairSession::RepairBlock(store::BlockStore& store,
   return try_reconstruct();
 }
 
+std::vector<BlockPtr>& BlockList::Mutable() {
+  if (list_ == nullptr) {
+    list_ = std::make_shared<std::vector<BlockPtr>>();
+  } else if (list_.use_count() > 1) {
+    list_ = std::make_shared<std::vector<BlockPtr>>(*list_);
+  }
+  return *list_;
+}
+
+const std::vector<BlockPtr> BlockList::kNoBlocks;
+
 void Volume::ReleaseTable(const FileTable& table) {
   for (const auto& [name, meta] : table) {
     for (const BlockPtr& ptr : meta.blocks) {
@@ -255,7 +266,8 @@ FileMeta Volume::IngestSource(const util::DataSource& data) {
   const std::uint64_t block_size = config_.block_size;
   const std::uint64_t block_count =
       util::CeilDiv(meta.logical_size, block_size);
-  meta.blocks.resize(block_count);
+  std::vector<BlockPtr>& blocks = meta.blocks.Mutable();
+  blocks.resize(block_count);
 
   const std::size_t batch_blocks =
       std::max<std::size_t>(1, config_.ingest.batch_blocks);
@@ -317,7 +329,7 @@ FileMeta Volume::IngestSource(const util::DataSource& data) {
     }
     const std::vector<store::PutResult> puts = store_.PutBatch(payloads);
     for (std::size_t k = 0; k < puts.size(); ++k) {
-      meta.blocks[payload_index[k]] =
+      blocks[payload_index[k]] =
           BlockPtr{false, puts[k].digest, puts[k].logical_size};
     }
   }
@@ -340,7 +352,7 @@ void Volume::WriteFile(const std::string& name, const util::DataSource& data) {
 void Volume::CreateFile(const std::string& name, std::uint64_t logical_size) {
   FileMeta meta;
   meta.logical_size = logical_size;
-  meta.blocks.resize(util::CeilDiv(logical_size, config_.block_size));
+  meta.blocks.Mutable().resize(util::CeilDiv(logical_size, config_.block_size));
   auto it = files_.find(name);
   if (it != files_.end()) {
     for (const BlockPtr& ptr : it->second.blocks) {
@@ -358,9 +370,12 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
   const std::uint64_t end = offset + data.size();
   if (end > meta.logical_size) {
     meta.logical_size = end;
-    meta.blocks.resize(util::CeilDiv(end, config_.block_size));
+    meta.blocks.Mutable().resize(util::CeilDiv(end, config_.block_size));
   }
   if (data.empty()) return;
+  // A snapshot that shares this file's list keeps it; the write goes to
+  // the file's own copy.
+  std::vector<BlockPtr>& blocks = meta.blocks.Mutable();
 
   const std::uint64_t first_block = offset / config_.block_size;
   const std::uint64_t last_block = (end - 1) / config_.block_size;
@@ -389,7 +404,7 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
     std::vector<util::Digest> old_digests;
     std::vector<std::size_t> old_slots;
     for (std::size_t j = 0; j < n; ++j) {
-      const BlockPtr& ptr = meta.blocks[base + j];
+      const BlockPtr& ptr = blocks[base + j];
       if (ptr.hole) continue;
       old_digests.push_back(ptr.digest);
       old_slots.push_back(j);
@@ -427,7 +442,7 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
     // Stage 2: ordered commit — drop the old references, then batch-put the
     // non-zero replacements and install the new pointers.
     for (std::size_t j = 0; j < n; ++j) {
-      BlockPtr& ptr = meta.blocks[base + j];
+      BlockPtr& ptr = blocks[base + j];
       if (!ptr.hole) store_.Unref(ptr.digest);
       ptr = BlockPtr{};
     }
@@ -442,7 +457,7 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
     }
     const std::vector<store::PutResult> puts = store_.PutBatch(payloads);
     for (std::size_t k = 0; k < puts.size(); ++k) {
-      meta.blocks[payload_index[k]] =
+      blocks[payload_index[k]] =
           BlockPtr{false, puts[k].digest, puts[k].logical_size};
     }
   }
@@ -863,38 +878,34 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
   std::uint64_t file_index = 0;
   for (const FileRecord& f : stream.files) {
     crash_site("receive/file", file_index++);
-    FileMeta* meta;
     auto it = table.find(f.name);
-    if (f.whole_file || it == table.end()) {
-      if (it != table.end()) {
-        for (const BlockPtr& ptr : it->second.blocks) {
-          if (!ptr.hole) txn.Unref(ptr.digest);
-        }
-        table.erase(it);
+    if (f.whole_file && it != table.end()) {
+      for (const BlockPtr& ptr : it->second.blocks) {
+        if (!ptr.hole) txn.Unref(ptr.digest);
       }
-      meta = &table[f.name];
-      meta->logical_size = f.logical_size;
-      meta->blocks.assign(util::CeilDiv(f.logical_size, stream.block_size),
-                          BlockPtr{});
-    } else {
-      meta = &it->second;
-      meta->logical_size = f.logical_size;
-      const std::uint64_t new_count =
-          util::CeilDiv(f.logical_size, stream.block_size);
-      // A shrinking file drops its tail blocks; release their references
-      // before the resize discards the pointers.
-      for (std::uint64_t i = new_count; i < meta->blocks.size(); ++i) {
-        if (!meta->blocks[i].hole) txn.Unref(meta->blocks[i].digest);
-      }
-      meta->blocks.resize(new_count);
+      table.erase(it);
+      it = table.end();
     }
+    const std::uint64_t new_count =
+        util::CeilDiv(f.logical_size, stream.block_size);
+    FileMeta& meta = it != table.end() ? it->second : table[f.name];
+    meta.logical_size = f.logical_size;
+    // A file the stream touches gets its own list; the untouched ones keep
+    // sharing theirs with the snapshots.
+    std::vector<BlockPtr>& blocks = meta.blocks.Mutable();
+    // A shrinking file drops its tail blocks; release their references
+    // before the resize discards the pointers.
+    for (std::uint64_t i = new_count; i < blocks.size(); ++i) {
+      if (!blocks[i].hole) txn.Unref(blocks[i].digest);
+    }
+    blocks.resize(new_count);
 
     // Drop every touched block's old reference first. This is safe to batch
     // ahead of the inserts because the live table equals the latest
     // snapshot's table when a stream applies, so snapshot references keep
     // any still-needed block alive across the reordering.
     for (const BlockRecord& b : f.blocks) {
-      BlockPtr& ptr = meta->blocks[b.index];
+      BlockPtr& ptr = blocks[b.index];
       if (!ptr.hole) {
         txn.Unref(ptr.digest);
         ptr = BlockPtr{};
@@ -916,7 +927,7 @@ void Volume::ApplyStreamToTable(const SendStream& stream, FileTable& table,
     std::size_t next_put = 0;
     for (const BlockRecord& b : f.blocks) {
       if (b.hole) continue;
-      BlockPtr& ptr = meta->blocks[b.index];
+      BlockPtr& ptr = blocks[b.index];
       if (b.has_payload) {
         const store::PutResult& put = puts[next_put++];
         ptr = BlockPtr{false, put.digest, put.logical_size};

@@ -9,7 +9,10 @@
 //
 //   * fixed `recordsize` (block_size), inline compression, `dedup=on`
 //   * sparse files: all-zero blocks occupy no space (holes)
-//   * snapshots are cheap, immutable, and named; they pin blocks by refcount
+//   * snapshots are cheap, immutable, and named; they pin blocks by refcount.
+//     A snapshot shares each file's block list with the live table (a
+//     copy-on-write BlockList), so taking one costs a handle per file, and
+//     a write copies only the list of the file it changes (DESIGN.md §25)
 //   * `zfs send -i from to` produces a self-contained diff stream; applying
 //     it on a volume whose latest snapshot is `from` reproduces `to` exactly
 //   * destroying snapshots releases blocks no longer referenced anywhere
@@ -20,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,9 +90,44 @@ struct BlockPtr {
   bool operator==(const BlockPtr&) const = default;
 };
 
+/// A file's block pointers as a copy-on-write list (DESIGN.md §25): one
+/// immutable std::vector<BlockPtr> shared by every table that holds this
+/// version of the file. Copying a BlockList copies a handle. Readers get
+/// the const vector API; Mutable() is the one way to write, and it copies
+/// the list first when another handle shares it. Equality compares
+/// contents, with a fast path for two handles to one list.
+class BlockList {
+ public:
+  using const_iterator = std::vector<BlockPtr>::const_iterator;
+
+  std::size_t size() const { return list().size(); }
+  const BlockPtr& operator[](std::size_t i) const { return list()[i]; }
+  const BlockPtr& at(std::size_t i) const { return list().at(i); }
+  const_iterator begin() const { return list().begin(); }
+  const_iterator end() const { return list().end(); }
+
+  /// The list, writable: first made this handle's own (a copy, when
+  /// another handle shares it). References into it stay valid until this
+  /// handle is next copied, assigned or destroyed.
+  std::vector<BlockPtr>& Mutable();
+
+  bool operator==(const BlockList& other) const {
+    return list_ == other.list_ || list() == other.list();
+  }
+
+ private:
+  static const std::vector<BlockPtr> kNoBlocks;
+
+  const std::vector<BlockPtr>& list() const {
+    return list_ != nullptr ? *list_ : kNoBlocks;
+  }
+
+  std::shared_ptr<std::vector<BlockPtr>> list_;  // null: no blocks
+};
+
 struct FileMeta {
   std::uint64_t logical_size = 0;
-  std::vector<BlockPtr> blocks;
+  BlockList blocks;
 
   bool operator==(const FileMeta&) const = default;
 };
@@ -295,9 +334,12 @@ class Volume {
 
   bool HasFile(const std::string& name) const;
   /// The live file's size and block pointers, found once (NoSuchFileError
-  /// otherwise). The reference stays valid until the next call that changes
-  /// the live file table: WriteFile, CreateFile, WriteRange, DeleteFile,
-  /// Receive or ReceiveFull.
+  /// otherwise). The reference, and references into its blocks, stay valid
+  /// until the next call that changes the live file table: WriteFile,
+  /// CreateFile, WriteRange, DeleteFile, Receive or ReceiveFull (a write to
+  /// a file whose list a snapshot shares gives the file a new list). A
+  /// caller that needs the pointers longer copies the FileMeta: the copy
+  /// shares the list, costs O(1), and no later write changes it.
   const FileMeta& File(const std::string& name) const;
   std::uint64_t FileSize(const std::string& name) const;
   std::vector<std::string> FileNames() const;
@@ -324,9 +366,11 @@ class Volume {
 
   // --- snapshots -----------------------------------------------------------
 
-  /// Snapshots the current live file table. Names must be unique and
-  /// creation times non-decreasing. The returned reference stays valid until
-  /// that snapshot is destroyed or pruned.
+  /// Snapshots the current live file table. The snapshot shares every
+  /// file's block list with the live table (one handle per file, no
+  /// pointer copied) and takes one store reference per non-hole pointer.
+  /// Names must be unique and creation times non-decreasing. The returned
+  /// reference stays valid until that snapshot is destroyed or pruned.
   const Snapshot& CreateSnapshot(const std::string& name, std::uint64_t now);
 
   const Snapshot* FindSnapshot(const std::string& name) const;
@@ -533,7 +577,9 @@ class Volume {
                           StoreTxn& txn);
   /// Shared tail of Receive/ReceiveFull after validation: applies the
   /// stream to a staged copy of the file table, rolls back on any failure,
-  /// and otherwise swaps the table in and records the `to` snapshot.
+  /// and otherwise swaps the table in and records the `to` snapshot. The
+  /// staged copy and the snapshot share block lists, so only the files the
+  /// stream touches get lists of their own.
   void CommitReceive(const SendStream& stream);
   /// Shared scrub walk: unique digests referenced by the live table and all
   /// snapshots; dangling references are counted into *dangling_refs.

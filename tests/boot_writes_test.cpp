@@ -2,7 +2,13 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include "buffer_source.h"
 #include "core/squirrel.h"
+#include "cow/chain.h"
+#include "cow/qcow.h"
+#include "sim/boot_sim.h"
+#include "sim/devices.h"
+#include "util/rng.h"
 #include "vmi/bootset.h"
 #include "vmi/image.h"
 
@@ -46,6 +52,30 @@ TEST(BootWrites, RangeHasDataMatchesExtents) {
   // A range straddling the first extent's end still has data.
   const vmi::Extent& first = image.extents().front();
   EXPECT_TRUE(image.RangeHasData(first.logical_offset + first.length - 1, 4096));
+}
+
+TEST(BootWrites, EveryWriteCarriesAPrefixOfOneSeededPayload) {
+  // Boots on one thread share one payload, whatever size earlier boots
+  // left it: writes of growing and shrinking largest sizes each get the
+  // first bytes of the 0xb007 stream.
+  const test::BufferSource zeros(Bytes(256 * 1024, 0));
+  Bytes stream(96 * 1024);
+  util::Rng(0xb007).Fill(stream);
+  for (const std::uint32_t largest : {8u * 1024, 96u * 1024, 4u * 1024}) {
+    sim::IoContext io;
+    sim::LocalFileDevice base(&zeros, &io, /*device_id=*/1, /*disk_base=*/0);
+    cow::QcowOverlay overlay(zeros.size(), 64 * 1024);
+    cow::Chain chain(&overlay, nullptr, &base, /*copy_on_read=*/false);
+    const std::vector<vmi::BootRead> writes = {{0, largest / 2},
+                                               {128 * 1024, largest}};
+    const sim::BootResult result = sim::SimulateBoot(chain, {}, io, {}, &writes);
+    EXPECT_EQ(result.bytes_written, largest / 2 + largest);
+    for (const vmi::BootRead& write : writes) {
+      EXPECT_EQ(chain.Read(write.offset, write.length),
+                Bytes(stream.begin(), stream.begin() + write.length))
+          << "largest write " << largest << ", offset " << write.offset;
+    }
+  }
 }
 
 TEST(BootWrites, WarmBootWithWritesStaysNetworkFree) {
