@@ -20,7 +20,6 @@
 
 #include "core/scatter_gather.h"
 #include "placement/layout.h"
-#include "store/cache_controller.h"
 #include "vmi/boot_profile.h"
 #include "zvol/volume.h"
 
@@ -38,7 +37,6 @@ class SimClock {
   static constexpr SimClock FromSeconds(std::uint64_t seconds) {
     return SimClock(static_cast<double>(seconds) * 1e9);
   }
-  static constexpr SimClock FromNs(double ns) { return SimClock(ns); }
 
   /// Whole simulated seconds (truncating) — the unit of snapshot
   /// timestamps and retention windows.
@@ -103,13 +101,6 @@ struct SquirrelConfig {
   /// across its set (see placement/layout.h and DESIGN.md §16); nodes in a
   /// trailing set too small for a stripe keep full replicas.
   placement::PlacementConfig placement{};
-  /// Workload-adaptive decompressed-block ARC budgeting on each ccVolume
-  /// (see store/cache_controller.h and DESIGN.md §17). Disabled by default:
-  /// the cluster never constructs a controller and every cache code path —
-  /// counters included — is byte-identical to the pre-controller tree. When
-  /// enabled, each compute node lazily gets a CacheController over its
-  /// ccVolume's BlockStore, ticked once after every Boot() on that node.
-  store::CacheControllerConfig cache_controller{};
 };
 
 /// Profile-guided boot support (both directions of the profile lifecycle).

@@ -453,27 +453,6 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
   report.network_bytes = network_.bytes_in(compute_node + 1) - net_before;
   report.degraded = cache.degraded_stats();
   report.prefetch = prefetcher.stats();
-  if (config_.cache_controller.enabled) {
-    // Lazily attach a controller to this node's ccVolume store and tick it
-    // once per boot: boots are the cluster's cache-relevant events, so the
-    // rebudget cadence follows the boot arrival process deterministically
-    // (no wall-clock reads — same boot sequence, same trace).
-    if (cache_controllers_.size() < compute_nodes_.size()) {
-      cache_controllers_.resize(compute_nodes_.size());
-    }
-    auto& controller = cache_controllers_[compute_node];
-    if (controller == nullptr) {
-      controller = std::make_unique<store::CacheController>(
-          &node.volume().block_store(), config_.cache_controller);
-    }
-    // Tenant 0 is the untagged single-tenant default — never budgeted, so
-    // a controller-enabled cluster with untagged boots still rebudgets
-    // stripes globally without imposing per-tenant partitions.
-    if (request.tenant != store::kDefaultTenant) {
-      controller->ObserveTenant(request.tenant);
-    }
-    controller->Tick();
-  }
   return report;
 }
 

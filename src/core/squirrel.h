@@ -82,8 +82,8 @@ struct BootRequest {
   /// peers may serve Byzantine payloads under the cluster's fault injector;
   /// lying peers strike out and the block re-sources from the next replica.
   bool peer_repair_sources = false;
-  /// Tenant (VM owner) this boot's ARC residency is charged to, when the
-  /// adaptive cache controller is enabled (SquirrelConfig::cache_controller).
+  /// Tenant (VM owner) this boot's ARC residency is charged to (see
+  /// store::TenantId; per-tenant budgets come from store::CacheController).
   /// Appended last so positional initializers predating the field keep
   /// their meaning. Default 0 = untagged single-tenant mode, which keeps
   /// every cache code path bit-identical to the pre-tenant tree.
@@ -227,16 +227,6 @@ class SquirrelCluster {
     return registered_;
   }
 
-  /// The adaptive cache controller budgeting `compute_node`'s ccVolume ARC,
-  /// or nullptr when config().cache_controller.enabled is false or the node
-  /// has not booted a VM yet (controllers are created lazily by Boot()).
-  /// Read its trace() to audit the rebudget decisions.
-  const store::CacheController* cache_controller(
-      std::uint32_t compute_node) const {
-    if (compute_node >= cache_controllers_.size()) return nullptr;
-    return cache_controllers_[compute_node].get();
-  }
-
   static std::string CacheFileName(const std::string& image_id) {
     return "cache/" + image_id;
   }
@@ -264,9 +254,6 @@ class SquirrelCluster {
   /// stay byte-identical to the pre-placement paths).
   std::optional<placement::StorageSetLayout> layout_;
   std::optional<placement::ReedSolomon> codec_;
-  /// Lazily created per-compute-node adaptive cache controllers (empty
-  /// unless config_.cache_controller.enabled; index = compute node index).
-  std::vector<std::unique_ptr<store::CacheController>> cache_controllers_;
 };
 
 }  // namespace squirrel::core

@@ -67,15 +67,4 @@ ReconstructionSource::Gather(const util::Digest& digest) const {
   return result;
 }
 
-std::optional<zvol::ReconstructedBlock> ReconstructionSource::Reconstruct(
-    const util::Digest& digest) {
-  std::optional<GatherResult> gathered = Gather(digest);
-  if (!gathered.has_value()) return std::nullopt;
-  zvol::ReconstructedBlock block;
-  block.payload = std::move(gathered->payload);
-  block.remote_bytes = gathered->remote_bytes;
-  block.parity_shards_read = gathered->parity_shards_read;
-  return block;
-}
-
 }  // namespace squirrel::placement

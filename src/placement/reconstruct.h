@@ -11,25 +11,22 @@
 //
 // Gather() reports what the rebuild cost — local vs remote shard bytes and
 // how many parity shards participated — so the boot device can charge disk
-// and network honestly. The class also implements zvol::BlockReconstructor,
-// which is how a RepairSession reaches shards without zvol depending on the
-// placement layer.
+// and network honestly.
 //
-// Payloads leave Gather() *unverified*: the callers own the digest check
-// (BlockStore::Repair re-hashes; the striped boot device compares the
-// store's ComputeDigest against the block pointer), mirroring the repair
-// path's single-defence design.
+// Payloads leave Gather() *unverified*: the caller owns the digest check
+// (the striped boot device compares the store's ComputeDigest against the
+// block pointer), mirroring the repair path's single-defence design.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "placement/reed_solomon.h"
 #include "placement/shard_store.h"
 #include "util/bytes.h"
 #include "util/hash.h"
-#include "zvol/volume.h"
 
 namespace squirrel::placement {
 
@@ -43,7 +40,7 @@ struct ShardPeer {
   bool local = false;
 };
 
-class ReconstructionSource final : public zvol::BlockReconstructor {
+class ReconstructionSource {
  public:
   /// `codec` is borrowed and must outlive the source.
   ReconstructionSource(const ReedSolomon* codec, std::vector<ShardPeer> peers);
@@ -67,10 +64,6 @@ class ReconstructionSource final : public zvol::BlockReconstructor {
   /// Returns nullopt when fewer than k shards are reachable on online
   /// peers. The payload is not digest-verified here.
   std::optional<GatherResult> Gather(const util::Digest& digest) const;
-
-  /// zvol::BlockReconstructor: Gather() shaped for the repair path.
-  std::optional<zvol::ReconstructedBlock> Reconstruct(
-      const util::Digest& digest) override;
 
  private:
   const ReedSolomon* codec_;

@@ -81,9 +81,6 @@ class AsyncDiskQueue {
   /// Runs the loop until `id` completes and returns its completion time.
   double CompletionNs(RequestId id);
 
-  /// True once `id`'s completion event has fired.
-  bool Completed(RequestId id) const { return completed_.contains(id); }
-
   /// Completes all outstanding requests; returns the last completion time
   /// (or the loop's current time when idle).
   double Drain();

@@ -25,48 +25,6 @@ FleetScenario::FleetScenario(const FleetConfig& config)
     set_count_ = config_.nodes / set_size;  // trailing nodes replicate
     set_link_free_ns_.assign(set_count_, 0.0);
   }
-  if (config_.cache_mode != FleetConfig::kCacheOff) {
-    const std::uint32_t images = std::max<std::uint32_t>(config_.images, 1);
-    // Laplace smoothing: every image starts with one phantom boot, so the
-    // demand distribution is defined (uniform) before any boot lands.
-    image_boot_counts_.assign(images, 1.0);
-    image_share_.assign(images, 1.0 / static_cast<double>(images));
-    next_cache_tick_ns_ = config_.cache_tick_seconds * 1e9;
-  }
-}
-
-void FleetScenario::MaybeCacheTick(double now_ns) {
-  if (config_.cache_mode != FleetConfig::kCacheAdaptive) return;
-  while (now_ns >= next_cache_tick_ns_) {
-    // Rebudget: pull every image's share toward its observed demand share
-    // (the fleet-scale analogue of store::CacheController's ghost-hit
-    // marginal utility — demand ∝ boot arrivals here, since the cost model
-    // has no per-block ghosts). Both distributions sum to 1, so the convex
-    // mix keeps shares normalized without a second pass.
-    double total = 0.0;
-    for (const double c : image_boot_counts_) total += c;
-    const double g = config_.cache_gain;
-    for (std::size_t i = 0; i < image_share_.size(); ++i) {
-      image_share_[i] = (1.0 - g) * image_share_[i] +
-                        g * image_boot_counts_[i] / total;
-    }
-    next_cache_tick_ns_ += config_.cache_tick_seconds * 1e9;
-    ++cache_ticks_;
-  }
-}
-
-double FleetScenario::CacheMissPenalty(std::uint32_t image) {
-  double total = 0.0;
-  for (const double c : image_boot_counts_) total += c;
-  const double demand = image_boot_counts_[image] / total;
-  const double miss =
-      std::max(0.0, 1.0 - image_share_[image] / demand);
-  image_boot_counts_[image] += 1.0;
-  ++cache_boots_;
-  cache_miss_sum_ += miss;
-  const double extra = config_.cache_miss_extra_seconds * miss;
-  cache_extra_seconds_ += extra;
-  return extra;
 }
 
 bool FleetScenario::NodeStriped(std::uint32_t node) const {
@@ -174,21 +132,11 @@ void FleetScenario::ScheduleBoot(std::uint32_t node, std::uint32_t image,
       start = ReserveSetLink(node / config_.storage_set_size, gather, start);
       shard_gather_bytes_ += gather;
     }
-    double exec_seconds =
-        (m.prefetch_enabled ? m.prefetch_boot_seconds : m.warm_boot_seconds) *
-        Jitter();
-    if (config_.cache_mode != FleetConfig::kCacheOff) {
-      // ARC contention: a boot of an under-provisioned image pays extra
-      // miss decompression/IO on the critical path. Deterministic (no RNG
-      // draws), so kCacheOff runs replay byte-identically.
-      MaybeCacheTick(loop_.now_ns());
-      exec_seconds += CacheMissPenalty(image);
-    }
+    double exec_seconds = m.prefetch_boot_seconds * Jitter();
     if (loop_.rng().Chance(m.degraded_fraction)) {
       // Pre-healing (prefetch path) moves most repair work off the boot's
       // critical path.
-      exec_seconds += m.prefetch_enabled ? 0.25 * m.degraded_extra_seconds
-                                         : m.degraded_extra_seconds;
+      exec_seconds += 0.25 * m.degraded_extra_seconds;
       if (striped) {
         // A degraded striped boot rebuilds its blocks from parity instead of
         // re-fetching replicas: Reed–Solomon decode CPU on the critical path.
@@ -387,17 +335,6 @@ FleetReport FleetScenario::Run() {
     report.placement.reconstructions = reconstructions_;
     report.placement.decode_seconds = decode_seconds_;
   }
-  if (config_.cache_mode != FleetConfig::kCacheOff) {
-    report.cache.mode = config_.cache_mode;
-    report.cache.ticks = cache_ticks_;
-    report.cache.boots = cache_boots_;
-    report.cache.extra_seconds = cache_extra_seconds_;
-    report.cache.mean_miss_fraction =
-        cache_boots_ > 0
-            ? cache_miss_sum_ / static_cast<double>(cache_boots_)
-            : 0.0;
-    report.cache.hot_share = image_share_.empty() ? 0.0 : image_share_[0];
-  }
   return report;
 }
 
@@ -452,19 +389,6 @@ std::string FleetReport::ToJson() const {
         .Double("shard_gather_bytes", "%.9g", placement.shard_gather_bytes)
         .Uint("reconstructions", placement.reconstructions)
         .Double("decode_seconds", "%.9g", placement.decode_seconds)
-        .End();
-  }
-  if (cache.mode != 0) {
-    // Only cache-model runs carry this section, so default output stays
-    // byte-identical to the pre-cache-model format.
-    json.Group()
-        .Object("cache")
-        .Uint("mode", cache.mode)
-        .Uint("ticks", cache.ticks)
-        .Uint("boots", cache.boots)
-        .Double("extra_seconds", "%.9g", cache.extra_seconds)
-        .Double("mean_miss_fraction", "%.9g", cache.mean_miss_fraction)
-        .Double("hot_share", "%.9g", cache.hot_share)
         .End();
   }
   json.Group()

@@ -47,16 +47,17 @@ namespace squirrel::sim::fleet {
 /// single-node simulation (core::CalibrateFleetModel) or used with these
 /// defaults (rough dataset-scale numbers).
 struct FleetModel {
-  /// Warm local boot (replica covers the image): guest-CPU dominated.
+  /// Warm local boot (replica covers the image) without prefetch:
+  /// guest-CPU dominated. Calibrated and reported; the scenario charges
+  /// prefetch_boot_seconds.
   double warm_boot_seconds = 14.5;
-  /// Warm boot with profile-guided prefetch enabled.
+  /// Warm boot with profile-guided prefetch — every fleet boot's cost.
   double prefetch_boot_seconds = 13.8;
-  /// Extra critical-path seconds when the replica is degraded and repairs
-  /// on demand; pre-healing (prefetch path) absorbs most of it.
+  /// Extra seconds when the replica is degraded and repairs on demand;
+  /// pre-healing absorbs all but a quarter of it.
   double degraded_extra_seconds = 3.0;
   /// Fraction of boots that hit a degraded replica.
   double degraded_fraction = 0.0;
-  bool prefetch_enabled = true;
   /// Mean per-image boot-cache size (the §3.5 full-pull transfer unit).
   double cache_bytes = 12e6;
   /// Mean incremental snapshot diff shipped per registration (§3.2).
@@ -126,28 +127,6 @@ struct FleetConfig {
   double set_link_bytes_per_second = 1.25e9;
   /// Reed–Solomon decode throughput for parity rebuilds, bytes/second.
   double decode_bytes_per_second = 1.25e9;
-
-  // --- adaptive-cache model (ISSUE 10) --------------------------------------
-  // Per-node decompressed-block ARC contention across images, mirroring
-  // store::CacheController at fleet scale: each boot of image i pays
-  //   cache_miss_extra_seconds × max(0, 1 − share(i) / demand(i))
-  // extra critical-path seconds, where demand(i) is the observed boot share
-  // of image i (Laplace-smoothed) and share(i) the cache fraction the model
-  // grants it. kCacheStatic pins shares at the even split 1/images — hot
-  // Zipf ranks thrash; kCacheAdaptive re-budgets shares toward the demand
-  // EMA every cache_tick_seconds of sim time (gain-weighted, evaluated
-  // lazily on boot events — no extra events, no extra RNG draws). Default
-  // kCacheOff skips the model entirely: report and trace stay
-  // byte-identical to the pre-cache-model output.
-  static constexpr std::uint32_t kCacheOff = 0;
-  static constexpr std::uint32_t kCacheStatic = 1;
-  static constexpr std::uint32_t kCacheAdaptive = 2;
-  std::uint32_t cache_mode = kCacheOff;
-  /// Critical-path seconds a fully cache-cold boot loses to ARC misses.
-  double cache_miss_extra_seconds = 4.0;
-  double cache_tick_seconds = 5.0;
-  /// EMA gain per tick pulling shares toward demand, in (0, 1].
-  double cache_gain = 0.5;
 };
 
 /// Striped-placement accounting (zeros and omitted from the JSON when the
@@ -163,18 +142,6 @@ struct PlacementStats {
   double shard_gather_bytes = 0.0;  // intra-set boot traffic
   std::uint64_t reconstructions = 0;  // degraded boots rebuilt from parity
   double decode_seconds = 0.0;        // total decode CPU charged
-};
-
-/// Adaptive-cache model accounting (omitted from the JSON when off).
-struct CacheModelStats {
-  std::uint32_t mode = 0;  // FleetConfig::kCache{Off,Static,Adaptive}
-  std::uint64_t ticks = 0;
-  std::uint64_t boots = 0;  // boots the model charged
-  double extra_seconds = 0.0;  // total miss-penalty seconds
-  double mean_miss_fraction = 0.0;
-  /// Cache share granted to the hottest Zipf rank at run end (1/images
-  /// under kCacheStatic; tracks the rank's demand under kCacheAdaptive).
-  double hot_share = 0.0;
 };
 
 struct PhaseStats {
@@ -218,7 +185,6 @@ struct FleetReport {
   double sim_seconds = 0.0;
   std::uint64_t events_fired = 0;
   PlacementStats placement{};
-  CacheModelStats cache{};
 
   /// Deterministic JSON: same report → byte-identical string.
   std::string ToJson() const;
@@ -267,12 +233,6 @@ class FleetScenario {
   /// FIFO reservation on one storage set's intra-set LAN link.
   double ReserveSetLink(std::uint32_t set, double bytes, double earliest_ns);
 
-  /// Adaptive-cache model (cache_mode != kCacheOff only). MaybeCacheTick
-  /// advances the lazy rebudget clock to `now_ns`; CacheMissPenalty charges
-  /// one boot of `image` and returns its extra critical-path seconds.
-  void MaybeCacheTick(double now_ns);
-  double CacheMissPenalty(std::uint32_t image);
-
   FleetConfig config_;
   event::EventLoop loop_;
   util::ZipfSampler zipf_;
@@ -299,14 +259,6 @@ class FleetScenario {
   double shard_gather_bytes_ = 0.0;
   std::uint64_t reconstructions_ = 0;
   double decode_seconds_ = 0.0;
-  /// Adaptive-cache model only (empty/zero when cache_mode is kCacheOff).
-  std::vector<double> image_boot_counts_;  // Laplace-smoothed demand counts
-  std::vector<double> image_share_;        // granted cache fractions, sum 1
-  double next_cache_tick_ns_ = 0.0;
-  std::uint64_t cache_ticks_ = 0;
-  std::uint64_t cache_boots_ = 0;
-  double cache_extra_seconds_ = 0.0;
-  double cache_miss_sum_ = 0.0;
 };
 
 }  // namespace squirrel::sim::fleet

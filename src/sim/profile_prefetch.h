@@ -78,9 +78,6 @@ class ProfilePrefetcher {
   /// the guest clock; call before each demand read.
   void Pump();
 
-  /// True once every planned touch has been issued or skipped.
-  bool Exhausted() const { return built_ && cursor_ >= plan_.size(); }
-
   const ProfilePrefetchStats& stats() const { return stats_; }
 
  private:

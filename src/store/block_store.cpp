@@ -801,29 +801,6 @@ std::uint32_t BlockStore::RefCount(const util::Digest& digest) const {
   return it == shard.entries.end() ? 0 : it->second.refcount;
 }
 
-std::vector<std::uint8_t> BlockStore::ContainsBatch(
-    std::span<const util::Digest> digests) const {
-  std::vector<std::uint8_t> present(digests.size(), 0);
-  const ShardPartition part =
-      PartitionByShard(digests, shards_.size(), shard_shift_);
-  for (const std::size_t s : part.active) {
-    const Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (std::size_t p = part.begin[s]; p < part.begin[s + 1]; ++p) {
-      const std::size_t i = part.order[p];
-      present[i] = shard.entries.contains(digests[i]) ? 1 : 0;
-    }
-  }
-  return present;
-}
-
-std::uint32_t BlockStore::LogicalSize(const util::Digest& digest) const {
-  const Shard& shard = *shards_[ShardOf(digest)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(digest);
-  return it == shard.entries.end() ? 0 : it->second.logical_size;
-}
-
 bool BlockStore::Verify(const util::Digest& digest) const {
   if (!config_.dedup) return Contains(digest);  // synthetic: no hash to check
   // GetStored copies the stored bytes under the shard lock, so scrubs can

@@ -417,18 +417,6 @@ class BlockStore {
   bool Contains(const util::Digest& digest) const;
   std::uint32_t RefCount(const util::Digest& digest) const;
 
-  /// Batched availability query: present[i] == 1 iff digests[i] is stored.
-  /// One lock acquisition per *touched shard* for the whole span — the
-  /// placement layer probes block availability across peers with this
-  /// before deciding between stripe reconstruction and a storage fetch.
-  std::vector<std::uint8_t> ContainsBatch(
-      std::span<const util::Digest> digests) const;
-
-  /// Raw (decompressed) payload size of a stored block; 0 for unknown
-  /// digests. The stripe codec derives its ceil(L/k) shard geometry from
-  /// this without materializing the payload.
-  std::uint32_t LogicalSize(const util::Digest& digest) const;
-
   /// The digest this store's configured hash (fast_hash aware) assigns to
   /// `raw` — the placement layer verifies reassembled stripes against the
   /// file table's digests with this.

@@ -55,15 +55,15 @@
 //      formatted output) — the determinism sweep asserts byte-identical
 //      traces across host thread counts.
 //
-// The controller is strictly opt-in: nothing constructs one unless
-// CacheControllerConfig::enabled is set, and a disabled config leaves every
-// byte of existing behaviour (including BENCH_fleet/faults/prefetch/
-// placement output) untouched.
+// The controller is strictly opt-in: a caller that wants adaptive budgets
+// constructs one over a store and ticks it (bench/ablation_cache_adaptive
+// does). Until it ticks, the store keeps the static even split from
+// ReadConfig::cache_bytes.
 //
 // Thread contract: Tick() may be called from any one thread at a time
-// (callers serialize; the cluster ticks from its event loop, benches from
-// the driver thread). The store calls it makes are individually
-// stripe-locked, so ticks never stall in-flight batch reads globally.
+// (callers serialize; the bench ticks from its driver thread). The store
+// calls it makes are individually stripe-locked, so ticks never stall
+// in-flight batch reads globally.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +76,6 @@
 namespace squirrel::store {
 
 struct CacheControllerConfig {
-  /// Master switch. Off (the default) means no controller is constructed
-  /// anywhere and the static even split from ReadConfig::cache_bytes rules,
-  /// bit-identical to the pre-controller code.
-  bool enabled = false;
   /// Total decompressed-cache byte budget the controller distributes each
   /// tick; 0 falls back to the store's configured capacity at first tick.
   std::uint64_t total_bytes = 0;
@@ -120,8 +116,8 @@ class CacheController {
   CacheController(BlockStore* store, CacheControllerConfig config);
 
   /// Pre-registers a tenant so it receives its budget floor from the next
-  /// tick even before its first read (the cluster calls this when a VM
-  /// boots). Tenants are otherwise discovered from stripe samples.
+  /// tick even before its first read. Tenants are otherwise discovered from
+  /// stripe samples.
   void ObserveTenant(TenantId tenant);
 
   /// Samples, rebudgets, installs, and appends one trace line. See the

@@ -131,35 +131,7 @@ bool RepairSession::RepairBlock(store::BlockStore& store,
                                 const util::Digest& digest,
                                 std::uint64_t* fetched_bytes) {
   bool lied_before = false;
-  bool tried_reconstruct = false;
-  // One shot per block: rebuild the payload from erasure-coded shards.
-  // Bytes only land in the store through Repair's re-hash, so a corrupt or
-  // Byzantine shard surviving the decode is caught exactly like a lying
-  // whole-block peer — it just cannot be attributed to one peer, so no
-  // strike is issued; the block falls through to the storage node instead.
-  auto try_reconstruct = [&]() -> bool {
-    if (reconstructor_ == nullptr || tried_reconstruct) return false;
-    tried_reconstruct = true;
-    std::optional<ReconstructedBlock> rebuilt =
-        reconstructor_->Reconstruct(digest);
-    if (!rebuilt.has_value()) {
-      ++reconstruct_fallbacks_;
-      return false;
-    }
-    parity_reads_ += rebuilt->parity_shards_read;
-    if (fetched_bytes != nullptr) *fetched_bytes += rebuilt->remote_bytes;
-    if (store.Repair(digest, rebuilt->payload)) {
-      ++reconstructed_blocks_;
-      if (lied_before) ++resourced_blocks_;
-      return true;
-    }
-    ++reconstruct_fallbacks_;
-    return false;
-  };
   for (PeerState& state : peers_) {
-    // Peer 0 is the authoritative storage node, last by convention;
-    // reconstruction from set-local shards is cheaper than its uplink.
-    if (state.peer.id == 0 && try_reconstruct()) return true;
     if (state.blacklisted || state.peer.store == nullptr) continue;
     util::Bytes raw;
     try {
@@ -186,9 +158,7 @@ bool RepairSession::RepairBlock(store::BlockStore& store,
     lied_before = true;
     if (++state.strikes >= kStrikeLimit) state.blacklisted = true;
   }
-  // Sessions without a storage-node peer still get a reconstruction shot
-  // after every replica has failed.
-  return try_reconstruct();
+  return false;
 }
 
 std::vector<BlockPtr>& BlockList::Mutable() {
@@ -1104,9 +1074,6 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   report.peers_blacklisted = session.peers_blacklisted();
   report.resourced_blocks = session.resourced_blocks();
   report.byzantine_rejected = session.byzantine_rejected();
-  report.reconstructed_blocks = session.reconstructed_blocks();
-  report.parity_reads = session.parity_reads();
-  report.reconstruct_fallbacks = session.reconstruct_fallbacks();
   return report;
 }
 

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -149,35 +148,6 @@ struct RepairPeer {
   const store::BlockStore* store = nullptr;
 };
 
-/// A whole raw block payload rebuilt from erasure-coded shards, plus the
-/// cost of rebuilding it.
-struct ReconstructedBlock {
-  util::Bytes payload;
-  /// Shard bytes pulled from remote stripe peers (they crossed the wire,
-  /// like RepairBlock's fetched_bytes).
-  std::uint64_t remote_bytes = 0;
-  /// Parity shards the decode consumed (0 when all data shards survived and
-  /// the rebuild was pure reassembly).
-  std::uint32_t parity_shards_read = 0;
-};
-
-/// Rebuilds whole blocks from erasure-coded stripe shards — the placement
-/// layer's entry point into the repair path (implemented by
-/// placement::ReconstructionSource). A RepairSession consults it after the
-/// compute-node replicas and before the authoritative storage node (peer 0):
-/// under striped placement the whole-block replicas don't exist, so
-/// reconstruction from k surviving set peers is what keeps a degraded read
-/// off the storage uplink. Returns nullopt when fewer than k shards are
-/// reachable. The rebuilt payload is *unverified* — callers push it through
-/// BlockStore::Repair (or re-hash it themselves), the same single defence
-/// the peer path relies on.
-class BlockReconstructor {
- public:
-  virtual ~BlockReconstructor() = default;
-  virtual std::optional<ReconstructedBlock> Reconstruct(
-      const util::Digest& digest) = 0;
-};
-
 /// Multi-peer repair with Byzantine-peer blacklisting, and the one repair
 /// path: scrubs, degraded reads and degraded boots all heal through a
 /// session (the plain case is one peer, the storage node). A session holds
@@ -199,23 +169,12 @@ class RepairSession {
   explicit RepairSession(std::vector<RepairPeer> peers,
                          util::FaultInjector* faults = nullptr);
 
-  /// Arms stripe reconstruction: when set, RepairBlock tries rebuilding the
-  /// block from erasure-coded shards after every compute-node replica has
-  /// failed but *before* falling back to the authoritative storage node
-  /// (peer 0) — reconstruction trades set-local shard traffic for a
-  /// storage-uplink fetch. Borrowed; nullptr disarms.
-  void SetReconstructionSource(BlockReconstructor* reconstructor) {
-    reconstructor_ = reconstructor;
-  }
-
   /// Fetches a clean copy of `digest` from the first non-blacklisted peer
   /// that can supply one and applies it through `store.Repair` (which
   /// re-hashes before accepting). Bytes served by lying peers still count
-  /// into `*fetched_bytes` — they crossed the wire. With a reconstruction
-  /// source armed, a shard rebuild is attempted between the last compute
-  /// peer and the storage node. Returns false when no peer could supply a
-  /// verifying copy. Propagates store::NoSpaceError when the repair itself
-  /// cannot fit (callers skip-and-report).
+  /// into `*fetched_bytes` — they crossed the wire. Returns false when no
+  /// peer could supply a verifying copy. Propagates store::NoSpaceError
+  /// when the repair itself cannot fit (callers skip-and-report).
   bool RepairBlock(store::BlockStore& store, const util::Digest& digest,
                    std::uint64_t* fetched_bytes = nullptr);
 
@@ -226,15 +185,6 @@ class RepairSession {
   std::uint64_t resourced_blocks() const { return resourced_blocks_; }
   std::uint64_t byzantine_rejected() const { return byzantine_rejected_; }
 
-  /// Stripe-reconstruction accounting (all zero without a reconstruction
-  /// source): blocks rebuilt from shards and digest-verified, parity shards
-  /// those rebuilds consumed, and attempts that failed (too few shards, or
-  /// the rebuilt payload failed the digest check) and fell through to the
-  /// storage node. Cumulative over the session.
-  std::uint64_t reconstructed_blocks() const { return reconstructed_blocks_; }
-  std::uint64_t parity_reads() const { return parity_reads_; }
-  std::uint64_t reconstruct_fallbacks() const { return reconstruct_fallbacks_; }
-
  private:
   struct PeerState {
     RepairPeer peer;
@@ -243,12 +193,8 @@ class RepairSession {
   };
   std::vector<PeerState> peers_;
   util::FaultInjector* faults_;  // Byzantine mutation source; not owned
-  BlockReconstructor* reconstructor_ = nullptr;  // borrowed; null = disarmed
   std::uint64_t resourced_blocks_ = 0;
   std::uint64_t byzantine_rejected_ = 0;
-  std::uint64_t reconstructed_blocks_ = 0;
-  std::uint64_t parity_reads_ = 0;
-  std::uint64_t reconstruct_fallbacks_ = 0;
 };
 
 struct Snapshot {
@@ -468,14 +414,6 @@ class Volume {
     /// Blocks left unrepaired because the replacement extent did not fit
     /// the pool capacity (skip-and-report; also counted in unrepairable).
     std::uint64_t no_space_skips = 0;
-    /// Stripe reconstruction (sessions with a reconstruction source only;
-    /// see RepairSession): blocks rebuilt from erasure-coded shards, parity
-    /// shards consumed doing so, and failed rebuild attempts that fell back
-    /// to a whole-block peer fetch. Conservation: parity_reads ≤
-    /// (reconstructed_blocks + reconstruct_fallbacks) · m.
-    std::uint64_t reconstructed_blocks = 0;
-    std::uint64_t parity_reads = 0;
-    std::uint64_t reconstruct_fallbacks = 0;
   };
 
   /// Scrub + resilver: like Scrub, but every block that fails verification
@@ -530,12 +468,8 @@ class Volume {
   VolumeStats Stats() const;
   const store::BlockStore& block_store() const { return store_; }
   /// Mutable store access for cache management (tenant-tagged warms,
-  /// store::CacheController construction over this volume's ARC stripes).
+  /// ARC resizes, store::CacheController construction over its stripes).
   store::BlockStore& block_store() { return store_; }
-
-  /// Rebudgets the store's decompressed-block ARC at runtime (memory
-  /// pressure shrinks it, recovery grows it); see BlockStore::ResizeCache.
-  void ResizeReadCache(std::uint64_t bytes) { store_.ResizeCache(bytes); }
 
   /// Test hook: corrupts the stored payload of the block backing file
   /// `name` at block `index` (flips one byte). Returns false for holes.

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -225,7 +226,6 @@ TEST(AdaptiveCache, ControllerShiftsBudgetTowardReuse) {
   const auto set1 = PutCompressible(store, rng, 40);
   const auto set2 = PutCompressible(store, rng, 40);
   store::CacheControllerConfig config;
-  config.enabled = true;
   config.total_bytes = budget;
   config.min_tenant_bytes = 8 * 1024;
   store::CacheController controller(&store, config);
@@ -266,7 +266,6 @@ TEST(AdaptiveCache, ControllerFloorsPinnedBytes) {
   const auto boot_set = PutCompressible(store, rng, 16);
   store.WarmCacheAs(1, boot_set, /*pin=*/true);
   store::CacheControllerConfig config;
-  config.enabled = true;
   config.total_bytes = budget;
   store::CacheController controller(&store, config);
   const store::ControllerTick tick = controller.Tick();
@@ -288,7 +287,6 @@ std::vector<std::string> RunControllerTrace(std::uint32_t shards,
   const auto set1 = PutCompressible(store, rng, 48);
   const auto set2 = PutCompressible(store, rng, 64);
   store::CacheControllerConfig config;
-  config.enabled = true;
   config.total_bytes = budget;
   config.min_tenant_bytes = 8 * 1024;
   store::CacheController controller(&store, config);
@@ -318,17 +316,20 @@ TEST(AdaptiveCache, TraceByteIdenticalAcrossHostThreads) {
 }
 
 TEST(AdaptiveCache, ControllerOffKeepsCacheStateUntouched) {
-  // The off contract: constructing a disabled-config controller (what every
-  // code path outside an enabled cluster does — nothing) leaves cache
-  // counters bit-identical to a run with no controller at all.
-  auto run = [](bool construct_disabled) {
+  // Only Tick() touches the cache: a controller constructed over the store
+  // and never ticked leaves every stripe's budget and counters exactly as a
+  // run with no controller at all.
+  auto run = [](bool construct) {
     store::BlockStore store(SmallStoreConfig(64 * 4096, 4));
     util::Rng rng(13);
     const auto set = PutCompressible(store, rng, 48);
-    store::CacheController* controller = nullptr;
-    store::CacheController disabled(&store, store::CacheControllerConfig{});
-    if (construct_disabled) controller = &disabled;
-    (void)controller;
+    std::optional<store::CacheController> controller;
+    if (construct) {
+      // A tick would shrink the cache to this budget.
+      controller.emplace(&store, store::CacheControllerConfig{
+                                     .total_bytes = 16 * 4096});
+      controller->ObserveTenant(1);
+    }
     for (int i = 0; i < 4; ++i) store.GetBatchAs(1, set);
     std::string state;
     for (const store::StripeCacheSample& s : store.SampleCacheStripes()) {

@@ -1,9 +1,8 @@
 // Striped placement through the cluster workflows (ISSUE 9): registration
 // installs shards instead of replicas, SyncNode catches a rejoined node up
-// on its shard set, boots assemble blocks from set peers, degraded boots
-// with up to m set members down rebuild through parity with zero
-// storage-node refetches, and the RepairSession tries reconstruction before
-// the storage node.
+// on its shard set, boots assemble blocks from set peers, and degraded
+// boots with up to m set members down rebuild through parity with zero
+// storage-node refetches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -247,7 +246,7 @@ TEST(PlacementCluster, FullReplicationReportsZeroReconstructionCounters) {
   test::ExpectReconstructionConservation(report.striped, 0, "placement off");
 }
 
-// --- RepairSession reconstruction source -------------------------------------
+// --- Shard gathers -----------------------------------------------------------
 
 /// Builds one ShardStore per stripe member from a volume's file table and
 /// raw content (what InstallShards does inside the cluster).
@@ -280,77 +279,6 @@ std::vector<placement::ShardPeer> PeersOver(
                      /*online=*/true, /*local=*/j == 0});
   }
   return peers;
-}
-
-TEST(PlacementRepair, SessionReconstructsBeforeAskingStorageNode) {
-  zvol::VolumeConfig config{.block_size = kBlock,
-                            .codec = compress::CodecId::kNull,
-                            .dedup = true};
-  const Bytes content = MakeCacheContent(5, 8);
-  zvol::Volume local(config);
-  local.WriteFile("f", BufferSource(content));
-  const placement::ReedSolomon codec(4, 2);
-  const std::vector<placement::ShardStore> stores =
-      ShardContent(local, "f", content, codec);
-
-  std::uint64_t corrupt = 0;
-  for (std::uint64_t b = 0; b < 4; ++b) {
-    corrupt += local.CorruptBlockForTesting("f", b);
-  }
-  ASSERT_GT(corrupt, 0u);
-
-  // The only repair peer is an *empty* storage node: every heal must come
-  // from the reconstruction source, tried before peer 0.
-  zvol::Volume empty(config);
-  placement::ReconstructionSource source(&codec, PeersOver(stores));
-  zvol::RepairSession session({{0, &empty.block_store()}});
-  session.SetReconstructionSource(&source);
-  const zvol::Volume::RepairReport report = local.ScrubRepair(session);
-  EXPECT_EQ(report.errors_found, corrupt);
-  EXPECT_EQ(report.repaired, corrupt);
-  EXPECT_EQ(report.unrepairable, 0u);
-  EXPECT_EQ(report.reconstructed_blocks, corrupt);
-  EXPECT_EQ(report.reconstruct_fallbacks, 0u);
-  test::ExpectReconstructionConservation(report, 2, "session reconstruction");
-  EXPECT_EQ(local.Scrub().errors, 0u);
-  test::ExpectVolumeInvariants(local, "after reconstruction repair");
-}
-
-TEST(PlacementRepair, SessionFallsBackToStorageWhenSetIsShort) {
-  zvol::VolumeConfig config{.block_size = kBlock,
-                            .codec = compress::CodecId::kNull,
-                            .dedup = true};
-  const Bytes content = MakeCacheContent(6, 8);
-  zvol::Volume local(config);
-  local.WriteFile("f", BufferSource(content));
-  zvol::Volume honest(config);
-  honest.WriteFile("f", BufferSource(content));
-  const placement::ReedSolomon codec(4, 2);
-  std::vector<placement::ShardStore> stores =
-      ShardContent(local, "f", content, codec);
-
-  std::uint64_t corrupt = 0;
-  for (std::uint64_t b = 0; b < 3; ++b) {
-    corrupt += local.CorruptBlockForTesting("f", b);
-  }
-  ASSERT_GT(corrupt, 0u);
-
-  // Three of six stripe peers offline: gathers come up short, every heal
-  // falls through to the storage node.
-  std::vector<placement::ShardPeer> peers = PeersOver(stores);
-  placement::ReconstructionSource source(&codec, peers);
-  for (std::uint32_t node = 4; node <= 6; ++node) {
-    source.SetPeerOnline(node, false);
-  }
-  zvol::RepairSession session({{0, &honest.block_store()}});
-  session.SetReconstructionSource(&source);
-  const zvol::Volume::RepairReport report = local.ScrubRepair(session);
-  EXPECT_EQ(report.repaired, corrupt);
-  EXPECT_EQ(report.reconstructed_blocks, 0u);
-  EXPECT_EQ(report.reconstruct_fallbacks, corrupt);
-  EXPECT_EQ(report.parity_reads, 0u);
-  test::ExpectReconstructionConservation(report, 2, "short-set session");
-  EXPECT_EQ(local.Scrub().errors, 0u);
 }
 
 TEST(PlacementRepair, GatherDecodesThroughParityWhenDataShardMissing) {

@@ -216,8 +216,8 @@ TEST(AsyncBoot, ArcResizeBetweenPrefetchAndJoinStaysConsistent) {
 
   // Shrink-to-zero evicts every ARC payload while the reads are in flight;
   // growing back must not resurrect anything.
-  volume.ResizeReadCache(0);
-  volume.ResizeReadCache(1ull << 20);
+  volume.block_store().ResizeCache(0);
+  volume.block_store().ResizeCache(1ull << 20);
   EXPECT_EQ(volume.block_store().read_stats().cached_bytes, 0u);
 
   Bytes out(4096);

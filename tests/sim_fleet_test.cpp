@@ -150,51 +150,5 @@ TEST(Fleet, ZipfSamplerMatchesTheoryAtMillionSamples) {
   EXPECT_GT(top_decile, kDraws / 2);
 }
 
-TEST(Fleet, CacheModeOffStaysByteIdenticalAndUnreported) {
-  // kCacheOff is the default and must be inert: report and trace stay
-  // byte-identical to a config that never mentions the cache model, and the
-  // JSON carries no "cache" section (the controller-off bit-identity
-  // contract, ISSUE 10).
-  const RunOutput baseline = RunOnce(SmallConfig());
-  FleetConfig off = SmallConfig();
-  off.cache_mode = FleetConfig::kCacheOff;
-  off.cache_miss_extra_seconds = 9.0;  // knobs are dead while mode is off
-  off.cache_gain = 0.9;
-  const RunOutput explicit_off = RunOnce(off);
-  EXPECT_EQ(explicit_off.json, baseline.json);
-  EXPECT_EQ(explicit_off.trace, baseline.trace);
-  EXPECT_EQ(baseline.json.find("\"cache\""), std::string::npos);
-}
-
-TEST(Fleet, CacheAdaptiveChargesLessPenaltyThanStatic) {
-  // The contention model: static even shares under a Zipf image mix leave
-  // the hot ranks starved (share < demand => miss penalty); the adaptive
-  // tick pulls shares toward the demand EMA, so its total charged penalty
-  // must come in below static while booting the same fleet.
-  FleetConfig static_config = SmallConfig();
-  static_config.cache_mode = FleetConfig::kCacheStatic;
-  FleetConfig adaptive_config = SmallConfig();
-  adaptive_config.cache_mode = FleetConfig::kCacheAdaptive;
-
-  FleetScenario static_run(static_config);
-  const FleetReport static_report = static_run.Run();
-  FleetScenario adaptive_run(adaptive_config);
-  const FleetReport adaptive_report = adaptive_run.Run();
-
-  EXPECT_EQ(static_report.cache.mode, FleetConfig::kCacheStatic);
-  EXPECT_EQ(adaptive_report.cache.mode, FleetConfig::kCacheAdaptive);
-  EXPECT_GT(static_report.cache.boots, 0u);
-  EXPECT_GT(adaptive_report.cache.ticks, 0u);
-  EXPECT_GT(static_report.cache.extra_seconds, 0.0);
-  EXPECT_LT(adaptive_report.cache.extra_seconds,
-            static_report.cache.extra_seconds);
-  // Adaptive grants the hottest rank more than its even split.
-  EXPECT_GT(adaptive_report.cache.hot_share, static_report.cache.hot_share);
-  // The modeled penalty is visible in the report.
-  EXPECT_NE(static_run.loop().FormatTrace(),
-            adaptive_run.loop().FormatTrace());
-  EXPECT_NE(static_report.ToJson().find("\"cache\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace squirrel::sim::fleet
