@@ -26,8 +26,9 @@
 //   adaptive      CacheController re-budgets per tick (ghost-hit utility)
 //
 // Headline metric: aggregate boot-tenant hit rate (the scanner is
-// background noise — its hits are worthless). Acceptance (ISSUE 10):
-// adaptive >= 1.2x the best static mode.
+// background noise — its hits are worthless), printed as adaptive / best
+// static. The design goal is >= 1.2x; at --fast size one shared ARC beats
+// adaptive instead (DESIGN.md §17).
 #include <cstring>
 #include <string>
 #include <vector>
@@ -162,8 +163,7 @@ int main(int argc, char** argv) {
         .codec = compress::CodecId::kGzip6,
         .dedup = true,
         .fast_hash = true,
-        .read = {.threads = 1, .cache_bytes = budget},
-        .shards = 4});
+        .read = {.threads = 1, .cache_bytes = budget}});
 
     // Private per-tenant sets; the same seed yields the same digests and
     // the same access sequence in every mode.
@@ -240,19 +240,18 @@ int main(int argc, char** argv) {
     result.per_tenant.assign(boot_tenants + 1, TenantTally{});
     std::uint64_t all_hits = 0, all_misses = 0, boot_hits = 0,
                   boot_misses = 0;
-    for (const store::StripeCacheSample& stripe : store.SampleCacheStripes()) {
-      for (const store::BlockCache::TenantSample& t : stripe.tenants) {
-        if (t.tenant < 1 || t.tenant > boot_tenants + 1) continue;
-        TenantTally& tally = result.per_tenant[t.tenant - 1];
-        tally.hits += t.hits;
-        tally.misses += t.misses;
-        tally.ghost_hits += t.ghost_hits;
-        all_hits += t.hits;
-        all_misses += t.misses;
-        if (t.tenant <= boot_tenants) {
-          boot_hits += t.hits;
-          boot_misses += t.misses;
-        }
+    for (const store::BlockCache::TenantSample& t :
+         store.SampleCache().tenants) {
+      if (t.tenant < 1 || t.tenant > boot_tenants + 1) continue;
+      TenantTally& tally = result.per_tenant[t.tenant - 1];
+      tally.hits = t.hits;
+      tally.misses = t.misses;
+      tally.ghost_hits = t.ghost_hits;
+      all_hits += t.hits;
+      all_misses += t.misses;
+      if (t.tenant <= boot_tenants) {
+        boot_hits += t.hits;
+        boot_misses += t.misses;
       }
     }
     result.hit_rate = all_hits + all_misses > 0

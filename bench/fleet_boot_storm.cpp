@@ -13,9 +13,6 @@
 //   --nodes=N   compute nodes in the fleet (default 2000)
 //   --zipf=S    Zipf exponent for image popularity (default 0.9)
 //   --storm=X   all|deploy|autoscale|patch|churn (default all)
-//   --shards=N  store shard count for the calibration cluster (default 1,
-//               which keeps BENCH_fleet.json byte-identical to the
-//               unsharded store)
 //   --stripe k+m           striped placement: erasure-code each cache block
 //                          into k data + m parity shards per storage set
 //                          (e.g. --stripe 4+2); default off keeps the JSON
@@ -41,9 +38,8 @@ int main(int argc, char** argv) {
               "fleet-scale boot storms (ROADMAP fleet item; §3.2/§3.5 at "
               "region scale)",
               options.base);
-  std::printf("fleet: %u nodes, zipf %.3f, storm %s, store shards %u\n",
-              options.nodes, options.zipf_s, options.storm.c_str(),
-              options.shards);
+  std::printf("fleet: %u nodes, zipf %.3f, storm %s\n", options.nodes,
+              options.zipf_s, options.storm.c_str());
   if (options.placement) {
     std::printf("placement: striped %u+%u, storage sets of %u\n",
                 options.data_shards, options.parity_shards,
@@ -55,7 +51,7 @@ int main(int argc, char** argv) {
 
   // Calibrate the per-boot cost model from a real single-node cluster.
   const sim::fleet::FleetModel model = core::CalibrateFleetModel(
-      MakeCatalogConfig(options.base), /*sample_images=*/4, options.shards);
+      MakeCatalogConfig(options.base), /*sample_images=*/4);
   std::printf(
       "calibrated: warm boot %.2f s, prefetch boot %.2f s, cache %.0f B, "
       "diff %.0f B\n\n",

@@ -143,10 +143,6 @@ struct FleetOptions {
   double zipf_s = 0.9;
   /// Storm selection: "all" or one of deploy|autoscale|patch|churn.
   std::string storm = "all";
-  /// Store shard count for the calibration cluster (power of two in
-  /// [1, 256]). Defaults to 1 so BENCH_fleet.json stays byte-identical to
-  /// the pre-sharding store.
-  std::uint32_t shards = 1;
   /// Striped-placement model (ISSUE 9): `--stripe k+m` (e.g. `--stripe 4+2`)
   /// enables it; `--storage-set-size S` sets the failure-domain size
   /// (defaults to k+m, must be >= k+m, and requires --stripe). Both off by
@@ -206,12 +202,6 @@ inline FleetOptions ParseFleetOptions(int argc, char** argv) {
         FlagError(arg, "must be all|deploy|autoscale|patch|churn");
       }
       options.storm = storm;
-    } else if (const char* v = value("--shards")) {
-      options.shards = static_cast<std::uint32_t>(
-          ParseUnsigned(arg, v, /*allow_zero=*/false, 256));
-      if ((options.shards & (options.shards - 1)) != 0) {
-        FlagError(arg, "must be a power of two in [1, 256]");
-      }
     } else if (const char* v = value("--stripe")) {
       ParseStripe(arg, v, &options.data_shards, &options.parity_shards);
       options.placement = true;

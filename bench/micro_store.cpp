@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -440,226 +439,6 @@ void RunReadComparison() {
   bench::WriteBenchJson("BENCH_read.json", json.Finish());
 }
 
-// --- sharded-store thread scaling (BENCH_store_scaling.json) ---------------
-//
-// The shard win is lock-contention relief, and this container has a single
-// CPU, so a wall-clock sweep of 32 threads cannot observe it (every thread
-// count timeshares one core and the mutexes never contend for long). Instead
-// the sweep follows the fleet-bench pattern: *calibrate* the real per-op
-// costs from the live store single-threaded — the parallelizable work (hash,
-// payload copy, decompress) and the per-shard serialized work (DDT
-// lookup/commit, ARC probe under the stripe lock) — then *deterministically
-// simulate* T workers draining ops against S shard locks (greedy FIFO-ish
-// schedule: each locked op starts at max(worker clock, shard free time)).
-// The JSON says so explicitly ("model" field) so nobody mistakes the
-// trajectory for host wall-clock.
-//
-// Workloads use 512 B CDC-grain chunks, the fine-dedup grain where per-block
-// CPU is small enough that the store locks dominate:
-//   ingest_dedup_hits  — re-registering an already-resident image: every
-//                        PutBatch block dedups, so per block it costs one
-//                        hash (parallel) + classify find + commit bump (both
-//                        under the shard lock).
-//   read_warm_arc      — booting from a warmed ARC: every block is a stripe
-//                        hit, served entirely under the stripe lock
-//                        (lookup + recency touch + payload copy).
-//   read_cold          — cache-off reads: stripe probe + install serialized,
-//                        decompress + verify parallel.
-
-struct ScalingRun {
-  const char* workload;
-  std::size_t threads;
-  std::size_t shards;
-  double ops_per_s;
-  double mb_per_s;
-  double speedup_vs_shards1;
-};
-
-/// Average per-op nanoseconds of `total_ops` applications of `op` (each call
-/// processes `ops_per_call` blocks).
-template <typename Fn>
-double CalibrateNs(std::size_t calls, std::size_t ops_per_call, Fn&& op) {
-  // Warm up allocators, the DDT and the branch predictors first.
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, calls / 20); ++i) op();
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < calls; ++i) op();
-  const std::chrono::duration<double, std::nano> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count() / static_cast<double>(calls * ops_per_call);
-}
-
-/// Deterministic greedy schedule of `total_ops` blocks over `threads`
-/// workers and `shards` locks: each block costs `par_ns` on its worker's own
-/// clock, then `locked_ops` critical sections of `lock_ns` on its shard's
-/// lock (acquisition waits for max(worker clock, shard free time)). Shards
-/// are picked by digest prefix, i.e. uniformly. Returns ops/second.
-double SimulateShardedPipeline(std::size_t threads, std::size_t shards,
-                               double par_ns, double lock_ns, int locked_ops,
-                               std::size_t total_ops) {
-  std::vector<double> worker(threads, 0.0);
-  std::vector<double> shard_free(shards, 0.0);
-  unsigned shift = 8;
-  for (std::size_t v = shards; v > 1; v >>= 1) --shift;
-  util::Rng rng(0x5ca1ab1e);
-  for (std::size_t op = 0; op < total_ops; ++op) {
-    const std::size_t w = op % threads;
-    const std::size_t s = rng.Below(256) >> shift;
-    worker[w] += par_ns;
-    for (int k = 0; k < locked_ops; ++k) {
-      const double start = std::max(worker[w], shard_free[s]);
-      worker[w] = start + lock_ns;
-      shard_free[s] = worker[w];
-    }
-  }
-  const double makespan_ns = *std::max_element(worker.begin(), worker.end());
-  return static_cast<double>(total_ops) * 1e9 / makespan_ns;
-}
-
-void RunScalingSweep() {
-  constexpr std::size_t kChunk = 512;   // CDC-grain dedup unit
-  constexpr std::size_t kBatch = 64;
-  constexpr std::size_t kCalls = 200;
-
-  // One store per calibration so counters do not bleed between probes; all
-  // serial, shards = 1 (per-op costs are shard-count-independent — the
-  // sweep's whole point is that only the *contention* changes).
-  util::Bytes chunk_buffer(kBatch * kChunk);
-  util::Rng(0xca11b).Fill(chunk_buffer);
-  std::vector<util::ByteSpan> chunks;
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    chunks.emplace_back(chunk_buffer.data() + i * kChunk, kChunk);
-  }
-
-  // Ingest side: kNull codec + fast hash, every batch a full dedup hit.
-  store::BlockStore put_store({.codec = compress::CodecId::kNull,
-                               .dedup = true,
-                               .fast_hash = true,
-                               .shards = 1});
-  std::vector<util::Digest> digests;
-  for (const store::PutResult& r : put_store.PutBatch(chunks)) {
-    digests.push_back(r.digest);
-  }
-  const double put_hit_ns = CalibrateNs(kCalls, kBatch, [&] {
-    benchmark::DoNotOptimize(put_store.PutBatch(chunks));
-  });
-  // The serialized slice of a dedup hit is one locked DDT find + bump —
-  // exactly what Ref does. Everything else (hash, batch plumbing) runs on
-  // the worker pool.
-  const double ref_ns = CalibrateNs(kCalls, kBatch, [&] {
-    for (const util::Digest& d : digests) put_store.Ref(d);
-  });
-  const double put_par_ns = std::max(1.0, put_hit_ns - 2.0 * ref_ns);
-
-  // Read side: compressible chunks behind gzip6 so cold reads pay real
-  // decompression; warm reads come entirely out of the stripe.
-  for (std::size_t i = 0; i < kBatch * kChunk; ++i) {
-    chunk_buffer[i] = static_cast<util::Byte>(
-        'a' + (i * 131) % 7 + (i / kChunk));  // distinct but compressible
-  }
-  store::BlockStoreConfig read_config{.codec = compress::CodecId::kGzip6,
-                                      .dedup = true,
-                                      .fast_hash = true,
-                                      .shards = 1};
-  read_config.read.cache_bytes = 1ull << 20;
-  store::BlockStore warm_store(read_config);
-  std::vector<util::Digest> read_digests;
-  for (const store::PutResult& r : warm_store.PutBatch(chunks)) {
-    read_digests.push_back(r.digest);
-  }
-  (void)warm_store.GetBatch(read_digests);  // fill the stripe
-  const double get_hit_ns = CalibrateNs(kCalls, kBatch, [&] {
-    benchmark::DoNotOptimize(warm_store.GetBatch(read_digests));
-  });
-  read_config.read.cache_bytes = 0;
-  store::BlockStore cold_store(read_config);
-  for (const store::PutResult& r : cold_store.PutBatch(chunks)) {
-    benchmark::DoNotOptimize(r);
-  }
-  const double get_cold_ns = CalibrateNs(kCalls, kBatch, [&] {
-    benchmark::DoNotOptimize(cold_store.GetBatch(read_digests));
-  });
-  const double cold_par_ns = std::max(1.0, get_cold_ns - 2.0 * ref_ns);
-
-  struct Workload {
-    const char* name;
-    double par_ns;
-    double lock_ns;
-    int locked_ops;
-  };
-  const Workload workloads[] = {
-      // classify find + commit bump, each under the shard lock
-      {"ingest_dedup_hits", put_par_ns, ref_ns, 2},
-      // lookup + touch + copy, all under the stripe lock
-      {"read_warm_arc", 1.0, get_hit_ns, 1},
-      // probe + install locked, decompress + verify parallel
-      {"read_cold", cold_par_ns, ref_ns, 2},
-  };
-  const std::size_t thread_counts[] = {1, 2, 4, 8, 16, 32};
-  const std::size_t shard_counts[] = {1, 16};
-  constexpr std::size_t kSimOps = 100000;
-
-  std::vector<ScalingRun> runs;
-  for (const Workload& w : workloads) {
-    for (const std::size_t threads : thread_counts) {
-      double shards1_ops = 0.0;
-      for (const std::size_t shards : shard_counts) {
-        const double ops = SimulateShardedPipeline(
-            threads, shards, w.par_ns, w.lock_ns, w.locked_ops, kSimOps);
-        if (shards == 1) shards1_ops = ops;
-        runs.push_back({w.name, threads, shards, ops,
-                        ops * kChunk / (1024.0 * 1024.0),
-                        ops / shards1_ops});
-      }
-    }
-  }
-
-  std::printf("== sharded-store scaling: calibrated lock-contention model ==\n");
-  std::printf("host cores %u; per-op calibration (512 B chunks): dedup-hit "
-              "%.0f ns (locked 2x%.0f), warm hit %.0f ns (locked), cold read "
-              "%.0f ns (locked 2x%.0f)\n",
-              std::thread::hardware_concurrency(), put_hit_ns, ref_ns,
-              get_hit_ns, get_cold_ns, ref_ns);
-  std::printf("%-18s %8s %7s %14s %10s %9s\n", "workload", "threads", "shards",
-              "ops/s", "MB/s", "vs s=1");
-  for (const ScalingRun& run : runs) {
-    std::printf("%-18s %8zu %7zu %14.0f %10.1f %8.2fx\n", run.workload,
-                run.threads, run.shards, run.ops_per_s, run.mb_per_s,
-                run.speedup_vs_shards1);
-  }
-  std::printf("\n");
-
-  util::JsonWriter json;
-  json.Group().Str("bench", "store_scaling");
-  json.Group().Str("model", "calibrated-lock-contention-simulation");
-  json.Group().Str("note",
-                   "per-op costs measured on the real store single-threaded; "
-                   "thread/shard scaling is a deterministic greedy schedule "
-                   "of those costs (host has too few cores for wall-clock "
-                   "contention)");
-  json.Group().Uint("host_cores", std::thread::hardware_concurrency());
-  json.Group().Uint("chunk_bytes", kChunk);
-  json.Group()
-      .Object("calibrated_ns")
-      .Double("put_dedup_hit", "%.1f", put_hit_ns)
-      .Double("locked_ddt_op", "%.1f", ref_ns)
-      .Double("warm_arc_hit", "%.1f", get_hit_ns)
-      .Double("cold_read", "%.1f", get_cold_ns)
-      .End();
-  json.Group().Rows("results");
-  for (const ScalingRun& run : runs) {
-    json.Object()
-        .Str("workload", run.workload)
-        .Uint("threads", run.threads)
-        .Uint("shards", run.shards)
-        .Double("ops_per_s", "%.0f", run.ops_per_s)
-        .Double("mb_per_s", "%.2f", run.mb_per_s)
-        .Double("speedup_vs_shards1", "%.3f", run.speedup_vs_shards1)
-        .End();
-  }
-  json.End();
-  bench::WriteBenchJson("BENCH_store_scaling.json", json.Finish());
-}
-
 }  // namespace
 
 BENCHMARK(BM_StorePutUnique);
@@ -673,7 +452,6 @@ BENCHMARK(BM_IncrementalSend);
 int main(int argc, char** argv) {
   RunIngestComparison();
   RunReadComparison();
-  RunScalingSweep();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -12,8 +12,7 @@
 namespace squirrel::core {
 
 sim::fleet::FleetModel CalibrateFleetModel(
-    const vmi::CatalogConfig& catalog_config, std::uint32_t sample_images,
-    std::size_t store_shards) {
+    const vmi::CatalogConfig& catalog_config, std::uint32_t sample_images) {
   vmi::CatalogConfig config = catalog_config;
   config.image_count = std::max<std::uint32_t>(
       1, std::min(sample_images, catalog_config.image_count));
@@ -23,8 +22,7 @@ sim::fleet::FleetModel CalibrateFleetModel(
   cluster_config.volume = zvol::VolumeConfig{.block_size = 64 * 1024,
                                              .codec = compress::CodecId::kGzip6,
                                              .dedup = true,
-                                             .fast_hash = true,
-                                             .shards = store_shards};
+                                             .fast_hash = true};
   cluster_config.volume.read.cache_bytes = 8ull << 20;
   SquirrelCluster cluster(cluster_config, /*compute_count=*/1);
 

@@ -16,12 +16,8 @@ namespace squirrel::core {
 /// Registers and boots `sample_images` images (capped at the catalog size)
 /// on a 1-compute-node cluster and returns a FleetModel whose per-boot and
 /// per-registration costs are the measured means. Deterministic: same
-/// catalog config and shard count → same model. `store_shards` configures
-/// the cluster volume's DDT/ARC sharding (power of two in [1, 256]); the
-/// default of 1 keeps the calibration — and therefore BENCH_fleet.json —
-/// byte-identical to the pre-sharding store.
+/// catalog config → same model.
 sim::fleet::FleetModel CalibrateFleetModel(
-    const vmi::CatalogConfig& catalog_config, std::uint32_t sample_images = 4,
-    std::size_t store_shards = 1);
+    const vmi::CatalogConfig& catalog_config, std::uint32_t sample_images = 4);
 
 }  // namespace squirrel::core

@@ -9,12 +9,6 @@ ReconstructionSource::ReconstructionSource(const ReedSolomon* codec,
                                            std::vector<ShardPeer> peers)
     : codec_(codec), peers_(std::move(peers)) {}
 
-void ReconstructionSource::SetPeerOnline(std::uint32_t node_id, bool online) {
-  for (ShardPeer& peer : peers_) {
-    if (peer.node_id == node_id) peer.online = online;
-  }
-}
-
 std::optional<ReconstructionSource::GatherResult>
 ReconstructionSource::Gather(const util::Digest& digest) const {
   const std::uint32_t k = codec_->data_shards();

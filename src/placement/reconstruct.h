@@ -45,9 +45,6 @@ class ReconstructionSource {
   /// `codec` is borrowed and must outlive the source.
   ReconstructionSource(const ReedSolomon* codec, std::vector<ShardPeer> peers);
 
-  /// Marks a peer (by node id) online/offline mid-session — fleet churn.
-  void SetPeerOnline(std::uint32_t node_id, bool online);
-
   struct GatherResult {
     util::Bytes payload;
     std::uint64_t local_bytes = 0;   // shard bytes read from the local store

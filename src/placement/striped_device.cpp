@@ -108,15 +108,15 @@ void StripedFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
   const std::uint64_t first = offset / block_size;
   const std::uint64_t end = std::min<std::uint64_t>(offset + length,
                                                     meta.logical_size);
+  const std::uint64_t ddt_entries =
+      io_ != nullptr ? metadata_->block_store().stats().unique_blocks : 0;
   for (std::uint64_t b = first; b < meta.blocks.size() && b * block_size < end;
        ++b) {
     const zvol::BlockPtr& ptr = meta.blocks[b];
     if (ptr.hole) continue;  // holes read as zeros, free
     // Every block access resolves the shard map — charged like the DDT
     // walk the full-replica path pays.
-    if (io_ != nullptr) {
-      io_->ChargeDdtLookup(metadata_->block_store().unique_blocks());
-    }
+    if (io_ != nullptr) io_->ChargeDdtLookup(ddt_entries);
     const util::Bytes& payload = AssembleBlock(ptr);
     const std::uint64_t block_start = b * block_size;
     const std::uint64_t copy_from = std::max(window, block_start);

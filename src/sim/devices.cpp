@@ -368,7 +368,7 @@ void VolumeFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
         (offset + length - 1) / block_size, block_count - 1);
     // Every block access walks the dedup table, whose size no step of this
     // pass changes.
-    const std::uint64_t ddt_entries = store.unique_blocks();
+    const std::uint64_t ddt_entries = store.stats().unique_blocks;
 
     // Collect the blocks that miss the page cache, then probe the store's
     // ARC for all of them in one batched call (one lock acquisition instead

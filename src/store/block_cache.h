@@ -28,11 +28,9 @@
 // out. Evicting an entry drops only the cache's reference; a reader that
 // still holds the buffer keeps it alive (DESIGN.md §24).
 //
-// Not thread-safe; BlockStore serializes access per stripe. The store runs
-// one BlockCache instance per digest shard (a striped ARC), each guarded by
-// its own stripe mutex and budgeted with an even slice of
-// ReadConfig::cache_bytes — probes touch exactly one stripe's lock.
-// Cached bytes are accounted nowhere in StoreStats — the cache is a
+// Not thread-safe; BlockStore runs one instance, budgeted with
+// ReadConfig::cache_bytes, and serializes access to it under its own cache
+// mutex. Cached bytes are accounted nowhere in StoreStats — the cache is a
 // read-side memory budget, not part of the disk/DDT model.
 #pragma once
 
@@ -63,7 +61,7 @@ class BlockCache {
     kMiss,     // not resident
   };
 
-  /// Snapshot of one tenant's slice of this cache stripe; counters are
+  /// Snapshot of one tenant's slice of this cache; counters are
   /// cumulative since construction.
   struct TenantSample {
     TenantId tenant = kDefaultTenant;
@@ -104,7 +102,7 @@ class BlockCache {
   /// Demotes every pinned entry back into normal replacement order.
   std::size_t UnpinAll() { return arc_.UnpinAll(); }
 
-  /// Sets `tenant`'s resident-byte budget within this stripe.
+  /// Sets `tenant`'s resident-byte budget.
   void SetTenantBudget(TenantId tenant, std::uint64_t bytes) {
     arc_.SetOwnerBudget(tenant, bytes);
   }
@@ -131,7 +129,7 @@ class BlockCache {
   std::uint64_t hits() const { return arc_.hits(); }
   std::uint64_t misses() const { return arc_.misses(); }
   /// Ghost-hit export for the controller: would-have-hit accesses (count
-  /// and byte volume) — the marginal-utility signal of this stripe.
+  /// and byte volume) — the marginal-utility signal of this cache.
   std::uint64_t ghost_hits_recency() const { return arc_.ghost_hits_recency(); }
   std::uint64_t ghost_hits_frequency() const {
     return arc_.ghost_hits_frequency();

@@ -2,40 +2,37 @@
 // mechanism behind ZFS `dedup=on` + `compression=gzip-6` that Squirrel's
 // cVolumes rely on.
 //
-// Sharded core: the dedup table (DDT), the extent allocator and the
-// decompressed-block ARC are split into `BlockStoreConfig::shards`
-// independent shards selected by the top bits of the block digest
-// (content-addressing spreads digests uniformly, so shards load-balance by
-// construction). Each shard owns its own mutex, DDT partition, SpaceMap
-// arena and ARC stripe, so concurrent batches from different threads only
-// contend when they touch the same shard. `shards = 1` reproduces the
-// pre-sharding single-lock layout byte-for-byte.
+// One of each: one dedup table (DDT), one extent arena (SpaceMap) and their
+// accounting under one mutex, and one decompressed-block ARC with the read
+// counters under a second mutex, so cache probes never wait on a DDT
+// commit. Extents are allocated in input order, so consecutive blocks of a
+// file land back to back on the simulated disk and a sequential read stays
+// sequential (DESIGN.md §14).
 //
 // Write path (batch-first): the caller has already elided all-zero blocks
 // (sparse holes). PutBatch hashes the raw payloads (truncated SHA-256, as ZFS
-// hashes before dedup) in parallel on the ingest pool, partitions the batch
-// by digest shard, resolves digests against each shard's DDT in per-shard
-// ordered passes — a hit bumps the refcount and costs no new space —
-// compresses the misses in parallel (kept only if it saves at least 1/8th,
-// ZFS's rule), then allocates extents and inserts DDT entries in per-shard
-// ordered commit passes. Because each shard's mutation replays the serial
-// Lookup/Insert sequence in input order *within that shard*, results are
-// bit-identical to a serial loop of single-block Puts at any thread count
-// (for a fixed shard count). The supplied-form PutBatch (volume Receive)
-// enters the same pipeline with each block's digest and stored form already
-// known and skips the hash and compress stages.
+// hashes before dedup) in parallel on the ingest pool, resolves digests
+// against the DDT in one ordered pass — a hit bumps the refcount and costs
+// no new space — compresses the misses in parallel (kept only if it saves at
+// least 1/8th, ZFS's rule), then allocates extents and inserts DDT entries
+// in one ordered commit pass. Because both passes replay the serial
+// Lookup/Insert sequence in input order, results are bit-identical to a
+// serial loop of single-block Puts at any thread count. The supplied-form
+// PutBatch (volume Receive) enters the same pipeline with each block's
+// digest and stored form already known and skips the hash and compress
+// stages.
 //
 // Read path (batch-first, mirroring ingest): GetBatchShared classifies every
-// requested digest against the byte-budgeted ARC stripe of its shard in
-// per-stripe ordered passes, decompresses the misses in parallel on the
-// shared worker pool, then installs payloads and read accounting in
-// per-stripe ordered passes. Each decompressed block is one immutable
-// shared buffer that the ARC and every reader hold without copying; Get and
-// GetBatch copy it out for callers that want their own. Payloads, their
-// order, and — because each stripe replays the exact Lookup/Insert sequence
-// a serial Get loop would issue for its digests — the cache counters are
-// all bit-identical to serial Get at any thread count and any cache size,
-// including cache_bytes = 0. Duplicate digests within one batch decompress once
+// requested digest against the byte-budgeted ARC in one ordered pass,
+// decompresses the misses in parallel on the shared worker pool, then
+// installs payloads and read accounting in one ordered pass. Each
+// decompressed block is one immutable shared buffer that the ARC and every
+// reader hold without copying; Get and GetBatch copy it out for callers
+// that want their own. Payloads, their order, and — because the passes
+// replay the exact Lookup/Insert sequence a serial Get loop would issue —
+// the cache counters are all bit-identical to serial Get at any thread
+// count and any cache size, including cache_bytes = 0. Duplicate digests
+// within one batch decompress once
 // (aliased), so with the cache disabled GetBatch may do strictly less
 // decompression work than the serial loop; with it enabled the serial loop
 // gets the same saving as cache hits.
@@ -44,9 +41,10 @@
 // called from multiple threads concurrently. Callers must hold a reference
 // to every block they read (the volume layer does) — concurrently Unref-ing
 // a block to zero while it is being read, or racing Repair/fault injection
-// against in-flight reads, is undefined. Determinism quantifies over thread
-// count, not shard count: changing `shards` changes disk offsets and cache
-// partitioning (see DESIGN.md §14).
+// against in-flight reads, is undefined. Batches from concurrent callers
+// interleave whole passes, so their relative order (and thus which of two
+// racing batches allocates first) is the scheduler's; one caller's results
+// are deterministic at any thread count.
 //
 // Accounting mirrors what the paper measures: physical data bytes (Fig 8),
 // DDT size on disk (Fig 9) and DDT memory footprint (Fig 10). Cached
@@ -120,9 +118,9 @@ class BlockCorruptionError : public Error {
 
 /// Parallelism knobs for the batch ingest pipeline (PutBatch and the volume
 /// write paths built on it). All mutation of store state happens in ordered
-/// per-shard passes regardless of thread count, so results — digests,
-/// refcounts, StoreStats, disk offsets — are bit-identical across thread
-/// configurations (for a fixed shard count).
+/// passes regardless of thread count, so results — digests, refcounts,
+/// StoreStats, disk offsets — are bit-identical across thread
+/// configurations.
 struct IngestConfig {
   /// Worker threads for the hash/compress stages. 1 runs everything inline
   /// on the calling thread (the serial reference path); 0 picks one thread
@@ -143,10 +141,7 @@ struct ReadConfig {
   /// Worker threads for the parallel decompress stage. 1 = inline serial
   /// reference path; 0 = one thread per hardware thread.
   std::size_t threads = 1;
-  /// Byte budget of the decompressed-block ARC (0 disables caching). The
-  /// budget is carved evenly across the shard-striped ARC instances
-  /// (ECI-Cache-style partitioning); content-addressing spreads digests
-  /// uniformly, so each stripe sees ~1/shards of the working set. Shared
+  /// Byte budget of the decompressed-block ARC (0 disables caching). Shared
   /// blocks across images decompress once and are then served from memory —
   /// the dedup-aware read amplification win the paper attributes to the ZFS
   /// ARC. Cached bytes are *not* part of StoreStats disk/DDT accounting.
@@ -174,18 +169,10 @@ struct BlockStoreConfig {
   IngestConfig ingest{};
   /// Batch-read parallelism, ARC budget and readahead.
   ReadConfig read{};
-  /// Number of independent DDT/SpaceMap/ARC shards, selected by the top
-  /// bits of the block digest. Power of two in [1, 256]; 1 reproduces the
-  /// pre-sharding single-lock layout (offsets, stats, cache counters)
-  /// byte-for-byte. Appended last so positional initializers predating the
-  /// field keep their meaning.
-  std::size_t shards = 16;
-  /// Pool capacity in bytes; 0 (the default) means unlimited. Split across
-  /// the per-shard SpaceMap arenas like the cache budget (even split,
-  /// remainder on the low shards). When an allocation would exceed a
-  /// shard's slice, SpaceMap throws store::NoSpaceError and the mutating
-  /// operation (PutBatch / Repair / volume Receive) unwinds to the state it
-  /// started from — see DESIGN.md §15.
+  /// Pool capacity in bytes; 0 (the default) means unlimited. When an
+  /// allocation would exceed it, SpaceMap throws store::NoSpaceError and the
+  /// mutating operation (PutBatch / Repair / volume Receive) unwinds to the
+  /// state it started from — see DESIGN.md §15.
   std::uint64_t capacity_bytes = 0;
 };
 
@@ -228,7 +215,7 @@ struct StoreStats {
 
 /// Read-side accounting. Counters are cumulative; cached_bytes is a
 /// snapshot of the ARC's resident budget. Deterministic across thread
-/// counts (all cache interaction happens in ordered per-stripe passes).
+/// counts (all cache interaction happens in ordered passes).
 struct ReadStats {
   std::uint64_t blocks_requested = 0;   // payloads served (Get + GetBatch)
   std::uint64_t cache_hits = 0;         // served from the decompressed ARC
@@ -243,20 +230,20 @@ struct ReadStats {
   /// determinism contract) but skipped materializing the payload, so
   /// re-warming a resident working set is near-free.
   std::uint64_t warm_skipped_resident = 0;
-  /// Ghost-list hits summed across stripes: misses on blocks evicted
-  /// recently enough that more budget would have kept them — the marginal
-  /// utility signal store::CacheController rebudgets from.
+  /// Ghost-list hits: misses on blocks evicted recently enough that more
+  /// budget would have kept them — the marginal utility signal
+  /// store::CacheController rebudgets from.
   std::uint64_t ghost_hits_recency = 0;    // B1 (recency history)
   std::uint64_t ghost_hits_frequency = 0;  // B2 (frequency history)
   std::uint64_t ghost_hit_bytes = 0;       // byte-weighted ghost hits
-  /// Resident bytes in the pinned (boot-critical) tier across stripes.
+  /// Resident bytes in the pinned (boot-critical) tier.
   std::uint64_t pinned_bytes = 0;
 };
 
-/// Snapshot of one ARC stripe for the cache controller: capacities and
-/// residency now, counters cumulative. `tenants` is ascending by tenant id
-/// and empty until the stripe sees its first multi-tenant call.
-struct StripeCacheSample {
+/// Snapshot of the ARC for the cache controller: capacities and residency
+/// now, counters cumulative. `tenants` is ascending by tenant id and empty
+/// until the cache sees its first multi-tenant call.
+struct CacheSample {
   std::uint64_t capacity_bytes = 0;
   std::uint64_t resident_bytes = 0;
   std::uint64_t pinned_bytes = 0;
@@ -284,11 +271,10 @@ struct InvariantReport {
   std::string detail;
 };
 
-/// Aggregated extent-allocator counters, summed across the per-shard
-/// SpaceMap arenas.
+/// Extent-allocator counters.
 struct SpaceMapStats {
   std::uint64_t allocated_bytes = 0;
-  /// High-water mark of the pool(s) (sum of per-shard bump pointers).
+  /// High-water mark of the pool (the bump pointer).
   std::uint64_t pool_bytes = 0;
   /// Bytes sitting in free-list holes below the high-water marks.
   std::uint64_t free_hole_bytes = 0;
@@ -298,8 +284,6 @@ struct SpaceMapStats {
 
 class BlockStore {
  public:
-  /// Throws std::invalid_argument unless config.shards is a power of two
-  /// in [1, 256].
   explicit BlockStore(BlockStoreConfig config);
 
   /// Stores one raw block. Never call with an all-zero payload — holes are
@@ -311,11 +295,9 @@ class BlockStore {
   /// Put calls would — same digests, refcounts, stats and disk offsets —
   /// while running the CPU-bound stages on the worker thread pool:
   ///   1. hash every block in parallel,
-  ///   2. partition by digest shard and resolve dedup hits against each
-  ///      shard's DDT in per-shard ordered passes,
+  ///   2. resolve dedup hits against the DDT in one ordered pass,
   ///   3. compress only the misses in parallel,
-  ///   4. allocate extents and commit accounting in per-shard ordered
-  ///      passes.
+  ///   4. allocate extents and commit accounting in one ordered pass.
   /// Spans must stay valid for the duration of the call; results are
   /// returned in input order. Safe to call concurrently with other batches;
   /// concurrent batches racing the same digest resolve to one allocation
@@ -368,12 +350,11 @@ class BlockStore {
   /// with its own id so budgets and eviction pressure attribute correctly).
   /// Payloads, ARC state and counters are bit-identical to a serial loop of
   /// Get calls at any thread count and cache size:
-  ///   1. classify every digest against its shard's ARC stripe in
-  ///      per-stripe ordered passes (replaying the exact serial
-  ///      Lookup/Insert sequence each stripe would see, so ARC state and
-  ///      hit/miss counters match serial too),
+  ///   1. classify every digest against the ARC in one ordered pass
+  ///      (replaying the exact serial Lookup/Insert sequence, so ARC state
+  ///      and hit/miss counters match serial too),
   ///   2. decompress the misses in parallel on the worker pool,
-  ///   3. install payloads and accounting in per-stripe ordered passes.
+  ///   3. install payloads and accounting in one ordered pass.
   /// A cache hit returns the ARC's own buffer, a miss the buffer the ARC
   /// then keeps, and duplicate digests in one batch share one buffer; none
   /// of them is copied (DESIGN.md §24). Throws NoSuchBlockError (before any
@@ -395,7 +376,7 @@ class BlockStore {
   /// ingest-sized rounds purely for the side effect of filling the
   /// decompressed-block ARC, without keeping the payloads. Digests whose
   /// payload is already resident are filtered out of the materialization
-  /// path during each stripe's classification pass — their ARC touch still
+  /// path during the classification pass — their ARC touch still
   /// happens, so cache state and counters stay bit-identical to the demand
   /// path, but a warm re-warm costs no copies and no decompression
   /// (ReadStats::warm_skipped_resident counts them). Unknown digests are
@@ -423,10 +404,7 @@ class BlockStore {
   util::Digest ComputeDigest(util::ByteSpan raw) const;
 
   /// Physical pool offset of a block — the boot simulator uses this to model
-  /// on-disk scattering of deduplicated data. Per-shard arenas interleave at
-  /// sector granularity (offset = local * shards + shard * sector), so
-  /// offsets from different shards never collide and `shards = 1` is the
-  /// identity mapping.
+  /// on-disk scattering of deduplicated data.
   std::uint64_t DiskOffset(const util::Digest& digest) const;
   std::uint32_t PhysicalSize(const util::Digest& digest) const;
 
@@ -444,13 +422,11 @@ class BlockStore {
 
   /// True when the decompressed payload of `digest` is resident in the ARC.
   /// Non-mutating (no counter update); the boot simulator probes this to
-  /// decide whether a read pays decompression CPU. Touches only the one
-  /// stripe owning the digest.
+  /// decide whether a read pays decompression CPU.
   bool CachedDecompressed(const util::Digest& digest) const;
 
-  /// Batched CachedDecompressed: one lock acquisition per *touched stripe*
-  /// for the whole span, resident[i] == 1 iff the payload of digests[i] is
-  /// resident and filled.
+  /// Batched CachedDecompressed: one lock acquisition for the whole span,
+  /// resident[i] == 1 iff the payload of digests[i] is resident and filled.
   std::vector<std::uint8_t> CachedDecompressedBatch(
       std::span<const util::Digest> digests) const;
 
@@ -484,14 +460,12 @@ class BlockStore {
   /// Arms deterministic fault bookkeeping on the commit path: per-position
   /// CrashPointArmedOnly sites inside the PutBatch commit stage (fired only
   /// under FaultInjector::ArmCrashAt — the crash-at-every-site sweep) and
-  /// allocations_refused counting for NoSpaceError unwinds. While an
-  /// injector is set the per-shard commit passes run serialized in shard
-  /// order so the injector's crash-site counter advances deterministically;
-  /// benches never arm a store injector, so the parallel path is untouched.
-  /// Pass nullptr to disarm.
+  /// allocations_refused counting for NoSpaceError unwinds. The commit pass
+  /// visits positions in input order, so the injector's crash-site counter
+  /// advances deterministically. Pass nullptr to disarm.
   void SetFaultInjector(util::FaultInjector* faults) { faults_ = faults; }
 
-  /// Full internal-consistency audit, per shard under its lock: recorded
+  /// Full internal-consistency audit under the DDT lock: recorded
   /// StoreStats match a recount of the DDT, every refcount is positive,
   /// extents are disjoint and sector-aligned, the SpaceMap's allocated
   /// bytes equal the sum of entry extents, and pool accounting satisfies
@@ -501,55 +475,32 @@ class BlockStore {
 
   /// Rebudgets the decompressed-block ARC at runtime (the real ARC shrinks
   /// under memory pressure and recovers). Shrinking evicts in replacement
-  /// order down to the new budget; growing keeps contents. The budget is
-  /// re-split across stripes and applied stripe-by-stripe under each
-  /// stripe's own lock — in-flight batch reads on other stripes are never
-  /// stalled (no global pause).
-  /// A zero total is a well-defined full disable: every stripe (pinned
-  /// entries and ghost history included) drops to capacity 0 atomically
-  /// per stripe, and ReadStats reports cache_capacity_bytes == 0. Any
-  /// nonzero total enables *every* stripe coherently (see CacheStripeBudget
-  /// in block_store.cpp).
+  /// order down to the new budget; growing keeps contents. Applied under
+  /// the cache lock, between whole passes of in-flight batch reads.
+  /// Zero is a well-defined full disable: every entry (pinned entries and
+  /// ghost history included) drops, and ReadStats reports
+  /// cache_capacity_bytes == 0.
   void ResizeCache(std::uint64_t bytes);
 
-  /// Uneven stripe rebudget for the controller: stripe s gets bytes[s]
-  /// (size must equal shard_count(); throws std::invalid_argument
-  /// otherwise). Applied stripe-by-stripe under each stripe's own lock,
-  /// like ResizeCache.
-  void ResizeCacheStripes(std::span<const std::uint64_t> bytes);
-
-  /// Installs per-tenant resident-byte budgets, each split across stripes
-  /// like the total budget (even split, remainder on low stripes). Tenants
-  /// not listed stay unbudgeted (they share whatever the budgeted tenants
-  /// leave). An empty span clears all budgets. Budgets bound growth, not
-  /// holdings: a tenant already above a new budget keeps its residents but
-  /// cannot admit more until its charge drains.
+  /// Installs per-tenant resident-byte budgets. Tenants not listed stay
+  /// unbudgeted (they share whatever the budgeted tenants leave). An empty
+  /// span clears all budgets. Budgets bound growth, not holdings: a tenant
+  /// already above a new budget keeps its residents but cannot admit more
+  /// until its charge drains.
   void SetTenantBudgets(std::span<const TenantBudget> budgets);
 
-  /// Demotes every pinned entry in every stripe back into normal ARC
-  /// replacement order; returns the number demoted.
+  /// Demotes every pinned entry back into normal ARC replacement order;
+  /// returns the number demoted.
   std::size_t UnpinCache();
 
-  /// Per-stripe ARC snapshot for the cache controller, in stripe order.
-  /// Each stripe is sampled under its own lock (consistent per stripe, not
-  /// cross-stripe atomic — same contract as read_stats()).
-  std::vector<StripeCacheSample> SampleCacheStripes() const;
+  /// ARC snapshot for the cache controller, taken under the cache lock.
+  CacheSample SampleCache() const;
 
-  /// Aggregated accounting, summed across shards. Each shard is read under
-  /// its own lock; when called concurrently with writers the result is a
-  /// consistent per-shard (not cross-shard-atomic) snapshot.
+  /// Accounting snapshot, taken under the DDT lock.
   StoreStats stats() const;
-  /// stats().unique_blocks without the shard locks: a store-wide count
-  /// updated beside each shard's own, which CheckInvariants holds equal to
-  /// their sum. The DDT-lookup charge of every simulated block read sizes
-  /// the table by it.
-  std::uint64_t unique_blocks() const {
-    return unique_blocks_.load();
-  }
   ReadStats read_stats() const;
   SpaceMapStats space_map_stats() const;
   const compress::Codec& codec() const { return *codec_; }
-  std::size_t shard_count() const { return shards_.size(); }
 
   /// Pool shared by the ingest (hash/compress) and read (decompress)
   /// pipeline stages; nullptr when both sides are serial
@@ -570,42 +521,23 @@ class BlockStore {
     std::uint32_t logical_size;
     std::uint32_t physical_size;
     std::uint32_t refcount;
-    std::uint64_t disk_offset;    // shard-local; DiskOffset() globalizes
+    std::uint64_t disk_offset;
     bool compressed;
   };
+  using EntryMap = std::unordered_map<util::Digest, Entry, util::DigestHasher>;
 
-  /// One DDT/allocator shard. The mutex guards every member; StoreStats is
-  /// accumulated per shard and summed on demand.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<util::Digest, Entry, util::DigestHasher> entries;
-    SpaceMap space_map;
-    StoreStats stats;
+  /// Read counters beside the ARC, under the cache lock.
+  struct ReadCounters {
+    std::uint64_t blocks_requested = 0;
+    std::uint64_t raw_blocks = 0;
+    std::uint64_t decompressed_blocks = 0;
+    std::uint64_t decompressed_bytes = 0;
+    std::uint64_t warm_skipped_resident = 0;
   };
 
-  /// One ARC stripe plus its slice of the read counters. The stripe index
-  /// equals the shard index (same digest-prefix selector), but the lock is
-  /// separate so cache probes never contend with DDT commits.
-  struct CacheStripe {
-    explicit CacheStripe(std::uint64_t capacity_bytes)
-        : cache(capacity_bytes) {}
-    mutable std::mutex mutex;
-    mutable BlockCache cache;
-    mutable std::uint64_t blocks_requested = 0;
-    mutable std::uint64_t raw_blocks = 0;
-    mutable std::uint64_t decompressed_blocks = 0;
-    mutable std::uint64_t decompressed_bytes = 0;
-    mutable std::uint64_t warm_skipped_resident = 0;
-  };
-
-  std::size_t ShardOf(const util::Digest& digest) const {
-    return static_cast<std::size_t>(digest.bytes[0]) >> shard_shift_;
-  }
-  /// Interleaved global offset: unique across shards because every extent
-  /// is a whole number of sectors; identity when shards == 1.
-  std::uint64_t GlobalOffset(std::size_t shard, std::uint64_t local) const {
-    return local * shards_.size() + shard * kSectorBytes;
-  }
+  /// Drops one reference to `it` (DDT lock held); at zero frees the extent
+  /// and erases the entry. Unref and the PutBatch unwind share it.
+  void DropRefLocked(EntryMap::iterator it);
 
   /// Runs fn(i) for i in [0, count) on the worker pool, or inline when the
   /// ingest side is serial or the batch is trivial.
@@ -627,11 +559,11 @@ class BlockStore {
   /// Shared implementation of GetBatchShared/WarmCache, and the one place
   /// decompressed buffers are made. In warm mode (`results` null), cache
   /// hits are counted as warm_skipped_resident and aliases are not
-  /// materialized; misses still decompress and fill their stripe — and
-  /// each stripe's classify/decompress/install runs under ONE continuous
-  /// stripe-lock hold, so the residency judgement and the fill commit in
-  /// the same lock epoch (a concurrent ResizeCache can no longer evict
-  /// between them). `pin` (warm only) pins what the pass leaves filled.
+  /// materialized; misses still decompress and fill the cache — and the
+  /// classify/decompress/install runs under ONE continuous cache-lock hold,
+  /// so the residency judgement and the fill commit in the same lock epoch
+  /// (a concurrent ResizeCache cannot evict between them). `pin` (warm
+  /// only) pins what the pass leaves filled.
   void GetBatchImpl(std::span<const util::Digest> digests,
                     std::vector<util::SharedBytes>* results, TenantId tenant,
                     bool pin) const;
@@ -643,11 +575,22 @@ class BlockStore {
 
   BlockStoreConfig config_;
   const compress::Codec* codec_;
-  unsigned shard_shift_;  // 8 - log2(shards): digit of bytes[0] kept
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<CacheStripe>> stripes_;
+
+  /// The DDT, the extent arena and their accounting. The mutex guards all
+  /// three.
+  mutable std::mutex mutex_;
+  EntryMap entries_;
+  SpaceMap space_map_;
+  StoreStats stats_;
+
+  /// The decompressed-block ARC and its read counters, under their own
+  /// mutex so cache probes never contend with DDT commits. Mutable: reads
+  /// are const but move ARC state and counters.
+  mutable std::mutex cache_mutex_;
+  mutable BlockCache cache_;
+  mutable ReadCounters reads_;
+
   std::atomic<std::uint64_t> fake_digest_counter_{0};  // for dedup=off mode
-  std::atomic<std::uint64_t> unique_blocks_{0};  // sum of the shards' counts
   std::unique_ptr<util::ThreadPool> pool_;  // null when both sides serial
   util::FaultInjector* faults_ = nullptr;   // crash/disk-full sites; not owned
 };

@@ -49,12 +49,7 @@ std::uint64_t DemandBytes(double ema) {
 
 std::string ControllerTick::ToLine() const {
   std::string line = "tick=" + std::to_string(tick) +
-                     " total=" + std::to_string(total_bytes) + " stripes=[";
-  for (std::size_t s = 0; s < stripe_bytes.size(); ++s) {
-    if (s != 0) line += ",";
-    line += std::to_string(stripe_bytes[s]);
-  }
-  line += "] tenants=[";
+                     " total=" + std::to_string(total_bytes) + " tenants=[";
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     if (t != 0) line += ",";
     line += std::to_string(tenants[t].tenant) + ":" +
@@ -72,14 +67,6 @@ CacheController::CacheController(BlockStore* store,
   if (!(config_.gain > 0.0) || config_.gain > 1.0) {
     throw std::invalid_argument("CacheControllerConfig::gain must be in (0,1]");
   }
-  if (config_.stripe_floor_fraction < 0.0 ||
-      config_.stripe_floor_fraction >= 1.0) {
-    throw std::invalid_argument(
-        "CacheControllerConfig::stripe_floor_fraction must be in [0,1)");
-  }
-  const std::size_t n = store_->shard_count();
-  stripe_prev_reuse_bytes_.assign(n, 0);
-  stripe_utility_ema_.assign(n, 0.0);
 }
 
 void CacheController::ObserveTenant(TenantId tenant) {
@@ -87,51 +74,24 @@ void CacheController::ObserveTenant(TenantId tenant) {
 }
 
 ControllerTick CacheController::Tick() {
-  const std::vector<StripeCacheSample> samples = store_->SampleCacheStripes();
-  const std::size_t n = samples.size();
+  const CacheSample sample = store_->SampleCache();
 
   ControllerTick result;
   result.tick = ++tick_count_;
-  std::uint64_t total = config_.total_bytes;
-  if (total == 0) {
-    for (const StripeCacheSample& s : samples) total += s.capacity_bytes;
-  }
+  const std::uint64_t total =
+      config_.total_bytes != 0 ? config_.total_bytes : sample.capacity_bytes;
   result.total_bytes = total;
 
-  // Fold this interval's fresh reuse bytes (hit + ghost-hit) into the
-  // per-stripe utility EMA, normalized per capacity byte: ghost history
-  // scales with stripe capacity, so raw ghost bytes would let fat stripes
-  // out-shout starved ones (see the file comment in cache_controller.h).
-  // The integer weights handed to Apportion are utility in parts-per-
-  // million — one deterministic rounding point, same as DemandBytes.
-  std::vector<std::uint64_t> stripe_demand(n, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::uint64_t reuse_now =
-        samples[s].hit_bytes + samples[s].ghost_hit_bytes;
-    const std::uint64_t fresh = reuse_now - stripe_prev_reuse_bytes_[s];
-    stripe_prev_reuse_bytes_[s] = reuse_now;
-    const double utility =
-        static_cast<double>(fresh) /
-        static_cast<double>(std::max<std::uint64_t>(samples[s].capacity_bytes,
-                                                    1));
-    stripe_utility_ema_[s] +=
-        config_.gain * (utility - stripe_utility_ema_[s]);
-    stripe_demand[s] = DemandBytes(stripe_utility_ema_[s] * 1e6);
-  }
-
-  // Per tenant the signal stays in raw reuse bytes, aggregated across
-  // stripes: hit bytes keep the budget with the tenant whose resident set
-  // is hot right now (hysteresis), ghost bytes pull it toward whoever is
-  // thrashing. Ordered map keeps the decision (and trace) order
-  // deterministic.
+  // Per tenant the signal is raw reuse bytes: hit bytes keep the budget
+  // with the tenant whose resident set is hot right now (hysteresis), ghost
+  // bytes pull it toward whoever is thrashing. Ordered map keeps the
+  // decision (and trace) order deterministic.
   std::map<TenantId, std::uint64_t> reuse_now;
   std::map<TenantId, std::uint64_t> pinned_now;
-  for (const StripeCacheSample& s : samples) {
-    for (const BlockCache::TenantSample& t : s.tenants) {
-      reuse_now[t.tenant] += t.hit_bytes + t.ghost_hit_bytes;
-      pinned_now[t.tenant] += t.pinned_bytes;
-      tenants_.try_emplace(t.tenant);
-    }
+  for (const BlockCache::TenantSample& t : sample.tenants) {
+    reuse_now[t.tenant] = t.hit_bytes + t.ghost_hit_bytes;
+    pinned_now[t.tenant] = t.pinned_bytes;
+    tenants_.try_emplace(t.tenant);
   }
   for (auto& [tenant, state] : tenants_) {
     const std::uint64_t now = reuse_now[tenant];  // 0 when quiet
@@ -140,26 +100,6 @@ ControllerTick CacheController::Tick() {
     state.demand_ema +=
         config_.gain * (static_cast<double>(fresh) - state.demand_ema);
   }
-
-  // Stripe rebudget: floor = pinned + a slice of the even share, remainder
-  // proportional to smoothed demand. Pins over-commit the total rather than
-  // strand boot-critical residents below their stripe's budget.
-  const std::uint64_t even = n == 0 ? 0 : total / n;
-  const auto base_floor = static_cast<std::uint64_t>(
-      config_.stripe_floor_fraction * static_cast<double>(even));
-  std::vector<std::uint64_t> floors(n, 0);
-  std::uint64_t floor_sum = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    floors[s] = samples[s].pinned_bytes + base_floor;
-    floor_sum += floors[s];
-  }
-  result.stripe_bytes = floors;
-  if (total > floor_sum) {
-    const std::vector<std::uint64_t> extra =
-        Apportion(total - floor_sum, stripe_demand);
-    for (std::size_t s = 0; s < n; ++s) result.stripe_bytes[s] += extra[s];
-  }
-  store_->ResizeCacheStripes(result.stripe_bytes);
 
   // Tenant rebudget: floor = pinned + min_tenant_bytes, remainder
   // proportional to smoothed tenant demand. No tenants observed yet means

@@ -1,5 +1,6 @@
 // Workload-adaptive, multi-tenant controller for the decompressed-block
-// ARC — the piece that finally *drives* the ResizeCache knob PR 4 added.
+// ARC: it splits the one cache's budget across tenants by what each
+// tenant's reuse shows the bytes are worth.
 //
 // The control signal is reuse-byte marginal utility (DESIGN.md §17), built
 // from two ARC counters:
@@ -19,51 +20,37 @@
 //                    DRAM/NVMe tiers).
 //
 // Their sum per sampling interval — "reuse bytes" — measures how much
-// traffic the budget serves or could serve. Ghost bytes alone are a trap:
-// ghost history capacity scales with a stripe's capacity, so a shrunken
-// stripe *forgets* its demand and spirals to its floor while a fat stripe's
-// scanner ghosts keep inflating it, and a tenant's budget would chase last
-// interval's thrashing instead of staying with the tenant whose resident
-// set is hot right now. Hit bytes supply the hysteresis; dividing a
-// stripe's reuse by its current capacity (utility *per byte*) removes the
-// capacity-proportional ghost bias.
+// traffic the budget serves or could serve. Ghost bytes alone are a trap: a
+// tenant's budget would chase last interval's thrashing instead of staying
+// with the tenant whose resident set is hot right now. Hit bytes supply the
+// hysteresis.
 //
 // The controller needs no synthetic probe traffic and no shadow simulation —
 // the ARC already maintains both counters as part of its own operation, so
 // sampling them is free.
 //
 // Each Tick():
-//   1. samples every ARC stripe (BlockStore::SampleCacheStripes — one lock
-//      per stripe, no global pause),
-//   2. differences the cumulative hit-byte and ghost-hit-byte counters
-//      against the previous tick and folds the fresh reuse into an EMA per
-//      stripe (normalized per capacity byte) and per tenant (raw bytes;
-//      gain = CacheControllerConfig::gain),
-//   3. redistributes the total byte budget across stripes proportionally to
-//      smoothed per-byte utility, floored so every stripe keeps a slice of
-//      its even share plus whatever it has pinned (BlockStore::
-//      ResizeCacheStripes — content-addressing spreads digests uniformly,
-//      but *hot* digests are not uniform; a stripe owning a hot boot set
-//      earns more than 1/shards),
-//   4. recomputes per-tenant budgets the same way — pinned charge +
-//      min_tenant_bytes as the floor, remaining budget proportional to
-//      smoothed tenant demand — and installs them (BlockStore::
-//      SetTenantBudgets), so a noisy tenant's budget share shrinks toward
-//      its floor as soon as its ghost pressure stops translating into
-//      retained hits while the quiet tenants' boot sets stay resident,
-//   5. appends one deterministic trace line (integer arithmetic only in the
+//   1. samples the ARC (BlockStore::SampleCache),
+//   2. differences each tenant's cumulative hit-byte and ghost-hit-byte
+//      counters against the previous tick and folds the fresh reuse into a
+//      per-tenant EMA (gain = CacheControllerConfig::gain),
+//   3. recomputes per-tenant budgets — pinned charge + min_tenant_bytes as
+//      the floor, remaining budget proportional to smoothed tenant demand —
+//      and installs them (BlockStore::SetTenantBudgets), so a noisy
+//      tenant's budget share shrinks toward its floor as soon as its ghost
+//      pressure stops translating into retained hits while the quiet
+//      tenants' boot sets stay resident,
+//   4. appends one deterministic trace line (integer arithmetic only in the
 //      formatted output) — the determinism sweep asserts byte-identical
 //      traces across host thread counts.
 //
 // The controller is strictly opt-in: a caller that wants adaptive budgets
 // constructs one over a store and ticks it (bench/ablation_cache_adaptive
-// does). Until it ticks, the store keeps the static even split from
-// ReadConfig::cache_bytes.
+// does). Until it ticks, it changes nothing.
 //
 // Thread contract: Tick() may be called from any one thread at a time
-// (callers serialize; the bench ticks from its driver thread). The store
-// calls it makes are individually stripe-locked, so ticks never stall
-// in-flight batch reads globally.
+// (callers serialize; the bench ticks from its main thread). Each store
+// call it makes takes the cache lock once.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +63,8 @@
 namespace squirrel::store {
 
 struct CacheControllerConfig {
-  /// Total decompressed-cache byte budget the controller distributes each
-  /// tick; 0 falls back to the store's configured capacity at first tick.
+  /// Total decompressed-cache byte budget the controller distributes
+  /// across tenants each tick; 0 falls back to the ARC's capacity.
   std::uint64_t total_bytes = 0;
   /// EMA gain folding each interval's fresh reuse bytes (hit + ghost-hit)
   /// into the smoothed demand estimate: ema += gain * (fresh - ema). 1.0 =
@@ -86,9 +73,6 @@ struct CacheControllerConfig {
   /// Per-tenant budget floor above the tenant's pinned charge, so an idle
   /// tenant can always warm at least this much before its first rebudget.
   std::uint64_t min_tenant_bytes = 64 * 1024;
-  /// Fraction of a stripe's even share it keeps as floor regardless of
-  /// demand, so one hot stripe cannot starve the others' history entirely.
-  double stripe_floor_fraction = 0.25;
 };
 
 /// One tenant's decision from a controller tick.
@@ -103,8 +87,7 @@ struct TenantShare {
 struct ControllerTick {
   std::uint64_t tick = 0;
   std::uint64_t total_bytes = 0;
-  std::vector<std::uint64_t> stripe_bytes;  // per-stripe capacities installed
-  std::vector<TenantShare> tenants;         // ascending tenant id
+  std::vector<TenantShare> tenants;  // ascending tenant id
   /// Deterministic one-line rendering (the rebudget trace unit).
   std::string ToLine() const;
 };
@@ -112,12 +95,12 @@ struct ControllerTick {
 class CacheController {
  public:
   /// `store` must outlive the controller. Throws std::invalid_argument when
-  /// config.gain is outside (0, 1] or stripe_floor_fraction outside [0, 1).
+  /// config.gain is outside (0, 1].
   CacheController(BlockStore* store, CacheControllerConfig config);
 
   /// Pre-registers a tenant so it receives its budget floor from the next
   /// tick even before its first read. Tenants are otherwise discovered from
-  /// stripe samples.
+  /// cache samples.
   void ObserveTenant(TenantId tenant);
 
   /// Samples, rebudgets, installs, and appends one trace line. See the
@@ -134,12 +117,9 @@ class CacheController {
   BlockStore* store_;
   CacheControllerConfig config_;
   std::uint64_t tick_count_ = 0;
-  /// Previous cumulative reuse-byte counters (hit + ghost-hit, for
-  /// differencing) and smoothed per-capacity-byte utility, per stripe.
-  std::vector<std::uint64_t> stripe_prev_reuse_bytes_;
-  std::vector<double> stripe_utility_ema_;
-  /// Same per tenant, in raw reuse bytes (ordered map: deterministic
-  /// iteration).
+  /// Previous cumulative reuse-byte counter (hit + ghost-hit, for
+  /// differencing) and smoothed demand, per tenant (ordered map:
+  /// deterministic iteration).
   struct TenantState {
     std::uint64_t prev_reuse_bytes = 0;
     double demand_ema = 0.0;

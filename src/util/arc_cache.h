@@ -19,9 +19,8 @@
 //   * store::BlockCache — the byte-budgeted decompressed-block cache on the
 //     block-store read path, keyed by content digest and weighted by the
 //     decompressed payload size (like the real ARC, which is sized in bytes).
-//     The sharded store runs one instance per digest-prefix stripe, each
-//     adapting its own `p` over its slice of the working set — adaptation
-//     state never crosses a stripe lock.
+//     The store runs one instance, adapting one `p` over its whole working
+//     set.
 //
 // Three extensions serve the workload-adaptive multi-tenant controller
 // (store::CacheController, DESIGN.md §17), all strictly inert at their
@@ -46,7 +45,7 @@
 //     it is scan-resistance for boot-critical blocks, not bonus budget.
 //
 // Each instance is single-threaded by contract (no internal locking); owners
-// provide exclusive access, e.g. one stripe mutex per instance in the store.
+// provide exclusive access, e.g. the store's cache mutex.
 //
 // Capacity, the adaptive target `p` and all list sizes are tracked in weight
 // units. An entry wider than the whole capacity is not admitted. Evictions

@@ -7,14 +7,13 @@
 namespace squirrel::zvol {
 namespace {
 
-constexpr std::uint32_t kMagicV1 = 0x53515353;  // "SQSS" — no record checksums
-constexpr std::uint32_t kMagicV2 = 0x32515353;  // "SSQ2" — record checksums
+constexpr std::uint32_t kMagic = 0x32515353;  // "SSQ2" — record checksums
 
 }  // namespace
 
 util::Bytes SendStream::Serialize() const {
   util::wire::Writer w;
-  w.U32(kMagicV2);
+  w.U32(kMagic);
   w.U8(incremental ? 1 : 0);
   w.U64(from_id);
   w.Str(from_name);
@@ -57,11 +56,7 @@ SendStream SendStream::Deserialize(util::ByteSpan wire) {
       util::wire::VerifyTrailer<StreamCorruptError>(
           wire, "send stream too short", "send stream checksum mismatch"),
       "send stream truncated");
-  const std::uint32_t magic = r.U32();
-  if (magic != kMagicV1 && magic != kMagicV2) {
-    throw StreamCorruptError("send stream bad magic");
-  }
-  const bool record_checksums = magic == kMagicV2;
+  if (r.U32() != kMagic) throw StreamCorruptError("send stream bad magic");
 
   SendStream s;
   s.incremental = r.U8() != 0;
@@ -100,17 +95,10 @@ SendStream SendStream::Deserialize(util::ByteSpan wire) {
       std::memcpy(b.digest.bytes.data(), digest.data(), digest.size());
       b.logical_size = r.U32();
       if (b.has_payload) {
-        if (record_checksums) {
-          b.payload_checksum = r.U64();
-          b.payload = r.Blob();
-          if (PayloadChecksum(b.payload) != b.payload_checksum) {
-            throw StreamMismatchError("send stream record checksum mismatch");
-          }
-        } else {
-          // Version-1 streams carry no record checksums; synthesize them so
-          // downstream apply-time validation treats both formats uniformly.
-          b.payload = r.Blob();
-          b.payload_checksum = PayloadChecksum(b.payload);
+        b.payload_checksum = r.U64();
+        b.payload = r.Blob();
+        if (PayloadChecksum(b.payload) != b.payload_checksum) {
+          throw StreamMismatchError("send stream record checksum mismatch");
         }
       }
       f.blocks.push_back(std::move(b));

@@ -9,8 +9,8 @@
 // version 2 — a per-record FNV checksum over each carried payload, validated
 // again at apply time. The per-record checksums are what let a retrying
 // replication layer keep the verified prefix of a partially transferred
-// stream instead of restarting it. Version-1 streams (no record checksums)
-// are still read; their checksums are synthesized at parse time.
+// stream instead of restarting it. Version-1 streams (magic "SQSS", no
+// record checksums) are refused as corrupt.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +81,10 @@ struct SendStream {
   /// field is 0 gets one computed from its payload.
   util::Bytes Serialize() const;
 
-  /// Parses and verifies; accepts version-1 (no record checksums) and
-  /// version-2 wire formats. Throws StreamCorruptError on truncation, bad
-  /// magic or trailer mismatch, StreamMismatchError when a carried payload
-  /// fails its record checksum.
+  /// Parses and verifies the version-2 wire format. Throws
+  /// StreamCorruptError on truncation, bad magic (a version-1 stream
+  /// included) or trailer mismatch, StreamMismatchError when a carried
+  /// payload fails its record checksum.
   static SendStream Deserialize(util::ByteSpan wire);
 
   /// Checksum of one carried payload as written to (and validated from) the

@@ -103,8 +103,7 @@ Volume::Volume(VolumeConfig config)
     : config_(config),
       store_(store::BlockStoreConfig{config.codec, config.dedup,
                                      config.fast_hash, config.ingest,
-                                     config.read, config.shards,
-                                     config.capacity_bytes}) {
+                                     config.read, config.capacity_bytes}) {
   if (config_.block_size == 0) {
     throw std::invalid_argument("block_size must be positive");
   }
@@ -777,8 +776,8 @@ void Volume::ValidateStream(const SendStream& stream,
       if (b.hole) {
         throw StreamCorruptError("receive: hole record carries a payload");
       }
-      // Deserialize always fills the checksum (verified for v2, synthesized
-      // for v1); zero marks a hand-built in-memory record with none to check.
+      // Deserialize always fills the checksum (and has verified it); zero
+      // marks a hand-built in-memory record with none to check.
       if (b.payload_checksum != 0 &&
           SendStream::PayloadChecksum(b.payload) != b.payload_checksum) {
         throw StreamMismatchError("receive: record checksum mismatch");

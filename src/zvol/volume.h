@@ -47,10 +47,6 @@ struct VolumeConfig {
   /// readahead for ReadFile/ReadRange/Scrub. Runtime tuning only — not
   /// part of the serialized volume state.
   store::ReadConfig read{};
-  /// DDT/SpaceMap/ARC shard count for the backing block store (power of two
-  /// in [1, 256]; 1 reproduces the unsharded layout byte-for-byte). Runtime
-  /// tuning only — not part of the serialized volume state.
-  std::size_t shards = store::BlockStoreConfig{}.shards;
   /// Backing-pool capacity in bytes; 0 (the default) means unlimited. A
   /// full pool surfaces as store::NoSpaceError from the mutating paths;
   /// Receive rolls a mid-apply disk-full back so the volume is exactly as
@@ -468,7 +464,7 @@ class Volume {
   VolumeStats Stats() const;
   const store::BlockStore& block_store() const { return store_; }
   /// Mutable store access for cache management (tenant-tagged warms,
-  /// ARC resizes, store::CacheController construction over its stripes).
+  /// ARC resizes, store::CacheController construction over its cache).
   store::BlockStore& block_store() { return store_; }
 
   /// Test hook: corrupts the stored payload of the block backing file

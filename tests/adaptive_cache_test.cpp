@@ -8,9 +8,6 @@
 //     a permanent 100% miss loop),
 //   * a brand-new-key admission that already made room inside its owner's
 //     budget must not evict another owner's resident,
-//   * CacheStripeBudget must never hand a stripe a 0-byte slice for a
-//     nonzero total (a disabled stripe would silently drop its shard of
-//     every working set),
 //   * hit_bytes counts only T2/pinned (frequency) reuse — T1 hits are
 //     back-to-back recency reuse any one-block buffer serves,
 //   * a tagged cluster boot charges its demand reads to its own tenant.
@@ -59,14 +56,12 @@ std::vector<util::Digest> PutCompressible(store::BlockStore& store,
 }
 
 store::BlockStoreConfig SmallStoreConfig(std::uint64_t cache_bytes,
-                                         std::uint32_t shards,
                                          std::uint32_t threads = 1) {
   return store::BlockStoreConfig{
       .codec = compress::CodecId::kGzip6,
       .dedup = true,
       .fast_hash = true,
-      .read = {.threads = threads, .cache_bytes = cache_bytes},
-      .shards = shards};
+      .read = {.threads = threads, .cache_bytes = cache_bytes}};
 }
 
 // ---------------------------------------------------------------------------
@@ -182,30 +177,10 @@ TEST(AdaptiveCache, ResizeInvariantPropertySweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Stripe budget floors (satellite 1)
-
-TEST(AdaptiveCache, StripeBudgetFloorsTinyTotals) {
-  // A nonzero total must enable every stripe (1-byte floor): a 0-byte slice
-  // would silently disable caching for that digest prefix. Total 0 disables
-  // all stripes coherently.
-  for (const std::uint64_t total : {std::uint64_t{1}, std::uint64_t{3},
-                                    std::uint64_t{7}}) {
-    store::BlockStore store(SmallStoreConfig(total, 4));
-    for (const store::StripeCacheSample& s : store.SampleCacheStripes()) {
-      EXPECT_GE(s.capacity_bytes, 1u) << "total=" << total;
-    }
-  }
-  store::BlockStore off(SmallStoreConfig(0, 4));
-  for (const store::StripeCacheSample& s : off.SampleCacheStripes()) {
-    EXPECT_EQ(s.capacity_bytes, 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Controller behaviour
 
 TEST(AdaptiveCache, ControllerConfigValidation) {
-  store::BlockStore store(SmallStoreConfig(1 << 20, 4));
+  store::BlockStore store(SmallStoreConfig(1 << 20));
   store::CacheControllerConfig bad_gain;
   bad_gain.gain = 0.0;
   EXPECT_THROW(store::CacheController(&store, bad_gain),
@@ -213,15 +188,11 @@ TEST(AdaptiveCache, ControllerConfigValidation) {
   bad_gain.gain = 1.5;
   EXPECT_THROW(store::CacheController(&store, bad_gain),
                std::invalid_argument);
-  store::CacheControllerConfig bad_floor;
-  bad_floor.stripe_floor_fraction = 1.0;
-  EXPECT_THROW(store::CacheController(&store, bad_floor),
-               std::invalid_argument);
 }
 
 TEST(AdaptiveCache, ControllerShiftsBudgetTowardReuse) {
   const std::uint64_t budget = 64 * 4096;
-  store::BlockStore store(SmallStoreConfig(budget, 4));
+  store::BlockStore store(SmallStoreConfig(budget));
   util::Rng rng(11);
   const auto set1 = PutCompressible(store, rng, 40);
   const auto set2 = PutCompressible(store, rng, 40);
@@ -261,7 +232,7 @@ TEST(AdaptiveCache, ControllerShiftsBudgetTowardReuse) {
 
 TEST(AdaptiveCache, ControllerFloorsPinnedBytes) {
   const std::uint64_t budget = 64 * 4096;
-  store::BlockStore store(SmallStoreConfig(budget, 4));
+  store::BlockStore store(SmallStoreConfig(budget));
   util::Rng rng(12);
   const auto boot_set = PutCompressible(store, rng, 16);
   store.WarmCacheAs(1, boot_set, /*pin=*/true);
@@ -279,10 +250,9 @@ TEST(AdaptiveCache, ControllerFloorsPinnedBytes) {
 // ---------------------------------------------------------------------------
 // Determinism sweep (satellite 4)
 
-std::vector<std::string> RunControllerTrace(std::uint32_t shards,
-                                            std::uint32_t threads) {
+std::vector<std::string> RunControllerTrace(std::uint32_t threads) {
   const std::uint64_t budget = 96 * 4096;
-  store::BlockStore store(SmallStoreConfig(budget, shards, threads));
+  store::BlockStore store(SmallStoreConfig(budget, threads));
   util::Rng rng(2014);
   const auto set1 = PutCompressible(store, rng, 48);
   const auto set2 = PutCompressible(store, rng, 64);
@@ -305,40 +275,35 @@ TEST(AdaptiveCache, TraceByteIdenticalAcrossHostThreads) {
   // path may fan decompression out across worker threads, but every counter
   // the controller samples — and therefore every decision and trace byte —
   // must be independent of the host thread count.
-  for (const std::uint32_t shards : {1u, 4u, 16u}) {
-    const std::vector<std::string> reference = RunControllerTrace(shards, 1);
-    ASSERT_EQ(reference.size(), 10u);
-    for (const std::uint32_t threads : {2u, 4u}) {
-      EXPECT_EQ(RunControllerTrace(shards, threads), reference)
-          << "shards=" << shards << " threads=" << threads;
-    }
+  const std::vector<std::string> reference = RunControllerTrace(1);
+  ASSERT_EQ(reference.size(), 10u);
+  for (const std::uint32_t threads : {2u, 4u}) {
+    EXPECT_EQ(RunControllerTrace(threads), reference)
+        << "threads=" << threads;
   }
 }
 
 TEST(AdaptiveCache, ControllerOffKeepsCacheStateUntouched) {
   // Only Tick() touches the cache: a controller constructed over the store
-  // and never ticked leaves every stripe's budget and counters exactly as a
+  // and never ticked leaves the cache's budget and counters exactly as a
   // run with no controller at all.
   auto run = [](bool construct) {
-    store::BlockStore store(SmallStoreConfig(64 * 4096, 4));
+    store::BlockStore store(SmallStoreConfig(64 * 4096));
     util::Rng rng(13);
     const auto set = PutCompressible(store, rng, 48);
     std::optional<store::CacheController> controller;
     if (construct) {
-      // A tick would shrink the cache to this budget.
+      // A tick would cap tenant 1 near this budget.
       controller.emplace(&store, store::CacheControllerConfig{
                                      .total_bytes = 16 * 4096});
       controller->ObserveTenant(1);
     }
     for (int i = 0; i < 4; ++i) store.GetBatchAs(1, set);
-    std::string state;
-    for (const store::StripeCacheSample& s : store.SampleCacheStripes()) {
-      state += std::to_string(s.capacity_bytes) + "/" +
-               std::to_string(s.hits) + "/" + std::to_string(s.misses) + "/" +
-               std::to_string(s.ghost_hit_bytes) + "/" +
-               std::to_string(s.hit_bytes) + ";";
-    }
-    return state;
+    const store::CacheSample s = store.SampleCache();
+    return std::to_string(s.capacity_bytes) + "/" + std::to_string(s.hits) +
+           "/" + std::to_string(s.misses) + "/" +
+           std::to_string(s.ghost_hit_bytes) + "/" +
+           std::to_string(s.hit_bytes);
   };
   EXPECT_EQ(run(false), run(true));
 }
@@ -346,16 +311,14 @@ TEST(AdaptiveCache, ControllerOffKeepsCacheStateUntouched) {
 // ---------------------------------------------------------------------------
 // Warm-vs-resize race (satellite 3; races surface under `ctest -L tsan`)
 
-TEST(AdaptiveCache, WarmCacheRacesResizeStripes) {
+TEST(AdaptiveCache, WarmCacheRacesResize) {
   const std::uint64_t budget = 64 * 4096;
-  store::BlockStore store(SmallStoreConfig(budget, 4, 2));
+  store::BlockStore store(SmallStoreConfig(budget, 2));
   util::Rng rng(14);
   const auto digests = PutCompressible(store, rng, 64);
   std::thread resizer([&store, budget] {
-    for (int i = 0; i < 60; ++i) {
+    for (int i = 0; i < 120; ++i) {
       store.ResizeCache(i % 2 == 0 ? budget / 3 : budget);
-      const std::vector<std::uint64_t> stripes(4, budget / 4);
-      store.ResizeCacheStripes(stripes);
     }
   });
   std::uint64_t warmed = 0;
@@ -405,26 +368,21 @@ TEST(AdaptiveCache, BootTenantChargesDemandReads) {
                 .tenant = kTenant},
                io);
 
-  std::uint64_t misses = 0;
-  std::uint64_t resident = 0;
+  const store::CacheSample sample =
+      cluster.compute_node(0).volume().block_store().SampleCache();
   std::uint64_t tenant_misses = 0;
   std::uint64_t tenant_resident = 0;
-  for (const store::StripeCacheSample& stripe :
-       cluster.compute_node(0).volume().block_store().SampleCacheStripes()) {
-    misses += stripe.misses;
-    resident += stripe.resident_bytes;
-    for (const store::BlockCache::TenantSample& t : stripe.tenants) {
-      if (t.tenant != kTenant) continue;
-      tenant_misses += t.misses;
-      tenant_resident += t.resident_bytes;
-    }
+  for (const store::BlockCache::TenantSample& t : sample.tenants) {
+    if (t.tenant != kTenant) continue;
+    tenant_misses += t.misses;
+    tenant_resident += t.resident_bytes;
   }
   EXPECT_GT(tenant_misses, 0u);
   EXPECT_GT(tenant_resident, 0u);
   // Nothing else read this ccVolume: every miss and resident byte is the
   // boot's.
-  EXPECT_EQ(tenant_misses, misses);
-  EXPECT_EQ(tenant_resident, resident);
+  EXPECT_EQ(tenant_misses, sample.misses);
+  EXPECT_EQ(tenant_resident, sample.resident_bytes);
 }
 
 }  // namespace

@@ -293,9 +293,10 @@ TEST(PlacementRepair, GatherDecodesThroughParityWhenDataShardMissing) {
     stores[j].Put(digest, j, static_cast<std::uint32_t>(payload.size()),
                   std::move(shards[j]));
   }
-  placement::ReconstructionSource source(&codec, PeersOver(stores));
   // Peer 2 holds data shard 1: losing it forces a parity decode.
-  source.SetPeerOnline(2, false);
+  std::vector<placement::ShardPeer> peers = PeersOver(stores);
+  peers[1].online = false;
+  const placement::ReconstructionSource source(&codec, std::move(peers));
   const auto gathered = source.Gather(digest);
   ASSERT_TRUE(gathered.has_value());
   EXPECT_EQ(gathered->payload, payload);

@@ -64,13 +64,14 @@ BootRun RunBoot(const sim::IoContextConfig& io_config,
 
 TEST(AsyncBoot, DepthOneBitIdenticalToSynchronous) {
   // The default queue (depth 1, no readahead) charges each read in full
-  // before the next starts. These goldens are the clocks and counters the
-  // removed synchronous charger (clock += DiskModel::Read) produced for this
-  // boot; the bar is bit identity, not "close".
+  // before the next starts. The counters are the ones the removed
+  // synchronous charger (clock += DiskModel::Read) produced for this boot;
+  // the clocks are the queue's, with the image's blocks back to back on
+  // disk in file order. The bar is bit identity, not "close".
   const BootRun run = RunBoot(sim::IoContextConfig{});
-  EXPECT_EQ(run.elapsed_ns, 0x1.e276p+24);
-  EXPECT_EQ(run.report.result.seconds, 0x1.c10304ed24b11p+3);
-  EXPECT_EQ(run.report.result.io_seconds, 0x1.0304ed24b10f5p-5);
+  EXPECT_EQ(run.elapsed_ns, 0x1.d1p+22);
+  EXPECT_EQ(run.report.result.seconds, 0x1.c03e6947415d1p+3);
+  EXPECT_EQ(run.report.result.io_seconds, 0x1.f34a3a0ae8bc4p-8);
   EXPECT_EQ(run.report.result.bytes_read, 393216u);
   EXPECT_EQ(run.report.result.base_bytes_read, 0u);
   EXPECT_EQ(run.report.result.cache_bytes_read, 3145728u);

@@ -344,8 +344,7 @@ TEST(VolumeFileDevice, HeldBlockOutlivesArcEviction) {
   // store.
   zvol::Volume volume({.block_size = 4096,
                        .codec = compress::CodecId::kGzip6,
-                       .read = {.cache_bytes = 2 * 4096},
-                       .shards = 1});  // one ARC stripe of two blocks
+                       .read = {.cache_bytes = 2 * 4096}});  // two blocks
   const Bytes content = CacheImageBytes(8 * 4096, 21);
   const Bytes other = CacheImageBytes(8 * 4096, 22);
   volume.WriteFile("f", BufferSource(content));

@@ -29,11 +29,6 @@ SquirrelConfig SmallConfig() {
   // Give the ccVolumes a decompressed-block ARC so profile replay has a
   // cache to warm (the warm is the decompression-CPU half of the win).
   config.volume.read.cache_bytes = 8ull << 20;
-  // Pin the unsharded cache layout: these tests assert strict timing
-  // inequalities (replay < cold) whose margins assume the warm pass stays
-  // fully resident in one whole-budget ARC; a 16-way stripe split lets hot
-  // stripes overflow and evict the pre-warmed blocks.
-  config.volume.shards = 1;
   return config;
 }
 

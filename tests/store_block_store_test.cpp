@@ -200,17 +200,16 @@ TEST(BlockStore, GetStoredCopiesTheStoredFormWithoutReading) {
   EXPECT_NE(damaged.payload, random_block);
 }
 
-/// The lock-free unique_blocks() count must equal the shards' own counts
-/// (stats(), whose sum CheckInvariants also checks against it).
+/// The recorded unique_blocks count must equal `expected` and the DDT's
+/// own recount (CheckInvariants).
 void ExpectUniqueBlocksCounted(const BlockStore& store,
                                std::uint64_t expected) {
-  EXPECT_EQ(store.unique_blocks(), expected);
   EXPECT_EQ(store.stats().unique_blocks, expected);
   const InvariantReport report = store.CheckInvariants();
   EXPECT_TRUE(report.ok) << report.detail;
 }
 
-TEST(BlockStore, UniqueBlocksCounterTracksEveryShardUpdate) {
+TEST(BlockStore, UniqueBlocksCounterTracksEveryUpdate) {
   // Raw PutBatch, with a duplicate inside the batch and one already stored.
   BlockStore store({.codec = compress::CodecId::kGzip6, .dedup = true});
   ExpectUniqueBlocksCounted(store, 0);
@@ -252,7 +251,6 @@ TEST(BlockStore, UniqueBlocksCounterTracksEveryShardUpdate) {
   // A refused allocation unwinds every block its batch committed.
   BlockStore full({.codec = compress::CodecId::kNull,
                    .dedup = true,
-                   .shards = 1,
                    .capacity_bytes = 3 * 4096});
   const Bytes kept = RandomBlock(4096, 50);
   full.Put(kept);
@@ -268,7 +266,6 @@ TEST(BlockStore, UniqueBlocksCounterSurvivesRolledBackReceive) {
   zvol::VolumeConfig config{.block_size = 4096,
                             .codec = compress::CodecId::kNull,
                             .dedup = true};
-  config.shards = 1;
   zvol::Volume donor(config);
   donor.WriteFile("a", test::BufferSource(RandomBlock(2 * 4096, 60)));
   donor.CreateSnapshot("s1", 10);

@@ -62,12 +62,11 @@ struct DonorStreams {
   SendStream full_s2;
 };
 
-DonorStreams MakeDonorStreams(std::size_t shards) {
+DonorStreams MakeDonorStreams() {
   DonorStreams d;
   d.config = VolumeConfig{.block_size = kBlock,
                           .codec = compress::CodecId::kGzip1,
                           .dedup = true};
-  d.config.shards = shards;
   Volume donor(d.config);
   // "a" and "c" share their first block, so the s1 -> s2 diff carries that
   // block of "c" by reference (reachable from s1) — exercising the Ref path
@@ -125,10 +124,8 @@ int RunCrashSweep(util::FaultInjector& faults, const Volume& volume,
 
 // --- crash-at-every-site sweeps ---------------------------------------------
 
-class CrashSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(CrashSweep, FullStreamResumesOrRollsBack) {
-  const DonorStreams d = MakeDonorStreams(GetParam());
+TEST(CrashSweep, FullStreamResumesOrRollsBack) {
+  const DonorStreams d = MakeDonorStreams();
   Volume reference(d.config);
   reference.Receive(d.full_s1);
   const Bytes expected = reference.Serialize();
@@ -146,8 +143,8 @@ TEST_P(CrashSweep, FullStreamResumesOrRollsBack) {
   test::ExpectVolumeInvariants(replica, "full sweep done");
 }
 
-TEST_P(CrashSweep, IncrementalStreamResumesOrRollsBack) {
-  const DonorStreams d = MakeDonorStreams(GetParam());
+TEST(CrashSweep, IncrementalStreamResumesOrRollsBack) {
+  const DonorStreams d = MakeDonorStreams();
   Volume reference(d.config);
   reference.Receive(d.full_s1);
   reference.Receive(d.incr_s2);
@@ -164,8 +161,8 @@ TEST_P(CrashSweep, IncrementalStreamResumesOrRollsBack) {
   test::ExpectVolumeInvariants(replica, "incremental sweep done");
 }
 
-TEST_P(CrashSweep, ReceiveFullResumesOrRollsBack) {
-  const DonorStreams d = MakeDonorStreams(GetParam());
+TEST(CrashSweep, ReceiveFullResumesOrRollsBack) {
+  const DonorStreams d = MakeDonorStreams();
   Volume reference(d.config);
   reference.Receive(d.full_s1);
   reference.ReceiveFull(d.full_s2);
@@ -184,12 +181,10 @@ TEST_P(CrashSweep, ReceiveFullResumesOrRollsBack) {
   test::ExpectVolumeInvariants(replica, "receive_full sweep done");
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, CrashSweep, ::testing::Values(1, 16));
-
 // --- targeted crash semantics ------------------------------------------------
 
 TEST(Crash, RedeliveryAfterCommittedCrashIsIdempotent) {
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   // Count the crash sites one clean transactional apply passes.
   util::FaultInjector probe(0x5eed, util::FaultProfile{});
   Volume counter(d.config);
@@ -222,7 +217,7 @@ TEST(Crash, RedeliveryAfterCommittedCrashIsIdempotent) {
 }
 
 TEST(Crash, RollbackRestoresExactPreStreamState) {
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   util::FaultInjector faults(0x5eed, util::FaultProfile{});
   Volume replica(d.config);
   replica.SetFaultInjector(&faults);
@@ -240,7 +235,7 @@ TEST(Crash, ReceiveFullValidatesBeforeDropping) {
   // Regression: ReceiveFull used to wipe the volume (files + snapshots)
   // before validating the stream, so a mismatched or damaged stream
   // destroyed data it could never replace. Validation must come first.
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   Volume replica(d.config);
   replica.Receive(d.full_s1);
   const Bytes before = replica.Serialize();
@@ -275,7 +270,7 @@ TEST(Crash, ReceiveFullDanglingReferenceLeavesVolume) {
   // payload record carries passed validation, so ReceiveFull dropped the
   // replica's files and snapshots before the apply found the dangling
   // reference — and the rollback could only restore the emptied volume.
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   SendStream dangling = d.full_s2;
   bool rewired = false;
   for (auto& file : dangling.files) {
@@ -308,7 +303,7 @@ TEST(Crash, MidApplyStreamDamageRollsBackTransactionally) {
   // referenced by a later record (the receiver hashes every carried
   // payload). DiskFull.ReceiveRollsBackAndReportsRefusals covers a failure
   // that does reach the apply with nothing armed.
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   SendStream unknown_ref = d.incr_s2;
   bool rewired = false;
   for (auto& file : unknown_ref.files) {
@@ -375,7 +370,7 @@ TEST(Receive, MislabeledPayloadRejectedBeforeApply) {
   // under the record's digest, so it hashes every carried payload first.
   // Checked for the incremental stream through Receive and for a full
   // stream through ReceiveFull, with and without an injector armed.
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   const auto mislabel_last_payload = [](SendStream stream) {
     BlockRecord* last = nullptr;
     for (auto& file : stream.files) {
@@ -414,7 +409,6 @@ VolumeConfig TinyPoolConfig(std::uint64_t capacity_bytes) {
   VolumeConfig config{.block_size = kBlock,
                       .codec = compress::CodecId::kNull,
                       .dedup = true};
-  config.shards = 1;  // one SpaceMap arena: exact capacity arithmetic
   config.capacity_bytes = capacity_bytes;
   return config;
 }
@@ -441,7 +435,6 @@ TEST(DiskFull, ReceiveRollsBackAndReportsRefusals) {
   VolumeConfig donor_config{.block_size = kBlock,
                             .codec = compress::CodecId::kNull,
                             .dedup = true};
-  donor_config.shards = 1;
   Volume donor(donor_config);
   donor.WriteFile("a", BufferSource(RandomBytes(2 * kBlock, 3)));
   donor.CreateSnapshot("s1", 10);
@@ -507,7 +500,7 @@ TEST(DiskFull, ScrubRepairSkipsAndReports) {
 TEST(DiskFull, CrashSweepUnderCapacityHoldsInvariants) {
   // Crash sweep with a capacity armed as well: every unwind (crash or
   // otherwise) must keep the space map consistent with the refcounts.
-  const DonorStreams d = MakeDonorStreams(1);
+  const DonorStreams d = MakeDonorStreams();
   Volume reference(d.config);
   reference.Receive(d.full_s1);
   const Bytes expected = reference.Serialize();

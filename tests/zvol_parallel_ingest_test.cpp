@@ -55,14 +55,12 @@ Bytes MixedContent(std::size_t blocks, std::uint64_t seed) {
   return data;
 }
 
-VolumeConfig Config(std::size_t threads, std::size_t batch_blocks,
-                    std::size_t shards = store::BlockStoreConfig{}.shards) {
+VolumeConfig Config(std::size_t threads, std::size_t batch_blocks) {
   return VolumeConfig{.block_size = kBlockSize,
                       .codec = compress::CodecId::kGzip6,
                       .dedup = true,
                       .fast_hash = false,
-                      .ingest = {.threads = threads, .batch_blocks = batch_blocks},
-                      .shards = shards};
+                      .ingest = {.threads = threads, .batch_blocks = batch_blocks}};
 }
 
 void ExpectSameStats(const VolumeStats& got, const VolumeStats& want) {
@@ -105,22 +103,19 @@ void ExpectSameBlocks(const Volume& got, const Volume& serial,
 }
 
 TEST(ParallelIngest, WriteFileMatchesSerialAcrossThreadsAndBatches) {
-  // Sweep the shard count too: for a fixed shard count every thread/batch
-  // combination must be bit-identical to the single-threaded reference with
-  // the same shard count (digests, stats, disk offsets, clean scrub).
-  for (const std::size_t shards : {1u, 4u, 16u}) {
+  // Every thread/batch combination must be bit-identical to the
+  // single-threaded reference (digests, stats, disk offsets, clean scrub).
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const Bytes content = MixedContent(/*blocks=*/97, seed);
-    Volume serial(Config(/*threads=*/1, /*batch_blocks=*/128, shards));
+    Volume serial(Config(/*threads=*/1, /*batch_blocks=*/128));
     serial.WriteFile("f", BufferSource(content));
     ASSERT_EQ(serial.ReadRange("f", 0, content.size()), content);
 
     for (const std::size_t threads : {2u, 8u}) {
       for (const std::size_t batch : {1u, 7u, 128u}) {
-        Volume parallel(Config(threads, batch, shards));
+        Volume parallel(Config(threads, batch));
         parallel.WriteFile("f", BufferSource(content));
-        SCOPED_TRACE("shards " + std::to_string(shards) + " seed " +
-                     std::to_string(seed) + " threads " +
+        SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
                      std::to_string(threads) + " batch " + std::to_string(batch));
         EXPECT_EQ(parallel.ReadRange("f", 0, content.size()), content);
         ExpectSameBlocks(parallel, serial, "f");
@@ -132,7 +127,6 @@ TEST(ParallelIngest, WriteFileMatchesSerialAcrossThreadsAndBatches) {
         EXPECT_EQ(scrub.dangling_refs, 0u);
       }
     }
-  }
   }
 }
 
@@ -235,34 +229,30 @@ TEST(ParallelIngest, PutBatchMatchesSerialPutLoop) {
   }
   ASSERT_GT(blocks.size(), 16u);
 
-  for (const std::size_t shards : {1u, 4u, 16u}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    store::BlockStoreConfig config{.codec = compress::CodecId::kGzip6,
-                                   .dedup = true,
-                                   .fast_hash = false,
-                                   .ingest = {.threads = 8, .batch_blocks = 32},
-                                   .shards = shards};
-    store::BlockStore batched(config);
-    config.ingest = {};  // serial reference
-    store::BlockStore serial(config);
+  store::BlockStoreConfig config{.codec = compress::CodecId::kGzip6,
+                                 .dedup = true,
+                                 .fast_hash = false,
+                                 .ingest = {.threads = 8, .batch_blocks = 32}};
+  store::BlockStore batched(config);
+  config.ingest = {};  // serial reference
+  store::BlockStore serial(config);
 
-    const std::vector<store::PutResult> got = batched.PutBatch(blocks);
-    ASSERT_EQ(got.size(), blocks.size());
-    std::vector<store::PutResult> want;
-    for (const util::ByteSpan block : blocks) want.push_back(serial.Put(block));
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      EXPECT_EQ(got[i].digest, want[i].digest) << "block " << i;
-      EXPECT_EQ(got[i].deduplicated, want[i].deduplicated) << "block " << i;
-      EXPECT_EQ(got[i].logical_size, want[i].logical_size) << "block " << i;
-      EXPECT_EQ(got[i].physical_size, want[i].physical_size) << "block " << i;
-      EXPECT_EQ(batched.DiskOffset(got[i].digest),
-                serial.DiskOffset(want[i].digest))
-          << "block " << i;
-      EXPECT_EQ(batched.RefCount(got[i].digest),
-                serial.RefCount(want[i].digest));
-    }
-    ExpectSameStoreStats(batched.stats(), serial.stats());
+  const std::vector<store::PutResult> got = batched.PutBatch(blocks);
+  ASSERT_EQ(got.size(), blocks.size());
+  std::vector<store::PutResult> want;
+  for (const util::ByteSpan block : blocks) want.push_back(serial.Put(block));
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(got[i].digest, want[i].digest) << "block " << i;
+    EXPECT_EQ(got[i].deduplicated, want[i].deduplicated) << "block " << i;
+    EXPECT_EQ(got[i].logical_size, want[i].logical_size) << "block " << i;
+    EXPECT_EQ(got[i].physical_size, want[i].physical_size) << "block " << i;
+    EXPECT_EQ(batched.DiskOffset(got[i].digest),
+              serial.DiskOffset(want[i].digest))
+        << "block " << i;
+    EXPECT_EQ(batched.RefCount(got[i].digest),
+              serial.RefCount(want[i].digest));
   }
+  ExpectSameStoreStats(batched.stats(), serial.stats());
 }
 
 TEST(ParallelIngest, PutBatchDedupDisabledMintsDigestsInOrder) {

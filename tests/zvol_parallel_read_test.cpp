@@ -51,16 +51,14 @@ Bytes MixedContent(std::size_t blocks, std::uint64_t seed) {
   return data;
 }
 
-store::BlockStoreConfig StoreConfig(
-    std::size_t threads, std::uint64_t cache_bytes,
-    std::size_t shards = store::BlockStoreConfig{}.shards) {
+store::BlockStoreConfig StoreConfig(std::size_t threads,
+                                    std::uint64_t cache_bytes) {
   return store::BlockStoreConfig{
       .codec = compress::CodecId::kGzip6,
       .dedup = true,
       .fast_hash = false,
       .ingest = {},
-      .read = {.threads = threads, .cache_bytes = cache_bytes},
-      .shards = shards};
+      .read = {.threads = threads, .cache_bytes = cache_bytes}};
 }
 
 VolumeConfig VolConfig(std::size_t threads, std::uint64_t cache_bytes,
@@ -113,40 +111,31 @@ void ExpectSameReadStats(const store::ReadStats& got,
 }
 
 TEST(ParallelRead, GetBatchMatchesSerialGetLoop) {
-  // The determinism contract quantifies over thread count for each fixed
-  // shard count: the serial reference and the parallel store must share
-  // `shards`, and the sweep proves the contract at every sharding level.
-  for (const std::size_t shards : {1u, 4u, 16u}) {
-    for (const std::uint64_t seed : {31u, 32u}) {
-      for (const std::uint64_t cache_bytes :
-           {std::uint64_t{0}, std::uint64_t{8} * kBlockSize,
-            std::uint64_t{4} * util::kMiB}) {
-        // The serial reference issues one Get per digest against an identical
-        // store (same ingest, same cache budget, read.threads = 1).
-        store::BlockStore reference(
-            StoreConfig(/*threads=*/1, cache_bytes, shards));
-        const std::vector<util::Digest> digests =
-            Populate(reference, 60, seed);
-        std::vector<Bytes> want;
-        for (const util::Digest& d : digests) want.push_back(reference.Get(d));
+  for (const std::uint64_t seed : {31u, 32u}) {
+    for (const std::uint64_t cache_bytes :
+         {std::uint64_t{0}, std::uint64_t{8} * kBlockSize,
+          std::uint64_t{4} * util::kMiB}) {
+      // The serial reference issues one Get per digest against an identical
+      // store (same ingest, same cache budget, read.threads = 1).
+      store::BlockStore reference(StoreConfig(/*threads=*/1, cache_bytes));
+      const std::vector<util::Digest> digests = Populate(reference, 60, seed);
+      std::vector<Bytes> want;
+      for (const util::Digest& d : digests) want.push_back(reference.Get(d));
 
-        for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
-          SCOPED_TRACE("shards " + std::to_string(shards) + " seed " +
-                       std::to_string(seed) + " cache " +
-                       std::to_string(cache_bytes) + " threads " +
-                       std::to_string(threads));
-          store::BlockStore batched(StoreConfig(threads, cache_bytes, shards));
-          ASSERT_EQ(Populate(batched, 60, seed), digests);
-          const std::vector<Bytes> got = batched.GetBatch(digests);
-          ASSERT_EQ(got.size(), want.size());
-          for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(got[i], want[i]) << "payload " << i;
-          }
-          // Cache counters replay the exact serial Lookup/Insert sequence
-          // stripe by stripe.
-          ExpectSameReadStats(batched.read_stats(), reference.read_stats(),
-                              cache_bytes > 0);
+      for (const std::size_t threads : {1u, 2u, 8u, 0u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " cache " +
+                     std::to_string(cache_bytes) + " threads " +
+                     std::to_string(threads));
+        store::BlockStore batched(StoreConfig(threads, cache_bytes));
+        ASSERT_EQ(Populate(batched, 60, seed), digests);
+        const std::vector<Bytes> got = batched.GetBatch(digests);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i], want[i]) << "payload " << i;
         }
+        // Cache counters replay the exact serial Lookup/Insert sequence.
+        ExpectSameReadStats(batched.read_stats(), reference.read_stats(),
+                            cache_bytes > 0);
       }
     }
   }
@@ -155,15 +144,10 @@ TEST(ParallelRead, GetBatchMatchesSerialGetLoop) {
 TEST(ParallelRead, CacheByteBudgetNeverExceeded) {
   // A budget of 3 blocks over a 40-block working set forces constant
   // eviction; the resident payload bytes must never exceed the budget and
-  // every payload must still come back exact. Pinned to shards = 1: a
-  // 3-block budget split 16 ways leaves every stripe narrower than one
-  // block, and the "must see SOME hits" expectation below is about the
-  // whole-budget ARC. (StripedBudgetStillBoundsResidency covers the
-  // sharded split.)
+  // every payload must still come back exact.
   const std::uint64_t budget = 3 * kBlockSize;
-  store::BlockStore cached(StoreConfig(/*threads=*/4, budget, /*shards=*/1));
-  store::BlockStore uncached(
-      StoreConfig(/*threads=*/4, /*cache_bytes=*/0, /*shards=*/1));
+  store::BlockStore cached(StoreConfig(/*threads=*/4, budget));
+  store::BlockStore uncached(StoreConfig(/*threads=*/4, /*cache_bytes=*/0));
   const std::vector<util::Digest> digests = Populate(cached, 40, /*seed=*/41);
   ASSERT_EQ(Populate(uncached, 40, /*seed=*/41), digests);
 
@@ -186,33 +170,6 @@ TEST(ParallelRead, CacheByteBudgetNeverExceeded) {
   // The uncached store never hits and never retains payload bytes.
   EXPECT_EQ(uncached.read_stats().cache_hits, 0u);
   EXPECT_EQ(uncached.read_stats().cached_bytes, 0u);
-}
-
-TEST(ParallelRead, StripedBudgetStillBoundsResidency) {
-  // With 16 stripes the per-stripe slices must still sum to the configured
-  // budget, and total resident bytes can never exceed it — the ECI-Cache
-  // split partitions the budget, it does not inflate it.
-  const std::uint64_t budget = 24 * kBlockSize;
-  store::BlockStore cached(StoreConfig(/*threads=*/4, budget, /*shards=*/16));
-  const std::vector<util::Digest> digests = Populate(cached, 80, /*seed=*/42);
-
-  util::Rng rng(7);
-  for (int round = 0; round < 25; ++round) {
-    std::vector<util::Digest> request;
-    const std::size_t n = 1 + rng.Below(16);
-    for (std::size_t i = 0; i < n; ++i) {
-      request.push_back(
-          digests[rng.Below(static_cast<std::uint32_t>(digests.size()))]);
-    }
-    cached.GetBatch(request);
-    const store::ReadStats stats = cached.read_stats();
-    EXPECT_LE(stats.cached_bytes, budget) << "round " << round;
-    EXPECT_EQ(stats.cache_capacity_bytes, budget);
-  }
-  // A 24-block budget leaves every stripe room for at least one block, so
-  // re-reads inside a stripe still hit.
-  EXPECT_GT(cached.read_stats().cache_hits, 0u);
-  EXPECT_GT(cached.read_stats().cache_misses, 0u);
 }
 
 TEST(ParallelRead, WarmCacheHitsSkipDecompression) {

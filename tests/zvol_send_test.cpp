@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "buffer_source.h"
 #include "store_invariants.h"
 #include "util/hash.h"
@@ -101,82 +103,24 @@ TEST(SendStream, TruncationRejected) {
   EXPECT_THROW(SendStream::Deserialize(Bytes(10, 0)), std::runtime_error);
 }
 
-// Hand-built writer replicating the version-1 wire format ("SQSS" magic, no
-// per-record checksums) so the compatibility test cannot accidentally lean on
-// the production serializer.
-class V1Writer {
- public:
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-    }
+TEST(SendStream, Version1StreamIsRefused) {
+  // A version-1 stream ("SQSS" magic) carries no record checksums. Only the
+  // magic of a valid version-2 stream is rewritten and the trailer resealed,
+  // so the magic check is what refuses it.
+  SendStream stream;
+  stream.to_id = 9;
+  stream.to_name = "v1-snap";
+  stream.block_size = 4096;
+  stream.codec = "gzip6";
+  Bytes wire = stream.Serialize();
+  const std::uint32_t v1_magic = 0x53515353;  // "SQSS"
+  for (int i = 0; i < 4; ++i) {
+    wire[i] = static_cast<util::Byte>(v1_magic >> (8 * i));
   }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<util::Byte>(v >> (8 * i)));
-    }
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  void Blob(util::ByteSpan b) {
-    U32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-  /// Appends the SHA-256 trailer and returns the finished wire bytes.
-  Bytes Seal() {
-    const auto checksum = util::Sha256(out_);
-    out_.insert(out_.end(), checksum.begin(), checksum.end());
-    return std::move(out_);
-  }
-
- private:
-  Bytes out_;
-};
-
-TEST(SendStream, Version1StreamWithoutRecordChecksumsStillParses) {
-  const Bytes payload = RandomBytes(100, 21);
-  V1Writer w;
-  w.U32(0x53515353);  // kMagicV1 "SQSS"
-  w.U8(0);            // not incremental
-  w.U64(0);           // from_id
-  w.Str("");          // from_name
-  w.U64(9);           // to_id
-  w.Str("v1-snap");   // to_name
-  w.U64(777);         // created_at
-  w.U32(4096);        // block_size
-  w.Str("gzip6");     // codec
-  w.U32(0);           // no deleted files
-  w.U32(1);           // one file
-  w.Str("f");
-  w.U64(4096);  // logical_size
-  w.U8(1);      // whole_file
-  w.U32(1);     // one block
-  w.U64(0);     // index
-  w.U8(2);      // flags: has_payload, not hole, not compressed
-  {
-    BlockRecord proto;  // a zero digest, sized like the real field
-    w.Blob(util::ByteSpan(proto.digest.bytes.data(), proto.digest.bytes.size()));
-  }
-  w.U32(4096);  // logical_size
-  // Version 1: payload follows immediately — no U64 record checksum.
-  w.Blob(payload);
-
-  const SendStream parsed = SendStream::Deserialize(w.Seal());
-  EXPECT_FALSE(parsed.incremental);
-  EXPECT_EQ(parsed.to_id, 9u);
-  EXPECT_EQ(parsed.to_name, "v1-snap");
-  EXPECT_EQ(parsed.block_size, 4096u);
-  ASSERT_EQ(parsed.files.size(), 1u);
-  ASSERT_EQ(parsed.files[0].blocks.size(), 1u);
-  const BlockRecord& block = parsed.files[0].blocks[0];
-  EXPECT_TRUE(block.has_payload);
-  EXPECT_EQ(block.payload, payload);
-  // The parser synthesizes the missing record checksum so downstream
-  // validation treats v1 and v2 records uniformly.
-  EXPECT_EQ(block.payload_checksum, SendStream::PayloadChecksum(payload));
+  const std::size_t body = wire.size() - 32;
+  const auto trailer = util::Sha256(util::ByteSpan(wire.data(), body));
+  std::copy(trailer.begin(), trailer.end(), wire.begin() + body);
+  EXPECT_THROW(SendStream::Deserialize(wire), StreamCorruptError);
 }
 
 TEST(SendStream, TruncatedTrailingChecksumRejected) {
