@@ -190,8 +190,7 @@ int main(int argc, char** argv) {
     if (!budgets.empty()) store.SetTenantBudgets(budgets);
 
     store::CacheController controller(
-        &store, store::CacheControllerConfig{.total_bytes = budget,
-                                             .min_tenant_bytes = 16 * 1024});
+        &store, store::CacheControllerConfig{.min_tenant_bytes = 16 * 1024});
     const bool adaptive = mode == "adaptive";
     if (adaptive) {
       for (std::uint32_t t = 1; t <= boot_tenants + 1; ++t) {

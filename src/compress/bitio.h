@@ -2,7 +2,9 @@
 //
 // Both sides move whole words: the writer flushes 32 bits at a time and the
 // reader refills a 64-bit buffer from an 8-byte load, falling back to single
-// bytes only within the last 8 bytes of its input (DESIGN.md §18).
+// bytes only within the last 8 bytes of its input (DESIGN.md §18). The
+// deflate decoder's fast loop runs the same word refill on a copy of the
+// reader's state held in locals (BitReader::Save and Restore).
 #pragma once
 
 #include <bit>
@@ -23,6 +25,20 @@ inline std::uint64_t LoadLE64(const util::Byte* p) {
     for (unsigned i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   }
   return v;
+}
+
+/// The word refill: ORs the 8 bytes at `in` over `acc` above its `filled`
+/// valid bits, sets `filled` to the at least 56 bits now valid and returns
+/// the whole bytes taken (at most 7). Bits of `acc` above `filled` must be
+/// zero or the stream's own next bits, so the overlapping OR is exact, and
+/// the bits it leaves above the new `filled` are the stream's next bits.
+/// Requires filled < 64 and 8 readable bytes at `in`.
+inline std::size_t RefillWord(const util::Byte* in, std::uint64_t& acc,
+                              unsigned& filled) {
+  acc |= LoadLE64(in) << filled;
+  const std::size_t taken = (63 - filled) >> 3;
+  filled |= 56;
+  return taken;
 }
 
 class BitWriter {
@@ -70,11 +86,7 @@ class BitReader {
   /// fewer remain.
   void Refill() {
     if (pos_ + 8 <= data_.size()) {
-      // Bits above `filled_` are either zero or the stream's own next bits,
-      // so OR-ing a whole word over them is exact.
-      acc_ |= LoadLE64(data_.data() + pos_) << filled_;
-      pos_ += (63 - filled_) >> 3;
-      filled_ |= 56;
+      pos_ += RefillWord(data_.data() + pos_, acc_, filled_);
       return;
     }
     while (filled_ <= 56 && pos_ < data_.size()) {
@@ -96,6 +108,22 @@ class BitReader {
   void Consume(unsigned count) {
     acc_ >>= count;
     filled_ -= count;
+  }
+
+  /// The whole reader state, for a decode loop that keeps the bit buffer in
+  /// locals while it has input to spare and then hands it back: `pos` is
+  /// the next input byte not yet buffered, and `acc` and `filled` are the
+  /// buffer as Refill and Consume leave it.
+  struct State {
+    std::size_t pos;
+    std::uint64_t acc;
+    unsigned filled;
+  };
+  State Save() const { return {pos_, acc_, filled_}; }
+  void Restore(const State& state) {
+    pos_ = state.pos;
+    acc_ = state.acc;
+    filled_ = state.filled;
   }
 
   /// Reads `count` bits (count <= 32), LSB first. Throws on underflow.

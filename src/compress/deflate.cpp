@@ -41,16 +41,21 @@ Bucket EncodeBucket(std::uint32_t v) {
 }
 
 // Extra bits that follow bucket `index` (EncodeBucket's extra_bits).
-std::uint32_t ExtraBits(std::size_t index) {
+constexpr std::uint32_t ExtraBits(std::size_t index) {
   return index < 4 ? 0 : static_cast<std::uint32_t>(index / 2 - 1);
 }
 
-std::uint32_t DecodeBucket(std::uint32_t index, BitReader& reader) {
+// Smallest value in bucket `index`; its ExtraBits(index) extra bits are
+// added to it (EncodeBucket's extra_value).
+constexpr std::uint32_t BucketBase(std::uint32_t index) {
   if (index < 4) return index;
   const unsigned k = index / 2;
-  const std::uint32_t second = index & 1u;
-  const std::uint32_t extra = (k >= 1) ? reader.Read(k - 1) : 0;
-  return (1u << k) | (second << (k - 1)) | extra;
+  return (1u << k) | ((index & 1u) << (k - 1));
+}
+
+std::uint32_t DecodeBucket(std::uint32_t index, BitReader& reader) {
+  const std::uint32_t extra_bits = ExtraBits(index);
+  return BucketBase(index) + (extra_bits > 0 ? reader.Read(extra_bits) : 0);
 }
 
 std::uint32_t Load32(const util::Byte* p) {
@@ -84,6 +89,116 @@ std::size_t MatchLength(const util::Byte* a, const util::Byte* b,
 // Each symbol costs at least one bit and a match (two symbols) writes at
 // most kMaxMatch bytes, so no payload byte decodes to more output bytes.
 constexpr std::size_t kMaxOutputPerPayloadByte = 8 * kMaxMatch / 2;
+
+// DecodeFast's margins (DESIGN.md §18). With kFastInputMargin payload bytes
+// unread before a token, both of its word refills (each takes at most 7
+// bytes and loads 8) read real bytes, so every buffered bit is a stream bit
+// and no code can underflow. With kFastOutputMargin output bytes unwritten,
+// the token (at most kMaxMatch bytes) and the up to 7 bytes a word copy
+// writes past a match stay inside the output.
+constexpr std::size_t kFastInputMargin = 16;
+constexpr std::size_t kFastOutputMargin = kMaxMatch + 16;
+
+// A word refill leaves at least 56 bits buffered. That covers a length code
+// with its extra bits, and a literal code plus the lookup of the next code
+// after it; a distance code with its extra bits needs a second refill when
+// fewer than kDistCodeBits are left.
+constexpr unsigned kRefilledBits = 56;
+constexpr unsigned kDistCodeBits = kMaxCodeLength + ExtraBits(kDistSymbols - 1);
+static_assert(kMaxCodeLength + ExtraBits(kLengthBuckets - 1) <= kRefilledBits);
+static_assert(2 * kMaxCodeLength <= kRefilledBits);
+static_assert(kDistCodeBits <= kRefilledBits);
+
+std::uint32_t LowBits(std::uint64_t bits, unsigned count) {
+  return static_cast<std::uint32_t>(bits & ((std::uint64_t{1} << count) - 1));
+}
+
+// Decodes tokens into `dst` while DecodeFast's margins hold, with the
+// reader's bit buffer in locals, and returns the bytes written. The margins
+// make underflow and output overrun impossible, so neither is checked here;
+// invalid codes and distances past the output throw as in the checked loop.
+// An end-of-block symbol is left unread. The reader gets the state back, so
+// the checked loop decodes the rest of the payload as if it had decoded all
+// of it.
+std::size_t DecodeFast(util::ByteSpan body, BitReader& reader,
+                       const HuffmanDecoder& litlen_dec,
+                       const HuffmanDecoder& dist_dec, util::Byte* dst,
+                       std::size_t expected_size) {
+  if (body.size() < kFastInputMargin || expected_size < kFastOutputMargin) {
+    return 0;
+  }
+  constexpr unsigned kShift = HuffmanDecoder::kSymbolShift;
+  constexpr std::uint32_t kLengthMask = HuffmanDecoder::kLengthMask;
+  BitReader::State state = reader.Save();
+  const util::Byte* in = body.data() + state.pos;
+  const util::Byte* const in_last = body.data() + (body.size() - kFastInputMargin);
+  if (in > in_last) return 0;
+  std::uint64_t acc = state.acc;
+  unsigned filled = state.filled;
+  const std::size_t out_last = expected_size - kFastOutputMargin;
+  std::size_t produced = 0;
+  // Each pass starts with at least kRefilledBits buffered and `entry` looked
+  // up from them. A literal leaves enough bits to look the next code up
+  // before the refill, so that lookup does not wait for the refill's load.
+  in += RefillWord(in, acc, filled);
+  std::uint32_t entry = litlen_dec.Lookup(static_cast<std::uint32_t>(acc));
+  while (produced <= out_last) {
+    if (entry == 0) throw std::runtime_error("invalid Huffman code");
+    const std::uint32_t sym = entry >> kShift;
+    if (sym == kEob) break;
+    const unsigned code_len = entry & kLengthMask;
+    acc >>= code_len;
+    filled -= code_len;
+    if (sym < kEob) {
+      dst[produced++] = static_cast<util::Byte>(sym);
+      if (in > in_last) break;
+      entry = litlen_dec.Lookup(static_cast<std::uint32_t>(acc));
+      in += RefillWord(in, acc, filled);
+      continue;
+    }
+    const std::uint32_t len_index = sym - kLengthBase;
+    const unsigned len_extra = ExtraBits(len_index);
+    const std::uint32_t len =
+        BucketBase(len_index) + LowBits(acc, len_extra) + kMinMatch;
+    acc >>= len_extra;
+    filled -= len_extra;
+    if (filled < kDistCodeBits) in += RefillWord(in, acc, filled);
+    const std::uint32_t dentry = dist_dec.Lookup(static_cast<std::uint32_t>(acc));
+    if (dentry == 0) throw std::runtime_error("invalid Huffman code");
+    const unsigned dcode_len = dentry & kLengthMask;
+    acc >>= dcode_len;
+    filled -= dcode_len;
+    const std::uint32_t dist_index = dentry >> kShift;
+    const unsigned dist_extra = ExtraBits(dist_index);
+    const std::uint32_t dist = BucketBase(dist_index) + LowBits(acc, dist_extra) + 1;
+    acc >>= dist_extra;
+    filled -= dist_extra;
+    if (dist > produced) throw std::runtime_error("deflate: bad distance");
+    util::Byte* const to = dst + produced;
+    const util::Byte* const from = to - dist;
+    if (dist >= 8) {
+      // Each word is read at least 8 bytes behind where it is written, so
+      // this equals the byte-by-byte copy up to `len`; the bytes the last
+      // word writes past it are overwritten by the tokens that follow.
+      for (std::uint32_t i = 0; i < len; i += 8) std::memcpy(to + i, from + i, 8);
+    } else if (dist == 1) {
+      std::memset(to, *from, len);
+    } else {
+      for (std::uint32_t i = 0; i < len; ++i) {
+        to[i] = from[i];  // overlapping copies are intentional
+      }
+    }
+    produced += len;
+    if (in > in_last) break;
+    in += RefillWord(in, acc, filled);
+    entry = litlen_dec.Lookup(static_cast<std::uint32_t>(acc));
+  }
+  state.pos = static_cast<std::size_t>(in - body.data());
+  state.acc = acc;
+  state.filled = filled;
+  reader.Restore(state);
+  return produced;
+}
 
 }  // namespace
 
@@ -278,7 +393,8 @@ util::Bytes DeflateCodec::Decompress(util::ByteSpan input,
 
   // The mode byte occupied exactly the first 8 bits of the writer's stream,
   // so the remainder is byte-aligned at offset 1.
-  BitReader reader(input.subspan(1));
+  const util::ByteSpan body = input.subspan(1);
+  BitReader reader(body);
   const auto litlen_lengths = ReadCodeLengths(reader, kLitLenSymbols);
   const auto dist_lengths = ReadCodeLengths(reader, kDistSymbols);
   const HuffmanDecoder litlen_dec(litlen_lengths);
@@ -286,7 +402,11 @@ util::Bytes DeflateCodec::Decompress(util::ByteSpan input,
 
   util::Bytes out(expected_size);
   util::Byte* const dst = out.data();
-  std::size_t produced = 0;
+  // The fast loop decodes while its margins hold; this checked loop
+  // finishes every payload: its last bytes, underflow, overrun and the
+  // end-of-block symbol.
+  std::size_t produced =
+      DecodeFast(body, reader, litlen_dec, dist_dec, dst, expected_size);
   for (;;) {
     const std::size_t sym = litlen_dec.Decode(reader);
     if (sym < kEob) {

@@ -150,20 +150,19 @@ HuffmanDecoder::HuffmanDecoder(const std::vector<std::uint8_t>& lengths) {
 
 std::size_t HuffmanDecoder::DecodeSlow(BitReader& reader) const {
   // Decode refilled the reader, so fewer than kMaxCodeLength bits are
-  // buffered only at the end of the stream; past it, Peek reads zeros and
-  // the walk throws before using one.
-  const std::uint32_t bits = reader.Peek(kMaxCodeLength);
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
-    if (len > reader.available()) throw std::runtime_error("bit stream underflow");
-    code = (code << 1) | ((bits >> (len - 1)) & 1u);
-    // Unsigned wrap-around folds `code >= first` into the range check.
-    if (code - first_code_[len] < count_[len]) {
-      reader.Consume(len);
-      return sorted_symbols_[symbol_offset_[len] + (code - first_code_[len])];
-    }
+  // buffered only at the end of the stream, and past it Peek reads zeros.
+  // The walk reads those zeros too, but a code that ends past the buffered
+  // bits, or no code while bits are missing, means the stream ended inside
+  // a code: a bit-serial walk would have run out of input first.
+  const std::uint32_t entry = Walk(reader.Peek(kMaxCodeLength));
+  const unsigned len = entry & kLengthMask;
+  if (len == 0 ? reader.available() < kMaxCodeLength
+               : len > reader.available()) {
+    throw std::runtime_error("bit stream underflow");
   }
-  throw std::runtime_error("invalid Huffman code");
+  if (len == 0) throw std::runtime_error("invalid Huffman code");
+  reader.Consume(len);
+  return entry >> kSymbolShift;
 }
 
 namespace {

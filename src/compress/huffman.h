@@ -48,6 +48,11 @@ class HuffmanEncoder {
 /// incomplete ones a damaged header carries (DESIGN.md §18).
 class HuffmanDecoder {
  public:
+  /// A decoded code, as Lookup returns it and the root table stores it:
+  /// (symbol << kSymbolShift) | code length. 0 means no code.
+  static constexpr unsigned kSymbolShift = 4;
+  static constexpr std::uint32_t kLengthMask = (1u << kSymbolShift) - 1;
+
   explicit HuffmanDecoder(const std::vector<std::uint8_t>& lengths);
 
   /// Decodes one symbol; throws std::runtime_error on invalid codes and
@@ -63,12 +68,38 @@ class HuffmanDecoder {
     return DecodeSlow(reader);
   }
 
+  /// The code at the start of `window`, whose low kMaxCodeLength bits are
+  /// the next stream bits, LSB first: its entry, or 0 when no prefix of the
+  /// window is a code. Nothing is consumed and nothing checks that the bits
+  /// are real, so a caller must have kMaxCodeLength stream bits buffered.
+  std::uint32_t Lookup(std::uint32_t window) const {
+    const std::uint32_t entry = root_[window & kRootMask];
+    return (entry & kLengthMask) != 0 ? entry : Walk(window);
+  }
+
  private:
   static constexpr unsigned kRootBits = 10;
-  static constexpr unsigned kSymbolShift = 4;
-  static constexpr std::uint16_t kLengthMask = (1u << kSymbolShift) - 1;
+  static constexpr std::uint32_t kRootMask = (1u << kRootBits) - 1;
 
-  // The canonical walk, one bit per length.
+  // The canonical walk over the low kMaxCodeLength bits of `window`, one
+  // bit per length; returns the entry of the first length whose range holds
+  // the code read so far, or 0. Inline, so a decode loop that calls Lookup
+  // keeps its state in registers across it.
+  std::uint32_t Walk(std::uint32_t window) const {
+    std::uint32_t code = 0;
+    for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
+      code = (code << 1) | ((window >> (len - 1)) & 1u);
+      // Unsigned wrap-around folds `code >= first` into the range check.
+      if (code - first_code_[len] < count_[len]) {
+        return (sorted_symbols_[symbol_offset_[len] + (code - first_code_[len])]
+                << kSymbolShift) |
+               len;
+      }
+    }
+    return 0;
+  }
+  // Decode's path for long codes and the end of the stream: the walk, and
+  // the underflow check.
   std::size_t DecodeSlow(BitReader& reader) const;
 
   // first_code_[len] / count_[len] / symbol_offset_[len] give the canonical
@@ -77,7 +108,7 @@ class HuffmanDecoder {
   std::array<std::uint32_t, kMaxCodeLength + 2> count_{};
   std::array<std::uint32_t, kMaxCodeLength + 2> symbol_offset_{};
   std::vector<std::uint32_t> sorted_symbols_;
-  // (symbol << kSymbolShift) | code length; length 0 sends the lookup to
+  // Entries of the codes of at most kRootBits bits; 0 sends the lookup to
   // the walk.
   std::array<std::uint16_t, 1u << kRootBits> root_{};
 };

@@ -651,11 +651,6 @@ CacheSample BlockStore::SampleCache() const {
   return sample;
 }
 
-bool BlockStore::CachedDecompressed(const util::Digest& digest) const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.ResidentPayload(digest);
-}
-
 std::vector<std::uint8_t> BlockStore::CachedDecompressedBatch(
     std::span<const util::Digest> digests) const {
   std::vector<std::uint8_t> resident(digests.size(), 0);

@@ -420,13 +420,10 @@ class BlockStore {
   std::vector<std::uint8_t> VerifyBatch(
       std::span<const util::Digest> digests) const;
 
-  /// True when the decompressed payload of `digest` is resident in the ARC.
+  /// resident[i] == 1 iff the decompressed payload of digests[i] is resident
+  /// and filled in the ARC; one lock acquisition for the whole span.
   /// Non-mutating (no counter update); the boot simulator probes this to
   /// decide whether a read pays decompression CPU.
-  bool CachedDecompressed(const util::Digest& digest) const;
-
-  /// Batched CachedDecompressed: one lock acquisition for the whole span,
-  /// resident[i] == 1 iff the payload of digests[i] is resident and filled.
   std::vector<std::uint8_t> CachedDecompressedBatch(
       std::span<const util::Digest> digests) const;
 

@@ -78,8 +78,8 @@ ControllerTick CacheController::Tick() {
 
   ControllerTick result;
   result.tick = ++tick_count_;
-  const std::uint64_t total =
-      config_.total_bytes != 0 ? config_.total_bytes : sample.capacity_bytes;
+  // Each tick distributes the ARC's whole capacity across the tenants.
+  const std::uint64_t total = sample.capacity_bytes;
   result.total_bytes = total;
 
   // Per tenant the signal is raw reuse bytes: hit bytes keep the budget

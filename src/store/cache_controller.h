@@ -63,9 +63,6 @@
 namespace squirrel::store {
 
 struct CacheControllerConfig {
-  /// Total decompressed-cache byte budget the controller distributes
-  /// across tenants each tick; 0 falls back to the ARC's capacity.
-  std::uint64_t total_bytes = 0;
   /// EMA gain folding each interval's fresh reuse bytes (hit + ghost-hit)
   /// into the smoothed demand estimate: ema += gain * (fresh - ema). 1.0 =
   /// no smoothing (last interval only), small values favour stability.

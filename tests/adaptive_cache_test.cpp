@@ -197,7 +197,6 @@ TEST(AdaptiveCache, ControllerShiftsBudgetTowardReuse) {
   const auto set1 = PutCompressible(store, rng, 40);
   const auto set2 = PutCompressible(store, rng, 40);
   store::CacheControllerConfig config;
-  config.total_bytes = budget;
   config.min_tenant_bytes = 8 * 1024;
   store::CacheController controller(&store, config);
   controller.ObserveTenant(1);
@@ -237,7 +236,6 @@ TEST(AdaptiveCache, ControllerFloorsPinnedBytes) {
   const auto boot_set = PutCompressible(store, rng, 16);
   store.WarmCacheAs(1, boot_set, /*pin=*/true);
   store::CacheControllerConfig config;
-  config.total_bytes = budget;
   store::CacheController controller(&store, config);
   const store::ControllerTick tick = controller.Tick();
   ASSERT_EQ(tick.tenants.size(), 1u);
@@ -257,7 +255,6 @@ std::vector<std::string> RunControllerTrace(std::uint32_t threads) {
   const auto set1 = PutCompressible(store, rng, 48);
   const auto set2 = PutCompressible(store, rng, 64);
   store::CacheControllerConfig config;
-  config.total_bytes = budget;
   config.min_tenant_bytes = 8 * 1024;
   store::CacheController controller(&store, config);
   controller.ObserveTenant(1);
@@ -293,10 +290,12 @@ TEST(AdaptiveCache, ControllerOffKeepsCacheStateUntouched) {
     const auto set = PutCompressible(store, rng, 48);
     std::optional<store::CacheController> controller;
     if (construct) {
-      // A tick would cap tenant 1 near this budget.
+      // A tick would cap tenant 1 at half the cache, tenant 2's floor
+      // taking the other half.
       controller.emplace(&store, store::CacheControllerConfig{
-                                     .total_bytes = 16 * 4096});
+                                     .min_tenant_bytes = 32 * 4096});
       controller->ObserveTenant(1);
+      controller->ObserveTenant(2);
     }
     for (int i = 0; i < 4; ++i) store.GetBatchAs(1, set);
     const store::CacheSample s = store.SampleCache();

@@ -355,11 +355,11 @@ TEST(VolumeFileDevice, HeldBlockOutlivesArcEviction) {
   Bytes out(4096);
   device.ReadAt(b * 4096, out);
   const util::Digest digest = volume.FileBlock("f", b).digest;
-  ASSERT_TRUE(volume.block_store().CachedDecompressed(digest));
+  ASSERT_TRUE(volume.block_store().CachedDecompressedBatch({&digest, 1})[0]);
 
   // Reading another file through the two-block ARC evicts it.
   ASSERT_EQ(volume.ReadFile("g"), other);
-  ASSERT_FALSE(volume.block_store().CachedDecompressed(digest));
+  ASSERT_FALSE(volume.block_store().CachedDecompressedBatch({&digest, 1})[0]);
 
   const std::uint64_t requests = StoreRequests(volume);
   std::fill(out.begin(), out.end(), util::Byte{0xa5});

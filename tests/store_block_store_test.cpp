@@ -187,7 +187,7 @@ TEST(BlockStore, GetStoredCopiesTheStoredFormWithoutReading) {
   EXPECT_EQ(after.decompressed_blocks, before.decompressed_blocks);
   EXPECT_EQ(after.decompressed_bytes, before.decompressed_bytes);
   EXPECT_EQ(after.cached_bytes, before.cached_bytes);
-  EXPECT_FALSE(store.CachedDecompressed(text.digest));
+  EXPECT_FALSE(store.CachedDecompressedBatch({&text.digest, 1})[0]);
 
   EXPECT_EQ(store.codec().Decompress(packed.payload, packed.logical_size),
             store.Get(text.digest));

@@ -189,7 +189,7 @@ TEST(ParallelRead, WarmCacheHitsSkipDecompression) {
   EXPECT_EQ(after_cold.cache_hits, 0u);
   EXPECT_EQ(after_cold.decompressed_blocks, 10u);
   for (const util::Digest& d : digests) {
-    EXPECT_TRUE(store.CachedDecompressed(d));
+    EXPECT_TRUE(store.CachedDecompressedBatch({&d, 1})[0]);
   }
 
   const std::vector<Bytes> warm = store.GetBatch(digests);
@@ -216,7 +216,7 @@ TEST(ParallelRead, RawBlocksBypassTheCache) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 0u);
   EXPECT_EQ(stats.cached_bytes, 0u);
-  EXPECT_FALSE(store.CachedDecompressed(digest));
+  EXPECT_FALSE(store.CachedDecompressedBatch({&digest, 1})[0]);
 }
 
 TEST(ParallelRead, SharedPayloadsAreOneBufferPerBlock) {
