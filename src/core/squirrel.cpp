@@ -396,11 +396,6 @@ BootReport SquirrelCluster::Boot(std::uint32_t compute_node,
   cow::QcowOverlay overlay(base_image.size(), cow::kDefaultClusterSize);
   sim::VolumeFileDevice cache(&node.volume(), file, &io,
                               /*device_id=*/0x1000 + compute_node);
-  // Multi-tenant cache accounting: tag the device so every demand read and
-  // warm this boot issues charges the requesting tenant's ARC budget.
-  // Tenant 0 (the default) leaves the store on its untracked single-tenant
-  // path — bit-identical to the pre-tenant tree.
-  cache.SetTenant(request.tenant);
   // Degraded-mode fallback: a corrupt ccVolume block heals on demand
   // through a repair session, charged as network traffic to this node. With
   // a healthy replica this changes nothing. The session holds the storage

@@ -82,12 +82,6 @@ struct BootRequest {
   /// peers may serve Byzantine payloads under the cluster's fault injector;
   /// lying peers strike out and the block re-sources from the next replica.
   bool peer_repair_sources = false;
-  /// Tenant (VM owner) this boot's ARC residency is charged to (see
-  /// store::TenantId; per-tenant budgets come from store::CacheController).
-  /// Appended last so positional initializers predating the field keep
-  /// their meaning. Default 0 = untagged single-tenant mode, which keeps
-  /// every cache code path bit-identical to the pre-tenant tree.
-  store::TenantId tenant = store::kDefaultTenant;
 };
 
 struct RegistrationReport {

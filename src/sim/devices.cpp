@@ -286,7 +286,7 @@ VolumeFileDevice::PreHealStats VolumeFileDevice::PreHealBlocks(
       // The run is read for its side effects (heal, ARC fill): an empty
       // window copies none of its bytes.
       std::uint64_t fetched = 0;
-      volume_->ReadRangeRepairInto(tenant_, file_, offset, length, 0, {},
+      volume_->ReadRangeRepairInto(file_, offset, length, 0, {},
                                    *repair_session_, &fetched);
       if (fetched > 0) {
         ++stats.repair_fetches;
@@ -344,7 +344,7 @@ std::uint64_t VolumeFileDevice::WarmCacheFromBlocks(
     if (ptr.hole) continue;
     digests.push_back(ptr.digest);
   }
-  return volume_->block_store().WarmCacheAs(tenant_, digests);
+  return volume_->block_store().WarmCache(digests);
 }
 
 void VolumeFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
@@ -461,14 +461,14 @@ void VolumeFileDevice::ReadWindow(std::uint64_t offset, std::uint64_t length,
   // shared payloads for Hold.
   std::vector<util::SharedBytes>* blocks = io_ != nullptr ? &fetched_ : nullptr;
   if (repair_session_ == nullptr) {
-    volume_->ReadRangeInto(tenant_, file_, offset, length, skip, out, blocks);
+    volume_->ReadRangeInto(file_, offset, length, skip, out, blocks);
   } else {
     // Degraded mode: a corrupt local block is healed on demand from the
     // first honest replica that has it (the storage node in a one-peer
     // session); the re-fetched bytes are charged as network traffic (the
     // cost curve BENCH_faults measures).
     std::uint64_t fetched = 0;
-    volume_->ReadRangeRepairInto(tenant_, file_, offset, length, skip, out,
+    volume_->ReadRangeRepairInto(file_, offset, length, skip, out,
                                  *repair_session_, &fetched, blocks);
     degraded_.peers_blacklisted = repair_session_->peers_blacklisted();
     degraded_.resourced_blocks = repair_session_->resourced_blocks();

@@ -161,21 +161,13 @@ class VolumeFileDevice final : public cow::WritableDevice,
   std::uint64_t device_id() const override { return device_id_; }
 
   /// Warms the volume's decompressed-block ARC for the given volume blocks
-  /// of this file by pushing their digests through BlockStore::GetBatch in
+  /// of this file by pushing their digests through BlockStore::WarmCache in
   /// ingest-sized rounds. Returns the number of blocks whose payloads are
   /// now cache-resident. Costs no simulated time: warming happens before
   /// the guest starts (the modelled prefetch daemon runs during VM
   /// scheduling). Corrupt blocks are skipped, not healed — run the pre-heal
   /// pass first on degraded volumes.
   std::uint64_t WarmCacheFromBlocks(std::span<const std::uint64_t> blocks);
-
-  /// Tags every subsequent demand read, warm and pre-heal from this device
-  /// with `tenant` (see store::TenantId): the VM behind this device is charged
-  /// for the ARC residency its boot creates, which is what lets the cache
-  /// controller partition budget per VM. Default 0 = untagged
-  /// (single-tenant mode, bit-identical to the pre-tenant path).
-  void SetTenant(store::TenantId tenant) { tenant_ = tenant; }
-  store::TenantId tenant() const { return tenant_; }
 
   /// Degraded-read accounting: reads that hit a corrupt local block, the
   /// bytes re-fetched from the repair peers to heal them, and the repair
@@ -209,13 +201,12 @@ class VolumeFileDevice final : public cow::WritableDevice,
   };
 
   /// Pre-heal pass: reads the given volume blocks of this file (sorted
-  /// ascending) in contiguous runs through the repair session, as this
-  /// device's tenant, before the guest starts. A degraded replica fetches
-  /// its clean copies now — off the boot's critical path — and the reads
-  /// warm the decompressed-block ARC either way. Fetched bytes are charged
-  /// to the repair network but not to the I/O clock (the modelled prefetch
-  /// daemon overlaps VM scheduling) and not to degraded_stats(). Requires
-  /// SetRepairSources.
+  /// ascending) in contiguous runs through the repair session, before the
+  /// guest starts. A degraded replica fetches its clean copies now — off
+  /// the boot's critical path — and the reads warm the decompressed-block
+  /// ARC either way. Fetched bytes are charged to the repair network but
+  /// not to the I/O clock (the modelled prefetch daemon overlaps VM
+  /// scheduling) and not to degraded_stats(). Requires SetRepairSources.
   PreHealStats PreHealBlocks(std::span<const std::uint64_t> blocks);
 
   const DegradedReadStats& degraded_stats() const { return degraded_; }
@@ -261,7 +252,6 @@ class VolumeFileDevice final : public cow::WritableDevice,
   std::uint32_t repair_node_id_ = 0;
   std::unique_ptr<zvol::RepairSession> repair_session_;
   DegradedReadStats degraded_;
-  store::TenantId tenant_ = store::kDefaultTenant;
   std::unordered_map<std::uint64_t, HeldBlock> held_;  // by volume block
   // The shared payloads of the last volume read, one slot per block of its
   // request (ReadRangeInto's `blocks`); reused across reads.

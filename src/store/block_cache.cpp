@@ -38,8 +38,8 @@ std::vector<BlockCache::TenantSample> BlockCache::SampleTenants() const {
   for (const auto& [tenant, stats] : arc_.owner_stats()) {
     samples.push_back(TenantSample{tenant, stats.hits, stats.hit_bytes,
                                    stats.misses, stats.ghost_hits,
-                                   stats.ghost_hit_bytes, stats.resident_weight,
-                                   stats.pinned_weight});
+                                   stats.ghost_hit_bytes,
+                                   stats.resident_weight});
   }
   return samples;
 }

@@ -46,8 +46,8 @@ namespace squirrel::store {
 
 /// Tenant identifier for multi-tenant cache accounting: one id per VM (or
 /// per image family — the deployer picks the granularity). Tenant 0 is the
-/// default single-tenant mode; with no other ids, budgets or pins in play
-/// the cache behaves bit-identically to the pre-tenant code.
+/// default single-tenant mode; with no other ids or budgets in play the
+/// cache never tracks owners.
 using TenantId = std::uint32_t;
 inline constexpr TenantId kDefaultTenant = 0;
 
@@ -66,12 +66,11 @@ class BlockCache {
   struct TenantSample {
     TenantId tenant = kDefaultTenant;
     std::uint64_t hits = 0;
-    std::uint64_t hit_bytes = 0;  // frequency reuse (T2/pinned hit payload)
+    std::uint64_t hit_bytes = 0;  // frequency reuse (T2 hit payload)
     std::uint64_t misses = 0;
     std::uint64_t ghost_hits = 0;
     std::uint64_t ghost_hit_bytes = 0;
     std::uint64_t resident_bytes = 0;
-    std::uint64_t pinned_bytes = 0;
   };
 
   /// ARC lookup; on kHit points `*out` at the resident payload. A null
@@ -92,16 +91,6 @@ class BlockCache {
   /// was evicted (or never admitted, e.g. wider than the whole budget).
   void Fill(const util::Digest& digest, util::SharedBytes payload);
 
-  /// Pins a resident entry for `tenant` (boot-critical tier): charged to
-  /// the tenant, never evicted by replacement or budget pressure, dropped
-  /// only by Resize(0). False when `digest` is not resident.
-  bool Pin(const util::Digest& digest, TenantId tenant = kDefaultTenant) {
-    return arc_.Pin(digest, tenant);
-  }
-
-  /// Demotes every pinned entry back into normal replacement order.
-  std::size_t UnpinAll() { return arc_.UnpinAll(); }
-
   /// Sets `tenant`'s resident-byte budget.
   void SetTenantBudget(TenantId tenant, std::uint64_t bytes) {
     arc_.SetOwnerBudget(tenant, bytes);
@@ -117,7 +106,7 @@ class BlockCache {
   /// Rebudgets the cache: shrinking evicts down to the new byte budget in
   /// ARC replacement order (payloads drop with their entries); growing keeps
   /// everything and raises the ceiling. Resize(0) is a full disable — every
-  /// payload (pinned included) and all ghost history drop.
+  /// payload and all ghost history drop.
   void Resize(std::uint64_t capacity_bytes) { arc_.Resize(capacity_bytes); }
 
   bool enabled() const { return arc_.capacity() > 0; }
@@ -125,15 +114,10 @@ class BlockCache {
   /// Admitted decompressed bytes currently resident (the byte budget the
   /// ARC enforces; pending entries count from admission).
   std::uint64_t resident_bytes() const { return arc_.resident_weight(); }
-  std::uint64_t pinned_bytes() const { return arc_.pinned_weight(); }
   std::uint64_t hits() const { return arc_.hits(); }
   std::uint64_t misses() const { return arc_.misses(); }
-  /// Ghost-hit export for the controller: would-have-hit accesses (count
-  /// and byte volume) — the marginal-utility signal of this cache.
-  std::uint64_t ghost_hits_recency() const { return arc_.ghost_hits_recency(); }
-  std::uint64_t ghost_hits_frequency() const {
-    return arc_.ghost_hits_frequency();
-  }
+  /// Ghost-hit export for the controller: the byte volume of would-have-hit
+  /// accesses — the marginal-utility signal of this cache.
   std::uint64_t ghost_hit_bytes() const { return arc_.ghost_hit_bytes(); }
   std::uint64_t hit_bytes() const { return arc_.hit_weight(); }
 

@@ -280,7 +280,7 @@ void BlockStore::DropRefLocked(EntryMap::iterator it) {
 
 util::Bytes BlockStore::Get(const util::Digest& digest) const {
   const util::Digest one[1] = {digest};
-  return *GetBatchShared(kDefaultTenant, one)[0];
+  return *GetBatchShared(one)[0];
 }
 
 util::Bytes BlockStore::GetUncached(const util::Digest& digest) const {
@@ -333,7 +333,8 @@ std::vector<util::Bytes> BlockStore::GetBatch(
 
 std::vector<util::Bytes> BlockStore::GetBatchAs(
     TenantId tenant, std::span<const util::Digest> digests) const {
-  const std::vector<util::SharedBytes> shared = GetBatchShared(tenant, digests);
+  std::vector<util::SharedBytes> shared(digests.size());
+  if (!digests.empty()) GetBatchImpl(digests, &shared, tenant);
   // Copied on the read pool: a serial copy-out would hold a parallel batch
   // to one thread's copy rate.
   std::vector<util::Bytes> results(shared.size());
@@ -342,16 +343,16 @@ std::vector<util::Bytes> BlockStore::GetBatchAs(
 }
 
 std::vector<util::SharedBytes> BlockStore::GetBatchShared(
-    TenantId tenant, std::span<const util::Digest> digests) const {
+    std::span<const util::Digest> digests) const {
   std::vector<util::SharedBytes> results(digests.size());
   if (digests.empty()) return results;
-  GetBatchImpl(digests, &results, tenant, /*pin=*/false);
+  GetBatchImpl(digests, &results, kDefaultTenant);
   return results;
 }
 
 void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
                               std::vector<util::SharedBytes>* results,
-                              TenantId tenant, bool pin) const {
+                              TenantId tenant) const {
   // Resolve every digest against the DDT first, then validate in input
   // order before any cache mutation — a serial Get loop would throw at the
   // first unknown digest. Entry pointers stay valid across the stages: the
@@ -401,7 +402,6 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
         switch (cache_.Lookup(digests[i], nullptr, tenant)) {
           case BlockCache::Outcome::kHit:
             ++reads_.warm_skipped_resident;
-            if (pin) cache_.Pin(digests[i], tenant);
             continue;
           case BlockCache::Outcome::kPending:
             // Admitted by a concurrent batch, fill in flight elsewhere;
@@ -428,7 +428,6 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
       ++reads_.decompressed_blocks;
       reads_.decompressed_bytes += miss.entry->logical_size;
       cache_.Fill(digests[miss.index], std::move(payloads[j]));
-      if (pin) cache_.Pin(digests[miss.index], tenant);
     }
     return;
   }
@@ -527,12 +526,6 @@ void BlockStore::GetBatchImpl(std::span<const util::Digest> digests,
 
 std::uint64_t BlockStore::WarmCache(
     std::span<const util::Digest> digests) const {
-  return WarmCacheAs(kDefaultTenant, digests, /*pin=*/false);
-}
-
-std::uint64_t BlockStore::WarmCacheAs(TenantId tenant,
-                                      std::span<const util::Digest> digests,
-                                      bool pin) const {
   // Dedup first: re-reading a digest inside one warm pass buys nothing and
   // would distort the ARC's recency order.
   std::vector<util::Digest> unique;
@@ -550,16 +543,15 @@ std::uint64_t BlockStore::WarmCacheAs(TenantId tenant,
   for (std::size_t start = 0; start < unique.size(); start += round) {
     const std::span<const util::Digest> chunk(
         unique.data() + start, std::min(round, unique.size() - start));
-    warmed += WarmRounds(tenant, chunk, pin);
+    warmed += WarmRounds(chunk);
   }
   return warmed;
 }
 
-std::uint64_t BlockStore::WarmRounds(TenantId tenant,
-                                     std::span<const util::Digest> digests,
-                                     bool pin) const {
+std::uint64_t BlockStore::WarmRounds(
+    std::span<const util::Digest> digests) const {
   try {
-    GetBatchImpl(digests, /*results=*/nullptr, tenant, pin);
+    GetBatchImpl(digests, /*results=*/nullptr, kDefaultTenant);
     return digests.size();
   } catch (const BlockCorruptionError&) {
     // A corrupt block poisons its round; retry one-by-one so the healthy
@@ -569,7 +561,7 @@ std::uint64_t BlockStore::WarmRounds(TenantId tenant,
     for (const util::Digest& digest : digests) {
       const util::Digest one[1] = {digest};
       try {
-        GetBatchImpl(one, /*results=*/nullptr, tenant, pin);
+        GetBatchImpl(one, /*results=*/nullptr, kDefaultTenant);
         ++warmed;
       } catch (const BlockCorruptionError&) {
       }
@@ -630,22 +622,14 @@ void BlockStore::SetTenantBudgets(std::span<const TenantBudget> budgets) {
   }
 }
 
-std::size_t BlockStore::UnpinCache() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return cache_.UnpinAll();
-}
-
 CacheSample BlockStore::SampleCache() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   CacheSample sample;
   sample.capacity_bytes = cache_.capacity_bytes();
   sample.resident_bytes = cache_.resident_bytes();
-  sample.pinned_bytes = cache_.pinned_bytes();
   sample.hits = cache_.hits();
   sample.hit_bytes = cache_.hit_bytes();
   sample.misses = cache_.misses();
-  sample.ghost_hits_recency = cache_.ghost_hits_recency();
-  sample.ghost_hits_frequency = cache_.ghost_hits_frequency();
   sample.ghost_hit_bytes = cache_.ghost_hit_bytes();
   sample.tenants = cache_.SampleTenants();
   return sample;
@@ -743,10 +727,6 @@ ReadStats BlockStore::read_stats() const {
   stats.cached_bytes = cache_.resident_bytes();
   stats.cache_capacity_bytes = cache_.capacity_bytes();
   stats.warm_skipped_resident = reads_.warm_skipped_resident;
-  stats.ghost_hits_recency = cache_.ghost_hits_recency();
-  stats.ghost_hits_frequency = cache_.ghost_hits_frequency();
-  stats.ghost_hit_bytes = cache_.ghost_hit_bytes();
-  stats.pinned_bytes = cache_.pinned_bytes();
   return stats;
 }
 

@@ -230,14 +230,6 @@ struct ReadStats {
   /// determinism contract) but skipped materializing the payload, so
   /// re-warming a resident working set is near-free.
   std::uint64_t warm_skipped_resident = 0;
-  /// Ghost-list hits: misses on blocks evicted recently enough that more
-  /// budget would have kept them — the marginal utility signal
-  /// store::CacheController rebudgets from.
-  std::uint64_t ghost_hits_recency = 0;    // B1 (recency history)
-  std::uint64_t ghost_hits_frequency = 0;  // B2 (frequency history)
-  std::uint64_t ghost_hit_bytes = 0;       // byte-weighted ghost hits
-  /// Resident bytes in the pinned (boot-critical) tier.
-  std::uint64_t pinned_bytes = 0;
 };
 
 /// Snapshot of the ARC for the cache controller: capacities and residency
@@ -246,12 +238,11 @@ struct ReadStats {
 struct CacheSample {
   std::uint64_t capacity_bytes = 0;
   std::uint64_t resident_bytes = 0;
-  std::uint64_t pinned_bytes = 0;
   std::uint64_t hits = 0;
-  std::uint64_t hit_bytes = 0;  // frequency reuse (T2/pinned hit payload)
+  std::uint64_t hit_bytes = 0;  // frequency reuse (T2 hit payload)
   std::uint64_t misses = 0;
-  std::uint64_t ghost_hits_recency = 0;
-  std::uint64_t ghost_hits_frequency = 0;
+  /// Ghost-list hit bytes: misses on blocks evicted recently enough that
+  /// more budget would have kept them.
   std::uint64_t ghost_hit_bytes = 0;
   std::vector<BlockCache::TenantSample> tenants;
 };
@@ -345,11 +336,9 @@ class BlockStore {
   StoredBlock GetStored(const util::Digest& digest) const;
 
   /// Batch-first read path: returns the decompressed payloads of `digests`
-  /// in input order as shared immutable buffers, with the cache interaction
-  /// charged to `tenant` (the multi-tenant boot path tags each VM's reads
-  /// with its own id so budgets and eviction pressure attribute correctly).
-  /// Payloads, ARC state and counters are bit-identical to a serial loop of
-  /// Get calls at any thread count and cache size:
+  /// in input order as shared immutable buffers. Payloads, ARC state and
+  /// counters are bit-identical to a serial loop of Get calls at any thread
+  /// count and cache size:
   ///   1. classify every digest against the ARC in one ordered pass
   ///      (replaying the exact serial Lookup/Insert sequence, so ARC state
   ///      and hit/miss counters match serial too),
@@ -360,15 +349,17 @@ class BlockStore {
   /// of them is copied (DESIGN.md §24). Throws NoSuchBlockError (before any
   /// cache mutation) if any digest is unknown.
   std::vector<util::SharedBytes> GetBatchShared(
-      TenantId tenant, std::span<const util::Digest> digests) const;
+      std::span<const util::Digest> digests) const;
 
-  /// Caller-owned copies of the payloads GetBatchShared returns for
-  /// kDefaultTenant.
+  /// Caller-owned copies of the payloads GetBatchShared returns.
   std::vector<util::Bytes> GetBatch(
       std::span<const util::Digest> digests) const;
 
-  /// Caller-owned copies of the payloads GetBatchShared returns for
-  /// `tenant`.
+  /// GetBatch with the cache interaction charged to `tenant` — the store's
+  /// one tenant-tagged read. Hits, misses, ghost hits and residency are
+  /// counted per tenant and admissions obey the tenant's budget
+  /// (SetTenantBudgets); store::CacheController partitions the cache from
+  /// those counters.
   std::vector<util::Bytes> GetBatchAs(
       TenantId tenant, std::span<const util::Digest> digests) const;
 
@@ -385,15 +376,6 @@ class BlockStore {
   /// of payloads successfully read. Bounded memory: one round of payloads
   /// at a time.
   std::uint64_t WarmCache(std::span<const util::Digest> digests) const;
-
-  /// WarmCache charged to `tenant`. With `pin` set, every block the warm
-  /// pass leaves resident-and-filled is moved into the pinned tier (PR 5's
-  /// boot profiles mark their recorded touch set boot-critical this way):
-  /// still charged to the tenant, but not evictable by replacement or other
-  /// tenants' pressure until UnpinCache() or ResizeCache(0).
-  std::uint64_t WarmCacheAs(TenantId tenant,
-                            std::span<const util::Digest> digests,
-                            bool pin = false) const;
 
   bool Contains(const util::Digest& digest) const;
   std::uint32_t RefCount(const util::Digest& digest) const;
@@ -474,8 +456,8 @@ class BlockStore {
   /// under memory pressure and recovers). Shrinking evicts in replacement
   /// order down to the new budget; growing keeps contents. Applied under
   /// the cache lock, between whole passes of in-flight batch reads.
-  /// Zero is a well-defined full disable: every entry (pinned entries and
-  /// ghost history included) drops, and ReadStats reports
+  /// Zero is a well-defined full disable: every entry (ghost history
+  /// included) drops, and ReadStats reports
   /// cache_capacity_bytes == 0.
   void ResizeCache(std::uint64_t bytes);
 
@@ -485,10 +467,6 @@ class BlockStore {
   /// already above a new budget keeps its residents but cannot admit more
   /// until its charge drains.
   void SetTenantBudgets(std::span<const TenantBudget> budgets);
-
-  /// Demotes every pinned entry back into normal ARC replacement order;
-  /// returns the number demoted.
-  std::size_t UnpinCache();
 
   /// ARC snapshot for the cache controller, taken under the cache lock.
   CacheSample SampleCache() const;
@@ -553,22 +531,20 @@ class BlockStore {
   /// DecodeStored of a DDT entry as a new shared buffer; null when corrupt.
   util::SharedBytes DecodeEntry(const util::Digest& digest,
                                 const Entry& entry) const;
-  /// Shared implementation of GetBatchShared/WarmCache, and the one place
-  /// decompressed buffers are made. In warm mode (`results` null), cache
-  /// hits are counted as warm_skipped_resident and aliases are not
-  /// materialized; misses still decompress and fill the cache — and the
+  /// Shared implementation of GetBatchShared/GetBatchAs/WarmCache, and the
+  /// one place decompressed buffers are made; the cache interaction is
+  /// charged to `tenant`. In warm mode (`results` null), cache hits are
+  /// counted as warm_skipped_resident and aliases are not materialized;
+  /// misses still decompress and fill the cache — and the
   /// classify/decompress/install runs under ONE continuous cache-lock hold,
   /// so the residency judgement and the fill commit in the same lock epoch
-  /// (a concurrent ResizeCache cannot evict between them). `pin` (warm
-  /// only) pins what the pass leaves filled.
+  /// (a concurrent ResizeCache cannot evict between them).
   void GetBatchImpl(std::span<const util::Digest> digests,
-                    std::vector<util::SharedBytes>* results, TenantId tenant,
-                    bool pin) const;
+                    std::vector<util::SharedBytes>* results,
+                    TenantId tenant) const;
   /// One warm-mode round over `digests` (already deduped/filtered), used by
-  /// WarmCacheAs via GetBatchImpl.
-  std::uint64_t WarmRounds(TenantId tenant,
-                           std::span<const util::Digest> digests,
-                           bool pin) const;
+  /// WarmCache via GetBatchImpl.
+  std::uint64_t WarmRounds(std::span<const util::Digest> digests) const;
 
   BlockStoreConfig config_;
   const compress::Codec* codec_;

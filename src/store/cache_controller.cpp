@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace squirrel::store {
 namespace {
+
+/// EMA gain folding each interval's fresh reuse bytes (hit + ghost-hit)
+/// into the smoothed demand estimate: ema += kDemandGain * (fresh - ema).
+constexpr double kDemandGain = 0.5;
 
 /// Splits `extra` across `weights` proportionally, in integers that sum to
 /// exactly `extra`: floor shares first, then the remainder one byte at a
@@ -54,19 +57,10 @@ std::string ControllerTick::ToLine() const {
     if (t != 0) line += ",";
     line += std::to_string(tenants[t].tenant) + ":" +
             std::to_string(tenants[t].budget_bytes) + "/d" +
-            std::to_string(tenants[t].demand_bytes) + "/p" +
-            std::to_string(tenants[t].pinned_bytes);
+            std::to_string(tenants[t].demand_bytes);
   }
   line += "]";
   return line;
-}
-
-CacheController::CacheController(BlockStore* store,
-                                 CacheControllerConfig config)
-    : store_(store), config_(config) {
-  if (!(config_.gain > 0.0) || config_.gain > 1.0) {
-    throw std::invalid_argument("CacheControllerConfig::gain must be in (0,1]");
-  }
 }
 
 void CacheController::ObserveTenant(TenantId tenant) {
@@ -87,10 +81,8 @@ ControllerTick CacheController::Tick() {
   // bytes pull it toward whoever is thrashing. Ordered map keeps the
   // decision (and trace) order deterministic.
   std::map<TenantId, std::uint64_t> reuse_now;
-  std::map<TenantId, std::uint64_t> pinned_now;
   for (const BlockCache::TenantSample& t : sample.tenants) {
     reuse_now[t.tenant] = t.hit_bytes + t.ghost_hit_bytes;
-    pinned_now[t.tenant] = t.pinned_bytes;
     tenants_.try_emplace(t.tenant);
   }
   for (auto& [tenant, state] : tenants_) {
@@ -98,10 +90,10 @@ ControllerTick CacheController::Tick() {
     const std::uint64_t fresh = now - state.prev_reuse_bytes;
     state.prev_reuse_bytes = now;
     state.demand_ema +=
-        config_.gain * (static_cast<double>(fresh) - state.demand_ema);
+        kDemandGain * (static_cast<double>(fresh) - state.demand_ema);
   }
 
-  // Tenant rebudget: floor = pinned + min_tenant_bytes, remainder
+  // Tenant rebudget: floor = min_tenant_bytes, remainder
   // proportional to smoothed tenant demand. No tenants observed yet means
   // single-tenant mode — leave the shared ARC unpartitioned.
   if (!tenants_.empty()) {
@@ -112,9 +104,8 @@ ControllerTick CacheController::Tick() {
     for (const auto& [tenant, state] : tenants_) {
       TenantShare share;
       share.tenant = tenant;
-      share.pinned_bytes = pinned_now[tenant];
       share.demand_bytes = DemandBytes(state.demand_ema);
-      share.budget_bytes = share.pinned_bytes + config_.min_tenant_bytes;
+      share.budget_bytes = config_.min_tenant_bytes;
       tenant_floor_sum += share.budget_bytes;
       demands.push_back(share.demand_bytes);
       shares.push_back(share);

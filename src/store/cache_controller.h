@@ -5,7 +5,7 @@
 // The control signal is reuse-byte marginal utility (DESIGN.md §17), built
 // from two ARC counters:
 //
-//   hit bytes        payload served from T2/pinned residents — *frequency*
+//   hit bytes        payload served from T2 residents — *frequency*
 //                    reuse the current budget realized. T1 recency hits are
 //                    deliberately excluded: a back-to-back double read
 //                    (scan-then-verify patterns) hits in T1 and would be
@@ -33,9 +33,9 @@
 //   1. samples the ARC (BlockStore::SampleCache),
 //   2. differences each tenant's cumulative hit-byte and ghost-hit-byte
 //      counters against the previous tick and folds the fresh reuse into a
-//      per-tenant EMA (gain = CacheControllerConfig::gain),
-//   3. recomputes per-tenant budgets — pinned charge + min_tenant_bytes as
-//      the floor, remaining budget proportional to smoothed tenant demand —
+//      per-tenant EMA with gain 0.5 (ema += 0.5 * (fresh - ema)),
+//   3. recomputes per-tenant budgets — min_tenant_bytes as the floor,
+//      remaining budget proportional to smoothed tenant demand —
 //      and installs them (BlockStore::SetTenantBudgets), so a noisy
 //      tenant's budget share shrinks toward its floor as soon as its ghost
 //      pressure stops translating into retained hits while the quiet
@@ -63,12 +63,8 @@
 namespace squirrel::store {
 
 struct CacheControllerConfig {
-  /// EMA gain folding each interval's fresh reuse bytes (hit + ghost-hit)
-  /// into the smoothed demand estimate: ema += gain * (fresh - ema). 1.0 =
-  /// no smoothing (last interval only), small values favour stability.
-  double gain = 0.5;
-  /// Per-tenant budget floor above the tenant's pinned charge, so an idle
-  /// tenant can always warm at least this much before its first rebudget.
+  /// Per-tenant budget floor, so an idle tenant can always warm at least
+  /// this much before its first rebudget.
   std::uint64_t min_tenant_bytes = 64 * 1024;
 };
 
@@ -77,7 +73,6 @@ struct TenantShare {
   TenantId tenant = kDefaultTenant;
   std::uint64_t budget_bytes = 0;   // installed via SetTenantBudgets
   std::uint64_t demand_bytes = 0;   // smoothed reuse bytes (EMA, rounded)
-  std::uint64_t pinned_bytes = 0;   // boot-critical charge (budget floor part)
 };
 
 /// Everything one Tick() decided, for callers that want to log or assert.
@@ -91,9 +86,9 @@ struct ControllerTick {
 
 class CacheController {
  public:
-  /// `store` must outlive the controller. Throws std::invalid_argument when
-  /// config.gain is outside (0, 1].
-  CacheController(BlockStore* store, CacheControllerConfig config);
+  /// `store` must outlive the controller.
+  CacheController(BlockStore* store, CacheControllerConfig config)
+      : store_(store), config_(config) {}
 
   /// Pre-registers a tenant so it receives its budget floor from the next
   /// tick even before its first read. Tenants are otherwise discovered from
@@ -101,10 +96,9 @@ class CacheController {
   void ObserveTenant(TenantId tenant);
 
   /// Samples, rebudgets, installs, and appends one trace line. See the
-  /// file comment for the five steps.
+  /// file comment for the four steps.
   ControllerTick Tick();
 
-  const CacheControllerConfig& config() const { return config_; }
   std::uint64_t ticks() const { return tick_count_; }
   /// One line per tick since construction — byte-identical across host
   /// thread counts for the same workload (the determinism contract).

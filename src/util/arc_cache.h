@@ -22,15 +22,16 @@
 //     The store runs one instance, adapting one `p` over its whole working
 //     set.
 //
-// Three extensions serve the workload-adaptive multi-tenant controller
-// (store::CacheController, DESIGN.md §17), all strictly inert at their
-// defaults (owner 0 everywhere, no budgets, nothing pinned — in that state
-// every decision is bit-identical to the classic weighted core):
+// Two extensions serve the workload-adaptive multi-tenant controller
+// (store::CacheController, DESIGN.md §17), both strictly inert at their
+// defaults (owner 0 everywhere, no budgets — in that state every decision
+// is bit-identical to the classic weighted core):
 //
-//   * ghost-hit export — cumulative B1/B2 ghost-hit counts and byte volumes.
-//     A ghost hit is an access that *would* have been a hit with more
-//     budget, i.e. the discrete derivative of the hit curve at the current
-//     capacity; the controller reads it as marginal utility per byte.
+//   * ghost-hit export — the cumulative byte volume of B1/B2 ghost hits,
+//     in total and per owner. A ghost hit is an access that *would* have
+//     been a hit with more budget, i.e. the discrete derivative of the hit
+//     curve at the current capacity; the controller reads it as marginal
+//     utility per byte.
 //   * per-owner accounting and budgets — every resident entry is charged to
 //     the owner (tenant) that last touched it ("charge follows use"). With
 //     budgets set, an owner admitting past its budget evicts *its own*
@@ -38,11 +39,6 @@
 //     one noisy tenant cannot displace the other tenants' working sets.
 //     Refused admissions still adapt `p` and still record the ghost hit, so
 //     a constrained tenant keeps signalling demand to the controller.
-//   * a pinned tier — Pin() moves a resident entry out of T1/T2 into a list
-//     the replacement loops never touch. Pinned weight stays charged to its
-//     owner (and still occupies capacity: the classic algorithm runs over
-//     the remaining `capacity - pinned` slice), so pinning is never free —
-//     it is scan-resistance for boot-critical blocks, not bonus budget.
 //
 // Each instance is single-threaded by contract (no internal locking); owners
 // provide exclusive access, e.g. the store's cache mutex.
@@ -70,19 +66,18 @@ class ArcCache {
   /// default owner; single-tenant callers never pass anything else.
   using Owner = std::uint32_t;
 
-  /// Cumulative per-owner accounting. resident/pinned weights are
-  /// snapshots; the rest are monotonic counters.
+  /// Cumulative per-owner accounting. resident_weight is a snapshot; the
+  /// rest are monotonic counters.
   struct OwnerStats {
     std::uint64_t hits = 0;
-    /// Weight served from T2/pinned entries — frequency reuse the budget
-    /// realized. T1 hits are excluded: short-distance recency reuse says
-    /// nothing about what extra capacity would buy.
+    /// Weight served from T2 entries — frequency reuse the budget realized.
+    /// T1 hits are excluded: short-distance recency reuse says nothing
+    /// about what extra capacity would buy.
     std::uint64_t hit_bytes = 0;
     std::uint64_t misses = 0;
     std::uint64_t ghost_hits = 0;       // B1 + B2 revivals by this owner
     std::uint64_t ghost_hit_bytes = 0;  // same, weighted (marginal utility)
-    std::uint64_t resident_weight = 0;  // includes pinned_weight
-    std::uint64_t pinned_weight = 0;
+    std::uint64_t resident_weight = 0;
   };
 
   /// `capacity` in weight units (entries, bytes, ...). `on_evict` is called
@@ -95,8 +90,8 @@ class ArcCache {
   ArcCache& operator=(const ArcCache&) = delete;
 
   /// True (cache hit) if `key` is resident; promotes it to the MRU end of
-  /// the frequency list (pinned entries stay pinned) and updates the
-  /// hit/miss counters. The hit transfers the entry's charge to `owner`.
+  /// the frequency list and updates the hit/miss counters. The hit
+  /// transfers the entry's charge to `owner`.
   bool Lookup(const Key& key, Owner owner = 0) {
     if (owner != 0) EnableTracking();
     if (capacity_ == 0) {
@@ -112,19 +107,7 @@ class ArcCache {
     }
     Entry& entry = it->second;
     ChargeTo(entry, owner);
-    if (entry.list == ListId::kPinned) {
-      // Pinned entries are outside the replacement order entirely; a hit
-      // neither moves them nor perturbs T1/T2 state.
-      ++hits_;
-      hit_weight_ += entry.weight;
-      if (tracking_owners_) {
-        OwnerStats& stats = Stats(owner);
-        ++stats.hits;
-        stats.hit_bytes += entry.weight;
-      }
-      return true;
-    }
-    // Frequency reuse only (T2/pinned): a T1 hit is short-distance recency
+    // Frequency reuse only (T2): a T1 hit is short-distance recency
     // reuse a one-block buffer would also have served, so it says nothing
     // about what the *budget* earns — back-to-back double reads (scan +
     // verify patterns) would otherwise register as cache demand.
@@ -153,7 +136,7 @@ class ArcCache {
   /// when it cannot make room within its own slice.
   void Insert(const Key& key, std::uint64_t weight, Owner owner = 0) {
     if (owner != 0) EnableTracking();
-    if (capacity_ == 0 || weight == 0 || weight > Cap()) return;
+    if (capacity_ == 0 || weight == 0 || weight > capacity_) return;
     auto it = index_.find(key);
 
     if (it != index_.end() && it->second.list == ListId::kB1) {
@@ -161,8 +144,7 @@ class ArcCache {
       const std::uint64_t delta = std::max<std::uint64_t>(
           weight, weight * (W(ListId::kB2) /
                             std::max<std::uint64_t>(W(ListId::kB1), 1)));
-      p_ = std::min(Cap(), p_ + delta);
-      ++ghost_hits_recency_;
+      p_ = std::min(capacity_, p_ + delta);
       ghost_hit_bytes_ += weight;
       RecordOwnerGhostHit(owner, weight);
       if (!FitsOwnerBudget(owner, weight)) {
@@ -185,7 +167,6 @@ class ArcCache {
           weight, weight * (W(ListId::kB1) /
                             std::max<std::uint64_t>(W(ListId::kB2), 1)));
       p_ = p_ > delta ? p_ - delta : 0;
-      ++ghost_hits_frequency_;
       ghost_hit_bytes_ += weight;
       RecordOwnerGhostHit(owner, weight);
       if (!FitsOwnerBudget(owner, weight)) {
@@ -220,22 +201,22 @@ class ArcCache {
     // freed its own room (self-eviction), and evicting again would charge
     // an innocent owner for the scan traffic that stayed inside its slice.
     const std::uint64_t l1 = W(ListId::kT1) + W(ListId::kB1);
-    if (l1 >= Cap()) {
-      if (W(ListId::kT1) < Cap()) {
-        while (!b1_.empty() && W(ListId::kT1) + W(ListId::kB1) >= Cap()) {
+    if (l1 >= capacity_) {
+      if (W(ListId::kT1) < capacity_) {
+        while (!b1_.empty() && W(ListId::kT1) + W(ListId::kB1) >= capacity_) {
           DropLru(b1_, ListId::kB1);
         }
       } else {
-        while (!t1_.empty() && W(ListId::kT1) >= Cap()) {
+        while (!t1_.empty() && W(ListId::kT1) >= capacity_) {
           DropLru(t1_, ListId::kT1);
         }
       }
-    } else if (TotalWeight() >= Cap()) {
-      while (!b2_.empty() && TotalWeight() >= 2 * Cap()) {
+    } else if (TotalWeight() >= capacity_) {
+      while (!b2_.empty() && TotalWeight() >= 2 * capacity_) {
         DropLru(b2_, ListId::kB2);
       }
     }
-    if (!EnforceBudget(weight, false)) return;  // only pinned weight left
+    EnforceBudget(weight, false);
     t1_.push_front(key);
     index_[key] = Entry{ListId::kT1, t1_.begin(), weight, owner};
     weight_[Idx(ListId::kT1)] += weight;
@@ -244,55 +225,6 @@ class ArcCache {
     // unit-weight arithmetic); with mixed weights the new entry can
     // overshoot the directory bounds by up to one entry, so re-trim.
     TrimGhosts();
-  }
-
-  /// Moves a resident entry into the pinned tier: still charged to its
-  /// owner and still occupying capacity (the classic algorithm runs over
-  /// the remaining capacity - pinned slice), but never evicted by
-  /// replacement, budget pressure, or shrinking Resize. Returns false for
-  /// ghosts and unknown keys. Pinning shrinks the slice T1/T2 live in, so
-  /// residents are evicted down to the new slice immediately — the eviction
-  /// order capacity pressure would have produced.
-  bool Pin(const Key& key, Owner owner = 0) {
-    auto it = index_.find(key);
-    if (it == index_.end() || IsGhost(it->second.list)) return false;
-    Entry& entry = it->second;
-    ChargeTo(entry, owner);
-    if (entry.list == ListId::kPinned) return true;
-    Lru& from = entry.list == ListId::kT1 ? t1_ : t2_;
-    weight_[Idx(entry.list)] -= entry.weight;
-    weight_[Idx(ListId::kPinned)] += entry.weight;
-    pinned_.splice(pinned_.begin(), from, entry.position);
-    entry.list = ListId::kPinned;
-    entry.position = pinned_.begin();
-    Stats(entry.owner).pinned_weight += entry.weight;
-    p_ = std::min(p_, Cap());
-    while (W(ListId::kT1) + W(ListId::kT2) > Cap() &&
-           (!t1_.empty() || !t2_.empty())) {
-      Replace(false);
-    }
-    TrimGhosts();
-    return true;
-  }
-
-  /// Demotes every pinned entry back into the replacement order (MRU of T2,
-  /// most recently pinned first). Returns the number demoted. Total
-  /// resident weight is unchanged, so no eviction happens here; the next
-  /// inserts see the restored T1/T2 slice.
-  std::size_t UnpinAll() {
-    std::size_t demoted = 0;
-    while (!pinned_.empty()) {
-      const Key key = pinned_.front();
-      Entry& entry = index_.at(key);
-      weight_[Idx(ListId::kPinned)] -= entry.weight;
-      weight_[Idx(ListId::kT2)] += entry.weight;
-      t2_.splice(t2_.begin(), pinned_, pinned_.begin());
-      entry.list = ListId::kT2;
-      entry.position = t2_.begin();
-      Stats(entry.owner).pinned_weight -= entry.weight;
-      ++demoted;
-    }
-    return demoted;
   }
 
   /// Sets the resident-weight budget of `owner` (its slice of the tenant
@@ -316,24 +248,20 @@ class ArcCache {
   /// matches what capacity pressure would have produced, then trims the
   /// ghost lists to the classic bounds (W(T1)+W(B1) <= c, total <= 2c).
   /// Growing just raises the budget; resident entries and ghost history are
-  /// retained. Resize(0) is a full disable: every resident entry (pinned
-  /// included) is evicted through on_evict and all history is dropped.
-  /// Pinned entries survive any nonzero shrink, even one below the pinned
-  /// weight itself — the unpinned slice just collapses to zero until the
-  /// budget recovers or the pins are released.
+  /// retained. Resize(0) is a full disable: every resident entry is
+  /// evicted through on_evict and all history is dropped.
   void Resize(std::uint64_t new_capacity) {
     capacity_ = new_capacity;
     if (capacity_ == 0) {
       while (!t1_.empty()) DropLru(t1_, ListId::kT1);
       while (!t2_.empty()) DropLru(t2_, ListId::kT2);
-      while (!pinned_.empty()) DropLru(pinned_, ListId::kPinned);
       while (!b1_.empty()) DropLru(b1_, ListId::kB1);
       while (!b2_.empty()) DropLru(b2_, ListId::kB2);
       p_ = 0;
       return;
     }
-    p_ = std::min(p_, Cap());
-    while (W(ListId::kT1) + W(ListId::kT2) > Cap() &&
+    p_ = std::min(p_, capacity_);
+    while (W(ListId::kT1) + W(ListId::kT2) > capacity_ &&
            (!t1_.empty() || !t2_.empty())) {
       Replace(false);
     }
@@ -346,60 +274,46 @@ class ArcCache {
     return it != index_.end() && !IsGhost(it->second.list);
   }
 
-  /// True when `key` is resident in the pinned tier.
-  bool Pinned(const Key& key) const {
-    const auto it = index_.find(key);
-    return it != index_.end() && it->second.list == ListId::kPinned;
-  }
-
   std::uint64_t hits() const { return hits_; }
-  /// Total weight served from T2/pinned entries (realized *frequency* reuse
-  /// — the counterpart of ghost_hit_bytes' would-have-been reuse; T1
-  /// recency hits excluded, see OwnerStats::hit_bytes).
+  /// Total weight served from T2 entries (realized *frequency* reuse — the
+  /// counterpart of ghost_hit_bytes' would-have-been reuse; T1 recency hits
+  /// excluded, see OwnerStats::hit_bytes).
   std::uint64_t hit_weight() const { return hit_weight_; }
   std::uint64_t misses() const { return misses_; }
-  /// Ghost-list hits (Cases II/III): accesses that would have been resident
-  /// hits with roughly double the budget — the derivative of the hit curve
-  /// the controller integrates into marginal utility per byte.
-  std::uint64_t ghost_hits_recency() const { return ghost_hits_recency_; }
-  std::uint64_t ghost_hits_frequency() const { return ghost_hits_frequency_; }
+  /// Weight of the ghost-list hits (Cases II/III): accesses that would have
+  /// been resident hits with roughly double the budget — the derivative of
+  /// the hit curve the controller integrates into marginal utility per
+  /// byte.
   std::uint64_t ghost_hit_bytes() const { return ghost_hit_bytes_; }
   std::uint64_t capacity() const { return capacity_; }
-  std::size_t resident_entries() const {
-    return t1_.size() + t2_.size() + pinned_.size();
-  }
+  std::size_t resident_entries() const { return t1_.size() + t2_.size(); }
   std::uint64_t resident_weight() const {
-    return weight_[Idx(ListId::kT1)] + weight_[Idx(ListId::kT2)] +
-           weight_[Idx(ListId::kPinned)];
+    return W(ListId::kT1) + W(ListId::kT2);
   }
-  std::uint64_t pinned_weight() const { return weight_[Idx(ListId::kPinned)]; }
-  std::uint64_t ghost_recency_weight() const { return W(ListId::kB1); }
-  std::uint64_t ghost_frequency_weight() const { return W(ListId::kB2); }
   /// Current adaptive target for T1 (recency side), in weight units.
   std::uint64_t target_recency_weight() const { return p_; }
 
   /// Per-owner accounting, keyed by owner id (ordered, so iteration — and
   /// everything derived from it, e.g. the controller's rebudget trace — is
-  /// deterministic). Empty until a non-zero owner, a budget, or a pin is
-  /// first seen.
+  /// deterministic). Empty until a non-zero owner or a budget is first
+  /// seen.
   const std::map<Owner, OwnerStats>& owner_stats() const {
     return owner_stats_;
   }
 
   /// Internal-consistency audit for the property tests: recounts every list
   /// against the weight array and checks the documented invariants
-  ///   resident unpinned weight <= capacity - min(capacity, pinned),
+  ///   resident weight <= capacity,
   ///   W(T1) + W(B1) <= capacity,
   ///   W(T1)+W(T2)+W(B1)+W(B2) <= 2 * capacity,
-  ///   p <= capacity - min(capacity, pinned).
+  ///   p <= capacity.
   /// Returns an empty string when everything holds, else a description of
   /// the first violation.
   std::string CheckInvariants() const {
-    const Lru* lists[5] = {&t1_, &t2_, &b1_, &b2_, &pinned_};
-    const ListId ids[5] = {ListId::kT1, ListId::kT2, ListId::kB1, ListId::kB2,
-                           ListId::kPinned};
+    const Lru* lists[4] = {&t1_, &t2_, &b1_, &b2_};
+    const ListId ids[4] = {ListId::kT1, ListId::kT2, ListId::kB1, ListId::kB2};
     std::size_t entries = 0;
-    for (int l = 0; l < 5; ++l) {
+    for (int l = 0; l < 4; ++l) {
       std::uint64_t recount = 0;
       for (auto it = lists[l]->begin(); it != lists[l]->end(); ++it) {
         const auto found = index_.find(*it);
@@ -420,8 +334,8 @@ class ArcCache {
     if (capacity_ == 0) {
       return index_.empty() ? "" : "capacity 0 but entries present";
     }
-    if (W(ListId::kT1) + W(ListId::kT2) > Cap()) {
-      return "unpinned resident weight exceeds unpinned capacity slice";
+    if (resident_weight() > capacity_) {
+      return "resident weight exceeds capacity";
     }
     if (W(ListId::kT1) + W(ListId::kB1) > capacity_) {
       return "W(T1)+W(B1) exceeds capacity";
@@ -429,29 +343,21 @@ class ArcCache {
     if (TotalWeight() > 2 * capacity_) {
       return "T1+T2+B1+B2 weight exceeds 2*capacity";
     }
-    if (p_ > Cap()) return "adaptation target p exceeds capacity";
+    if (p_ > capacity_) return "adaptation target p exceeds capacity";
     if (tracking_owners_) {
-      std::map<Owner, OwnerStats> recount;
+      std::map<Owner, std::uint64_t> recount;
       for (const auto& [key, entry] : index_) {
-        if (IsGhost(entry.list)) continue;
-        recount[entry.owner].resident_weight += entry.weight;
-        if (entry.list == ListId::kPinned) {
-          recount[entry.owner].pinned_weight += entry.weight;
-        }
+        if (!IsGhost(entry.list)) recount[entry.owner] += entry.weight;
       }
       for (const auto& [owner, stats] : owner_stats_) {
         const auto it = recount.find(owner);
-        const std::uint64_t resident =
-            it == recount.end() ? 0 : it->second.resident_weight;
-        const std::uint64_t pinned =
-            it == recount.end() ? 0 : it->second.pinned_weight;
-        if (stats.resident_weight != resident ||
-            stats.pinned_weight != pinned) {
+        const std::uint64_t resident = it == recount.end() ? 0 : it->second;
+        if (stats.resident_weight != resident) {
           return "owner charge mismatch for owner " + std::to_string(owner);
         }
       }
-      for (const auto& [owner, stats] : recount) {
-        if (stats.resident_weight != 0 && !owner_stats_.contains(owner)) {
+      for (const auto& [owner, resident] : recount) {
+        if (resident != 0 && !owner_stats_.contains(owner)) {
           return "untracked owner holds weight";
         }
       }
@@ -460,7 +366,7 @@ class ArcCache {
   }
 
  private:
-  enum class ListId { kT1, kT2, kB1, kB2, kPinned };
+  enum class ListId { kT1, kT2, kB1, kB2 };
   using Lru = std::list<Key>;  // front = MRU
   struct Entry {
     ListId list;
@@ -476,16 +382,9 @@ class ArcCache {
     return id == ListId::kB1 || id == ListId::kB2;
   }
   std::uint64_t W(ListId id) const { return weight_[Idx(id)]; }
-  /// T1+T2+B1+B2 — the classic cache-directory weight; pinned entries live
-  /// outside the directory bounds.
+  /// T1+T2+B1+B2 — the classic cache-directory weight.
   std::uint64_t TotalWeight() const {
     return weight_[0] + weight_[1] + weight_[2] + weight_[3];
-  }
-  /// The capacity slice the classic algorithm runs over: total capacity
-  /// minus the pinned carve-out. Equal to capacity_ when nothing is pinned.
-  std::uint64_t Cap() const {
-    const std::uint64_t pinned = weight_[Idx(ListId::kPinned)];
-    return capacity_ > pinned ? capacity_ - pinned : 0;
   }
 
   /// Flips owner accounting on, backfilling the charge of every entry
@@ -496,9 +395,7 @@ class ArcCache {
     tracking_owners_ = true;
     for (const auto& [key, entry] : index_) {
       if (IsGhost(entry.list)) continue;
-      OwnerStats& stats = owner_stats_[entry.owner];
-      stats.resident_weight += entry.weight;
-      if (entry.list == ListId::kPinned) stats.pinned_weight += entry.weight;
+      owner_stats_[entry.owner].resident_weight += entry.weight;
     }
   }
 
@@ -518,20 +415,14 @@ class ArcCache {
   void ChargeTo(Entry& entry, Owner owner) {
     if (entry.owner == owner) return;
     if (tracking_owners_ || owner != 0) {
-      OwnerStats& from = Stats(entry.owner);
-      OwnerStats& to = Stats(owner);
-      from.resident_weight -= entry.weight;
-      to.resident_weight += entry.weight;
-      if (entry.list == ListId::kPinned) {
-        from.pinned_weight -= entry.weight;
-        to.pinned_weight += entry.weight;
-      }
+      Stats(entry.owner).resident_weight -= entry.weight;
+      Stats(owner).resident_weight += entry.weight;
     }
     entry.owner = owner;
   }
 
   /// Owner-budget admission gate: with a budget set for `owner`, evicts the
-  /// owner's own unpinned residents (LRU order, T1 before T2) until the new
+  /// owner's own residents (LRU order, T1 before T2) until the new
   /// entry fits the budget; false when it cannot fit (the insert must be
   /// dropped instead of displacing other owners).
   bool FitsOwnerBudget(Owner owner, std::uint64_t weight) {
@@ -545,7 +436,7 @@ class ArcCache {
     return true;
   }
 
-  /// Evicts the LRU unpinned entry owned by `owner` (T1 scanned before T2)
+  /// Evicts the LRU entry owned by `owner` (T1 scanned before T2)
   /// into its ghost list. False when the owner holds none.
   bool EvictOwnedLru(Owner owner) {
     for (auto it = t1_.rbegin(); it != t1_.rend(); ++it) {
@@ -568,9 +459,7 @@ class ArcCache {
     const auto it = index_.find(victim);
     weight_[Idx(id)] -= it->second.weight;
     if (tracking_owners_ && !IsGhost(id)) {
-      OwnerStats& stats = Stats(it->second.owner);
-      stats.resident_weight -= it->second.weight;
-      if (id == ListId::kPinned) stats.pinned_weight -= it->second.weight;
+      Stats(it->second.owner).resident_weight -= it->second.weight;
     }
     if (!IsGhost(id) && on_evict_) on_evict_(victim);
     index_.erase(it);
@@ -611,29 +500,27 @@ class ArcCache {
     }
   }
 
-  /// Trims ghost history to the classic directory bounds over the unpinned
-  /// slice: W(T1)+W(B1) <= Cap(), T1+T2+B1+B2 <= 2*Cap().
+  /// Trims ghost history to the classic directory bounds:
+  /// W(T1)+W(B1) <= capacity, T1+T2+B1+B2 <= 2*capacity.
   void TrimGhosts() {
-    while (!b1_.empty() && W(ListId::kT1) + W(ListId::kB1) > Cap()) {
+    while (!b1_.empty() && W(ListId::kT1) + W(ListId::kB1) > capacity_) {
       DropLru(b1_, ListId::kB1);
     }
-    while (!b2_.empty() && TotalWeight() > 2 * Cap()) {
+    while (!b2_.empty() && TotalWeight() > 2 * capacity_) {
       DropLru(b2_, ListId::kB2);
     }
   }
 
   /// Weighted-mode safety net: evict until an entry of `weight` fits the
-  /// unpinned resident budget. A provable no-op at uniform weight 1, where
-  /// the classic branch structure already leaves exactly enough room.
-  /// Returns false when no room can be made (everything left is pinned) —
-  /// unreachable with nothing pinned, where draining T1/T2 frees the whole
-  /// slice and the width precheck guarantees the entry fits it.
-  bool EnforceBudget(std::uint64_t weight, bool hit_in_b2) {
-    while (W(ListId::kT1) + W(ListId::kT2) + weight > Cap() &&
+  /// resident budget. A provable no-op at uniform weight 1, where the
+  /// classic branch structure already leaves exactly enough room. Always
+  /// makes room: draining T1/T2 frees the whole capacity, and Insert's
+  /// width precheck guarantees the entry fits it.
+  void EnforceBudget(std::uint64_t weight, bool hit_in_b2) {
+    while (W(ListId::kT1) + W(ListId::kT2) + weight > capacity_ &&
            (!t1_.empty() || !t2_.empty())) {
       Replace(hit_in_b2);
     }
-    return W(ListId::kT1) + W(ListId::kT2) + weight <= Cap();
   }
 
   /// Cases II/III tail: move a ghost-hit key to the MRU of T2 as a resident
@@ -643,10 +530,7 @@ class ArcCache {
                    std::uint64_t weight, bool hit_in_b2, Owner owner) {
     weight_[Idx(ghost_id)] -= entry.weight;
     ghost.erase(entry.position);
-    if (!EnforceBudget(weight, hit_in_b2)) {
-      index_.erase(key);  // only pinned weight left — revival refused
-      return;
-    }
+    EnforceBudget(weight, hit_in_b2);
     t2_.push_front(key);
     entry = Entry{ListId::kT2, t2_.begin(), weight, owner};
     weight_[Idx(ListId::kT2)] += weight;
@@ -659,17 +543,15 @@ class ArcCache {
   std::uint64_t capacity_;
   std::function<void(const Key&)> on_evict_;
   std::uint64_t p_ = 0;  // target weight of T1
-  Lru t1_, t2_, b1_, b2_, pinned_;
+  Lru t1_, t2_, b1_, b2_;
   std::unordered_map<Key, Entry, Hasher> index_;
-  std::uint64_t weight_[5] = {0, 0, 0, 0, 0};
+  std::uint64_t weight_[4] = {0, 0, 0, 0};
   std::uint64_t hits_ = 0;
   std::uint64_t hit_weight_ = 0;
   std::uint64_t misses_ = 0;
-  std::uint64_t ghost_hits_recency_ = 0;
-  std::uint64_t ghost_hits_frequency_ = 0;
   std::uint64_t ghost_hit_bytes_ = 0;
-  /// Owner accounting engages on the first non-default owner, budget or
-  /// pin; before that the maps stay empty and every op skips them.
+  /// Owner accounting engages on the first non-default owner or budget;
+  /// before that the maps stay empty and every op skips them.
   bool tracking_owners_ = false;
   std::map<Owner, OwnerStats> owner_stats_;
   std::map<Owner, std::uint64_t> budgets_;

@@ -103,7 +103,6 @@ util::Bytes Volume::Serialize() const {
   for (std::size_t base = 0; base < ordered.size(); base += batch_blocks) {
     const std::size_t n = std::min(batch_blocks, ordered.size() - base);
     const std::vector<util::SharedBytes> payloads = store_.GetBatchShared(
-        store::kDefaultTenant,
         std::span<const util::Digest>(ordered.data() + base, n));
     for (std::size_t i = 0; i < n; ++i) {
       const util::Digest& digest = ordered[base + i];

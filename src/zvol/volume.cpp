@@ -379,7 +379,7 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
       old_slots.push_back(j);
     }
     const std::vector<util::SharedBytes> olds =
-        store_.GetBatchShared(store::kDefaultTenant, old_digests);
+        store_.GetBatchShared(old_digests);
     for (std::size_t k = 0; k < old_slots.size(); ++k) {
       old_blocks[old_slots[k]] = olds[k].get();
     }
@@ -434,21 +434,15 @@ void Volume::WriteRange(const std::string& name, std::uint64_t offset,
 
 util::Bytes Volume::ReadRange(const std::string& name, std::uint64_t offset,
                               std::uint64_t length) const {
-  return ReadRangeAs(store::kDefaultTenant, name, offset, length);
-}
-
-util::Bytes Volume::ReadRangeAs(store::TenantId tenant, const std::string& name,
-                                std::uint64_t offset,
-                                std::uint64_t length) const {
   RequireRange(name, offset, length);  // before sizing the buffer
   util::Bytes out(length);
-  ReadRangeInto(tenant, name, offset, length, 0, out);
+  ReadRangeInto(name, offset, length, 0, out);
   return out;
 }
 
-void Volume::ReadRangeInto(store::TenantId tenant, const std::string& name,
-                           std::uint64_t offset, std::uint64_t length,
-                           std::uint64_t skip, util::MutableByteSpan out,
+void Volume::ReadRangeInto(const std::string& name, std::uint64_t offset,
+                           std::uint64_t length, std::uint64_t skip,
+                           util::MutableByteSpan out,
                            std::vector<util::SharedBytes>* blocks) const {
   const FileMeta& meta = RequireRange(name, offset, length);
   if (skip > length || out.size() > length - skip) {
@@ -482,8 +476,7 @@ void Volume::ReadRangeInto(store::TenantId tenant, const std::string& name,
       const BlockPtr& ptr = meta.blocks[i];
       if (!ptr.hole) digests.push_back(ptr.digest);
     }
-    std::vector<util::SharedBytes> fetched =
-        store_.GetBatchShared(tenant, digests);
+    std::vector<util::SharedBytes> fetched = store_.GetBatchShared(digests);
 
     // The round's non-hole blocks are the leading entries of `fetched`, in
     // block order; any after them are readahead only. Each block copies
@@ -1076,20 +1069,17 @@ Volume::RepairReport Volume::ScrubRepair(RepairSession& session) {
   return report;
 }
 
-util::Bytes Volume::ReadRangeRepair(store::TenantId tenant,
-                                    const std::string& name,
+util::Bytes Volume::ReadRangeRepair(const std::string& name,
                                     std::uint64_t offset, std::uint64_t length,
                                     RepairSession& session,
                                     std::uint64_t* fetched_bytes) {
   RequireRange(name, offset, length);  // before sizing the buffer
   util::Bytes out(length);
-  ReadRangeRepairInto(tenant, name, offset, length, 0, out, session,
-                      fetched_bytes);
+  ReadRangeRepairInto(name, offset, length, 0, out, session, fetched_bytes);
   return out;
 }
 
-void Volume::ReadRangeRepairInto(store::TenantId tenant,
-                                 const std::string& name, std::uint64_t offset,
+void Volume::ReadRangeRepairInto(const std::string& name, std::uint64_t offset,
                                  std::uint64_t length, std::uint64_t skip,
                                  util::MutableByteSpan out,
                                  RepairSession& session,
@@ -1098,7 +1088,7 @@ void Volume::ReadRangeRepairInto(store::TenantId tenant,
   DigestSet repaired;
   while (true) {
     try {
-      ReadRangeInto(tenant, name, offset, length, skip, out, blocks);
+      ReadRangeInto(name, offset, length, skip, out, blocks);
       return;
     } catch (const store::BlockCorruptionError& e) {
       // One corrupt block surfaces per attempt; heal it through the session

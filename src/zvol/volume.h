@@ -240,21 +240,15 @@ class Volume {
                   util::ByteSpan data);
 
   /// Reads [offset, offset+length); holes read as zeros. Wraps
-  /// ReadRangeInto for store::kDefaultTenant.
+  /// ReadRangeInto.
   util::Bytes ReadRange(const std::string& name, std::uint64_t offset,
                         std::uint64_t length) const;
-
-  /// ReadRange with the cache interaction charged to `tenant` (see
-  /// store::TenantId) instead of store::kDefaultTenant — the
-  /// multi-tenant boot path tags each VM's reads with its own id.
-  util::Bytes ReadRangeAs(store::TenantId tenant, const std::string& name,
-                          std::uint64_t offset, std::uint64_t length) const;
 
   /// The one range read. Serves the request [offset, offset + length) and
   /// copies its window [offset + skip, offset + skip + out.size()) into
   /// `out` (std::out_of_range unless the request lies inside the file and
-  /// the window inside the request), charging the cache interaction to
-  /// `tenant`. Fetches the payloads of every block of the request through
+  /// the window inside the request). Fetches the payloads of every block of
+  /// the request through
   /// BlockStore::GetBatchShared in rounds of ingest.batch_blocks blocks,
   /// each extended by read.readahead_blocks following pointers (the QCOW2
   /// cluster-prefetch effect) when the decompressed-block ARC is on, and
@@ -266,9 +260,9 @@ class Volume {
   /// touches, from offset / block_size on, and each non-hole slot gets that
   /// block's shared payload (null for holes), so a caller can keep a block
   /// without copying it.
-  void ReadRangeInto(store::TenantId tenant, const std::string& name,
-                     std::uint64_t offset, std::uint64_t length,
-                     std::uint64_t skip, util::MutableByteSpan out,
+  void ReadRangeInto(const std::string& name, std::uint64_t offset,
+                     std::uint64_t length, std::uint64_t skip,
+                     util::MutableByteSpan out,
                      std::vector<util::SharedBytes>* blocks = nullptr) const;
 
   /// Whole-file convenience read over the same batched, cache-aware path.
@@ -424,23 +418,21 @@ class Volume {
   /// zero errors and reads return byte-identical content.
   RepairReport ScrubRepair(RepairSession& session);
 
-  /// Degraded-mode read: ReadRangeAs that, when the verified read path
+  /// Degraded-mode read: ReadRange that, when the verified read path
   /// throws BlockCorruptionError, heals the corrupt block through `session`
   /// on demand and retries. Bytes the session fetched — lies included —
   /// are added to `*fetched_bytes` (network charge for the caller).
   /// Rethrows when no session peer can supply a clean copy. Wraps
   /// ReadRangeRepairInto.
-  util::Bytes ReadRangeRepair(store::TenantId tenant, const std::string& name,
-                              std::uint64_t offset, std::uint64_t length,
-                              RepairSession& session,
+  util::Bytes ReadRangeRepair(const std::string& name, std::uint64_t offset,
+                              std::uint64_t length, RepairSession& session,
                               std::uint64_t* fetched_bytes = nullptr);
 
   /// ReadRangeInto with ReadRangeRepair's on-demand healing: the span read
   /// every cluster boot's volume device takes.
-  void ReadRangeRepairInto(store::TenantId tenant, const std::string& name,
-                           std::uint64_t offset, std::uint64_t length,
-                           std::uint64_t skip, util::MutableByteSpan out,
-                           RepairSession& session,
+  void ReadRangeRepairInto(const std::string& name, std::uint64_t offset,
+                           std::uint64_t length, std::uint64_t skip,
+                           util::MutableByteSpan out, RepairSession& session,
                            std::uint64_t* fetched_bytes = nullptr,
                            std::vector<util::SharedBytes>* blocks = nullptr);
 
@@ -463,8 +455,8 @@ class Volume {
 
   VolumeStats Stats() const;
   const store::BlockStore& block_store() const { return store_; }
-  /// Mutable store access for cache management (tenant-tagged warms,
-  /// ARC resizes, store::CacheController construction over its cache).
+  /// Mutable store access for cache management (ARC resizes,
+  /// store::CacheController construction over its cache).
   store::BlockStore& block_store() { return store_; }
 
   /// Test hook: corrupts the stored payload of the block backing file

@@ -344,8 +344,8 @@ TEST(FaultRepair, ReadRangeRepairHealsOnDemand) {
 
   zvol::RepairSession session({{0, &peer->block_store()}});
   std::uint64_t fetched = 0;
-  const Bytes got = volume.ReadRangeRepair(store::kDefaultTenant, "f", 0,
-                                           content.size(), session, &fetched);
+  const Bytes got =
+      volume.ReadRangeRepair("f", 0, content.size(), session, &fetched);
   EXPECT_EQ(got, content);
   EXPECT_GT(fetched, 0u);
   // The heal is persistent, not per-read: a scrub afterwards is clean.

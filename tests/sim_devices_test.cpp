@@ -382,8 +382,7 @@ TEST(VolumeFileDevice, HeldBlockIsTheArcBuffer) {
 
   const util::Digest one[1] = {volume.FileBlock("f", b).digest};
   const std::uint64_t hits = volume.block_store().read_stats().cache_hits;
-  const util::SharedBytes probe =
-      volume.block_store().GetBatchShared(store::kDefaultTenant, one)[0];
+  const util::SharedBytes probe = volume.block_store().GetBatchShared(one)[0];
   ASSERT_EQ(volume.block_store().read_stats().cache_hits, hits + 1);
   // Three holders of the one buffer: the ARC entry, the device and this
   // probe. A device holding a copy would leave two.

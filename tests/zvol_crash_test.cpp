@@ -575,8 +575,8 @@ TEST(Byzantine, DegradedReadHealsThroughSession) {
   RepairSession session({{1, &liar.block_store()}, {0, &honest.block_store()}},
                         &faults);
   std::uint64_t fetched = 0;
-  const Bytes read = local.ReadRangeRepair(store::kDefaultTenant, "f", 0,
-                                           content.size(), session, &fetched);
+  const Bytes read =
+      local.ReadRangeRepair("f", 0, content.size(), session, &fetched);
   EXPECT_EQ(read, content);
   // The lie's bytes crossed the wire too, then the honest copy.
   EXPECT_GE(fetched, 2u * kBlock);
@@ -604,8 +604,7 @@ TEST(Byzantine, AllPeersLyingFailsClosed) {
       {{1, &liar_a.block_store()}, {2, &liar_b.block_store()}}, &faults);
   // No honest peer: the read must fail closed (typed corruption error, no
   // wrong bytes accepted), with both lies rejected by the digest check.
-  EXPECT_THROW(local.ReadRangeRepair(store::kDefaultTenant, "f", 0,
-                                     content.size(), session),
+  EXPECT_THROW(local.ReadRangeRepair("f", 0, content.size(), session),
                store::BlockCorruptionError);
   EXPECT_EQ(session.byzantine_rejected(), 2u);
   EXPECT_EQ(faults.stats().byzantine_detected, 2u);

@@ -232,13 +232,11 @@ TEST(ParallelRead, SharedPayloadsAreOneBufferPerBlock) {
     }
     const util::Digest digest = store.Put(text).digest;
     const util::Digest batch[3] = {digest, digest, digest};
-    const std::vector<util::SharedBytes> first =
-        store.GetBatchShared(store::kDefaultTenant, batch);
+    const std::vector<util::SharedBytes> first = store.GetBatchShared(batch);
     ASSERT_EQ(*first[0], text);
     EXPECT_EQ(first[1], first[0]);
     EXPECT_EQ(first[2], first[0]);
-    const std::vector<util::SharedBytes> again =
-        store.GetBatchShared(store::kDefaultTenant, batch);
+    const std::vector<util::SharedBytes> again = store.GetBatchShared(batch);
     EXPECT_EQ(again[0] == first[0], cache_bytes > 0);
     // The copy-out wrapper hands back the same bytes in a buffer of its own.
     const Bytes copy = store.Get(digest);
@@ -299,8 +297,7 @@ TEST(ParallelRead, SpanReadMatchesReadRange) {
                    std::to_string(length));
       Bytes got(length, 0xa5);
       std::vector<util::SharedBytes> blocks;
-      span_volume.ReadRangeInto(store::kDefaultTenant, "f", offset, length, 0,
-                                got, &blocks);
+      span_volume.ReadRangeInto("f", offset, length, 0, got, &blocks);
       ASSERT_EQ(got, range_volume.ReadRange("f", offset, length));
       ASSERT_TRUE(std::equal(got.begin(), got.end(),
                              want.begin() + static_cast<std::ptrdiff_t>(offset)));
@@ -326,7 +323,7 @@ TEST(ParallelRead, SpanReadMatchesReadRange) {
       const std::uint64_t skip = length / 3;
       Bytes guarded(length / 3 + 2, 0xa5);
       span_volume.ReadRangeInto(
-          store::kDefaultTenant, "f", offset, length, skip,
+          "f", offset, length, skip,
           util::MutableByteSpan(guarded.data() + 1, length / 3));
       range_volume.ReadRange("f", offset, length);
       EXPECT_TRUE(std::equal(
@@ -339,8 +336,7 @@ TEST(ParallelRead, SpanReadMatchesReadRange) {
                           /*cache_enabled=*/true);
     }
     Bytes too_long(6);
-    EXPECT_THROW(span_volume.ReadRangeInto(store::kDefaultTenant, "f", 0, 10,
-                                           5, too_long),
+    EXPECT_THROW(span_volume.ReadRangeInto("f", 0, 10, 5, too_long),
                  std::out_of_range);
   }
 }
